@@ -1,0 +1,440 @@
+"""Command-line front end.
+
+Every library capability is exposed as a subcommand with deterministic
+output: a human-readable rendering by default, a structured JSON
+document with ``--json``. Exit codes: 0 success, 1 usage or validation
+error, 2 mathematical domain error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from .errors import DomainError, InvalidInput, UsageError
+from .functions import function_from_document, function_to_document, materialize, mobius_inversion, zeta_transform
+from .incidence import (
+    classical_mobius,
+    convolve,
+    delta_function,
+    mobius_function,
+    mobius_value,
+    zeta_function,
+)
+from .lab import (
+    conjecture_experiment,
+    finite_support_pair_search,
+    support_census,
+    verify_uncertainty_witnesses,
+    witnesses,
+)
+from .posets import (
+    Poset,
+    Window,
+    get_poset,
+    integer_to_multiset,
+    load_explicit_poset,
+    multiset_to_integer,
+)
+
+_INTERVAL_FUNCTIONS = {
+    "delta": delta_function,
+    "zeta": zeta_function,
+    "mobius": mobius_function,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argparse parser that reports usage problems as ``UsageError`` so
+    the CLI can exit with status 1 instead of argparse's default 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="posetlab", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, poset=True):
+        if poset:
+            p.add_argument("--poset", help="built-in poset family name")
+            p.add_argument("--poset-file", help="path to an explicit-poset JSON document")
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+
+    def add_window_flags(p, shell=False):
+        p.add_argument("--bound", type=int, help="window bound (family-specific)")
+        p.add_argument(
+            "--divisors",
+            type=int,
+            help="divisibility only: use the divisors of this integer as the window",
+        )
+        if shell:
+            p.add_argument("--shell-bound", type=int, help="shell window bound")
+            p.add_argument(
+                "--shell-divisors",
+                type=int,
+                help="divisibility only: use a divisor set as the shell",
+            )
+
+    p = sub.add_parser("mobius", help="Mobius value on an interval")
+    add_common(p)
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
+
+    p = sub.add_parser("classical-mobius", help="number-theoretic Mobius function")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("transform", help="zeta transform of a function, materialised")
+    add_common(p)
+    p.add_argument("--fn", required=True, help="path to a function document")
+    add_window_flags(p)
+
+    p = sub.add_parser("invert-transform", help="Mobius inversion of a function, materialised")
+    add_common(p)
+    p.add_argument("--fn", required=True)
+    add_window_flags(p)
+
+    p = sub.add_parser("convolve", help="evaluate a convolution at an interval")
+    add_common(p)
+    p.add_argument("--left", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
+    p.add_argument("--right", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
+
+    p = sub.add_parser("witness", help="stream witness certificates above y")
+    add_common(p)
+    p.add_argument("--y", required=True)
+    p.add_argument("--avoid", default="", help="comma-joined element encodings to avoid")
+    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--budget", type=int, default=10000)
+
+    p = sub.add_parser("verify", help="verify witness conclusions for an inversion pair")
+    add_common(p)
+    p.add_argument("--fn", required=True)
+    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--budget", type=int, default=10000)
+
+    p = sub.add_parser("census", help="support census of an interval function row")
+    add_common(p)
+    p.add_argument("--x", required=True)
+    p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
+    add_window_flags(p)
+
+    p = sub.add_parser("search", help="finite-support pair search over window and shell")
+    add_common(p)
+    p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
+    add_window_flags(p, shell=True)
+
+    p = sub.add_parser("conjecture", help="censuses plus pair search for an inverse pair")
+    add_common(p)
+    p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
+    p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
+    p.add_argument("--sample", default="", help="comma-joined base-point encodings")
+    add_window_flags(p, shell=True)
+
+    p = sub.add_parser("isomap", help="multiset/integer isomorphism, either direction")
+    p.add_argument("--n", type=int, help="integer to send to a multiset")
+    p.add_argument("--m", help="multiset encoding to send to an integer")
+    p.add_argument("--json", action="store_true")
+
+    return parser
+
+
+# -- argument resolution helpers ---------------------------------------
+
+
+def _load_json_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _resolve_poset(args) -> tuple[Poset, str]:
+    """Resolve the poset and a label usable in emitted documents."""
+    if getattr(args, "poset_file", None):
+        return load_explicit_poset(_load_json_file(args.poset_file)), args.poset_file
+    if getattr(args, "poset", None):
+        return get_poset(args.poset), args.poset
+    fn = getattr(args, "fn", None)
+    if fn:
+        doc = _load_json_file(fn)
+        name = doc.get("poset")
+        if not isinstance(name, str):
+            raise UsageError(f"{fn} does not name its poset; pass --poset")
+        try:
+            return get_poset(name), name
+        except InvalidInput:
+            return load_explicit_poset(_load_json_file(name)), name
+    raise UsageError("a poset is required: pass --poset or --poset-file")
+
+
+def _load_function(args, p: Poset):
+    return function_from_document(_load_json_file(args.fn), p)
+
+
+def _window_from_args(p: Poset, bound, divisors, flag="--bound") -> Window:
+    if divisors is not None:
+        return Window(p, divisors, divisor_closure=True)
+    if p.family == "explicit":
+        return Window(p)
+    if bound is None:
+        raise UsageError(f"{flag} is required for {p.family} posets")
+    return Window(p, bound)
+
+
+def _split_encodings(text: str) -> list[str]:
+    """Split comma-joined encodings, ignoring commas inside braces."""
+    parts, current, depth = [], [], 0
+    for ch in text:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return [part.strip() for part in parts if part.strip()]
+
+
+def _function_lines(f, p: Poset) -> list[str]:
+    return [f"{p.format_element(k)} = {v}" for k, v in f.items()]
+
+
+def _certificate_lines(certs, p: Poset) -> list[str]:
+    lines = []
+    for cert in certs:
+        pieces = [
+            f"z={p.format_element(cert.z)}",
+            f"mu_yz={cert.mu_yz}",
+            f"disjoint={str(cert.cond_disjoint).lower()}",
+            f"factorize={str(cert.cond_factorize).lower()}",
+            f"nonzero={str(cert.cond_nonzero).lower()}",
+        ]
+        if cert.predicted_fz is not None:
+            pieces.append(f"predicted_fz={cert.predicted_fz}")
+            pieces.append(f"observed_fz={cert.observed_fz}")
+        lines.append("  ".join(pieces))
+    return lines
+
+
+# -- subcommand handlers -------------------------------------------------
+
+
+def _cmd_mobius(args):
+    p, label = _resolve_poset(args)
+    x = p.parse_element(args.x)
+    y = p.parse_element(args.y)
+    value = mobius_value(p, x, y)
+    payload = {
+        "poset": label,
+        "x": p.format_element(x),
+        "y": p.format_element(y),
+        "mobius": str(value),
+    }
+    return payload, [str(value)]
+
+
+def _cmd_classical_mobius(args):
+    value = classical_mobius(args.n)
+    return {"n": args.n, "mobius": value}, [str(value)]
+
+
+def _transform_command(args, transform):
+    p, label = _resolve_poset(args)
+    f = _load_function(args, p)
+    window = _window_from_args(p, args.bound, args.divisors)
+    result = materialize(transform(f), window)
+    return function_to_document(result, label), _function_lines(result, p)
+
+
+def _cmd_transform(args):
+    return _transform_command(args, zeta_transform)
+
+
+def _cmd_invert_transform(args):
+    return _transform_command(args, mobius_inversion)
+
+
+def _cmd_convolve(args):
+    p, label = _resolve_poset(args)
+    x = p.parse_element(args.x)
+    y = p.parse_element(args.y)
+    left = _INTERVAL_FUNCTIONS[args.left](p)
+    right = _INTERVAL_FUNCTIONS[args.right](p)
+    value = convolve(left, right).evaluate(x, y)
+    payload = {
+        "poset": label,
+        "left": args.left,
+        "right": args.right,
+        "x": p.format_element(x),
+        "y": p.format_element(y),
+        "value": str(value),
+    }
+    return payload, [str(value)]
+
+
+def _cmd_witness(args):
+    p, label = _resolve_poset(args)
+    y = p.parse_element(args.y)
+    avoid = [p.parse_element(s) for s in _split_encodings(args.avoid)]
+    certs = list(witnesses(p, y, avoid, args.count, args.budget))
+    payload = {
+        "poset": label,
+        "y": p.format_element(y),
+        "avoid_set": [p.format_element(s) for s in sorted({p.canon(s) for s in avoid}, key=p.sort_key)],
+        "requested": args.count,
+        "found": len(certs),
+        "certificates": [cert.to_json_dict(p) for cert in certs],
+    }
+    lines = _certificate_lines(certs, p)
+    lines.append(f"found {len(certs)} of {args.count} requested witnesses")
+    if len(certs) < args.count:
+        lines.append("budget exhausted; absence is not implied")
+    return payload, lines
+
+
+def _cmd_verify(args):
+    p, label = _resolve_poset(args)
+    g = _load_function(args, p)
+    certs = verify_uncertainty_witnesses(p, g, args.count, args.budget)
+    payload = {
+        "poset": label,
+        "count": args.count,
+        "y": p.format_element(certs[0].y),
+        "certificates": [cert.to_json_dict(p) for cert in certs],
+    }
+    lines = [f"y = {p.format_element(certs[0].y)}"]
+    lines.extend(_certificate_lines(certs, p))
+    return payload, lines
+
+
+def _cmd_census(args):
+    p, label = _resolve_poset(args)
+    x = p.parse_element(args.x)
+    window = _window_from_args(p, args.bound, args.divisors)
+    alpha = _INTERVAL_FUNCTIONS[args.alpha](p)
+    census = support_census(p, alpha, x, window)
+    payload = census.to_json_dict(p)
+    payload["poset"] = label
+    lines = [
+        f"members: {','.join(p.format_element(m) for m in census.members)}",
+        f"count: {len(census.members)}",
+        f"verdict: {census.verdict}",
+        f"note: {census.certificate_note}",
+    ]
+    return payload, lines
+
+
+def _search_windows(args, p: Poset):
+    window = _window_from_args(p, args.bound, args.divisors)
+    shell = _window_from_args(p, args.shell_bound, args.shell_divisors, flag="--shell-bound")
+    return window, shell
+
+
+def _cmd_search(args):
+    p, label = _resolve_poset(args)
+    window, shell = _search_windows(args, p)
+    beta = _INTERVAL_FUNCTIONS[args.beta](p)
+    result = finite_support_pair_search(p, window, shell, beta=beta)
+    payload = result.to_json_dict(p)
+    payload["poset"] = label
+    lines = [f"nullspace dimension: {result.nullspace_dimension}"]
+    if result.candidate is None:
+        lines.append("no candidate pair at this truncation")
+    else:
+        f, g = result.candidate
+        lines.append("candidate f: " + "; ".join(_function_lines(f, p)))
+        lines.append("candidate g: " + "; ".join(_function_lines(g, p)))
+        lines.append(f"caveat: {result.caveat}")
+    return payload, lines
+
+
+def _cmd_conjecture(args):
+    p, label = _resolve_poset(args)
+    window, shell = _search_windows(args, p)
+    alpha = _INTERVAL_FUNCTIONS[args.alpha](p)
+    beta = _INTERVAL_FUNCTIONS[args.beta](p)
+    sample = [p.parse_element(s) for s in _split_encodings(args.sample)]
+    report = conjecture_experiment(p, alpha, beta, window, shell, sample)
+    payload = report.to_json_dict()
+    payload["poset"] = label
+    lines = []
+    for x, census_a, census_b in report.censuses:
+        lines.append(
+            f"x={p.format_element(x)}  alpha support {len(census_a.members)} "
+            f"[{census_a.verdict}]  beta support {len(census_b.members)} "
+            f"[{census_b.verdict}]"
+        )
+    lines.append(f"pair search nullspace dimension: {report.pair_search.nullspace_dimension}")
+    lines.append(
+        "candidate pair found (verified only on shell)"
+        if report.pair_search.candidate
+        else "no candidate pair at this truncation"
+    )
+    return payload, lines
+
+
+def _cmd_isomap(args):
+    if (args.n is None) == (args.m is None):
+        raise UsageError("pass exactly one of --n or --m")
+    multisets = get_poset("multisets")
+    if args.n is not None:
+        m = integer_to_multiset(args.n)
+        enc = multisets.format_element(m)
+        return {"n": args.n, "multiset": enc}, [enc]
+    m = multisets.parse_element(args.m)
+    n = multiset_to_integer(m)
+    return {"multiset": multisets.format_element(m), "n": n}, [str(n)]
+
+
+_HANDLERS = {
+    "mobius": _cmd_mobius,
+    "classical-mobius": _cmd_classical_mobius,
+    "transform": _cmd_transform,
+    "invert-transform": _cmd_invert_transform,
+    "convolve": _cmd_convolve,
+    "witness": _cmd_witness,
+    "verify": _cmd_verify,
+    "census": _cmd_census,
+    "search": _cmd_search,
+    "conjecture": _cmd_conjecture,
+    "isomap": _cmd_isomap,
+}
+
+
+def run(argv: list[str] | None = None) -> int:
+    """Parse and dispatch; returns the process exit status."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        payload, lines = _HANDLERS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
+def main() -> None:
+    sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

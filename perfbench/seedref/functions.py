@@ -1,0 +1,186 @@
+"""Finite-support point functions and their transforms.
+
+A ``FiniteSupportFunction`` maps finitely many poset elements to nonzero
+scalars. Transforming one by an interval function ``a`` gives the point
+function
+
+    y  |->  sum over x <= y of a(x, y) * f(x),
+
+which can have infinite support even when f does not, so transforms are
+returned as lazily evaluated ``EvaluableFunction`` rules and only turned
+back into finite data by :func:`materialize` over an explicit window.
+The zeta transform (cumulative sums over ideals) and Mobius inversion
+are the two named specialisations.
+"""
+
+from __future__ import annotations
+
+from .errors import InvalidInput, PosetMismatch
+from .incidence import IntervalFunction, mobius_function
+from .posets import Poset, Window, enumerate_window
+from .scalars import ZERO, GaussianRational, as_scalar
+
+
+class FiniteSupportFunction:
+    """An exact map from finitely many elements to nonzero scalars.
+
+    Zero values are pruned at construction and after every arithmetic
+    operation, so the key set always equals the support. Entries are
+    kept in canonical element order. Instances are immutable.
+    """
+
+    def __init__(self, poset: Poset, entries=()):
+        self.poset = poset
+        items = entries.items() if isinstance(entries, dict) else entries
+        staged = {}
+        for element, value in items:
+            element = poset.canon(element)
+            value = as_scalar(value)
+            if element in staged:
+                raise InvalidInput(
+                    f"duplicate entry for {poset.format_element(element)}"
+                )
+            if value:
+                staged[element] = value
+        self._entries = dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
+
+    def support(self) -> list:
+        return list(self._entries)
+
+    def items(self):
+        return self._entries.items()
+
+    def __getitem__(self, element) -> GaussianRational:
+        return self._entries.get(self.poset.canon(element), ZERO)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __bool__(self):
+        return bool(self._entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteSupportFunction):
+            return NotImplemented
+        return self.poset == other.poset and self._entries == other._entries
+
+    def __add__(self, other):
+        if not isinstance(other, FiniteSupportFunction):
+            return NotImplemented
+        if self.poset != other.poset:
+            raise PosetMismatch("cannot add functions on different posets")
+        merged = dict(self._entries)
+        for element, value in other._entries.items():
+            merged[element] = merged.get(element, ZERO) + value
+        return FiniteSupportFunction(self.poset, merged)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, scalar):
+        return FiniteSupportFunction(
+            self.poset,
+            {element: value * as_scalar(scalar) for element, value in self._entries.items()},
+        )
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        pairs = ", ".join(
+            f"{self.poset.format_element(k)}: {v}" for k, v in self._entries.items()
+        )
+        return f"FiniteSupportFunction({self.poset.family}; {pairs})"
+
+
+class EvaluableFunction:
+    """A point function given by a pure evaluation rule.
+
+    Used for transform results, whose support is in general infinite;
+    evaluation at any single element terminates because the defining
+    sums range over finite ideals.
+    """
+
+    def __init__(self, poset: Poset, rule):
+        self.poset = poset
+        self._rule = rule
+
+    def __call__(self, element) -> GaussianRational:
+        return self._rule(self.poset.canon(element))
+
+
+def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableFunction:
+    """The transform of ``h`` by the interval function ``a``:
+    y |-> sum of a(x, y) * h(x) over support elements x <= y."""
+    if h.poset != a.poset:
+        raise PosetMismatch("function and interval function live on different posets")
+    p = h.poset
+    entries = list(h.items())
+
+    def rule(y):
+        total = ZERO
+        for x, value in entries:
+            if p._leq(x, y):
+                total = total + a._evaluate_canonical(x, y) * value
+        return total
+
+    return EvaluableFunction(p, rule)
+
+
+def zeta_transform(f: FiniteSupportFunction) -> EvaluableFunction:
+    """Cumulative sums over principal ideals:
+    y |-> sum of f(x) over support elements x <= y."""
+    p = f.poset
+    entries = list(f.items())
+
+    def rule(y):
+        total = ZERO
+        for x, value in entries:
+            if p._leq(x, y):
+                total = total + value
+        return total
+
+    return EvaluableFunction(p, rule)
+
+
+def mobius_inversion(g: FiniteSupportFunction) -> EvaluableFunction:
+    """Inverse of the zeta transform:
+    y |-> sum of mu(x, y) * g(x) over support elements x <= y."""
+    return alpha_transform(g, mobius_function(g.poset))
+
+
+def materialize(e: EvaluableFunction, w: Window, **window_kwargs) -> FiniteSupportFunction:
+    """Evaluate ``e`` on every window element and keep the nonzero
+    values: the exact restriction of ``e`` to the window."""
+    if e.poset != w.poset:
+        raise PosetMismatch("function and window live on different posets")
+    return FiniteSupportFunction(
+        e.poset,
+        ((y, e(y)) for y in enumerate_window(w, **window_kwargs)),
+    )
+
+
+# -- function documents ------------------------------------------------
+
+
+def function_to_document(f: FiniteSupportFunction, poset_label: str | None = None) -> dict:
+    """Serialise to ``{"poset": ..., "values": {encoding: scalar}}`` with
+    entries in canonical element order."""
+    return {
+        "poset": poset_label or f.poset.family,
+        "values": {f.poset.format_element(k): str(v) for k, v in f.items()},
+    }
+
+
+def function_from_document(doc: dict, poset: Poset) -> FiniteSupportFunction:
+    """Parse a function document against a resolved poset. Zero values
+    are accepted and pruned."""
+    if not isinstance(doc, dict) or "values" not in doc:
+        raise InvalidInput("function document must be an object with a 'values' key")
+    values = doc["values"]
+    if not isinstance(values, dict):
+        raise InvalidInput("'values' must map element encodings to scalars")
+    entries = []
+    for key, text in values.items():
+        element = poset.parse_element(key)
+        entries.append((element, GaussianRational.parse(str(text))))
+    return FiniteSupportFunction(poset, entries)

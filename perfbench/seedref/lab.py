@@ -1,0 +1,516 @@
+"""Experimental machinery for support-uncertainty questions.
+
+A poset adheres to the uncertainty principle (with respect to an inverse
+pair of interval functions) when no function and its transform both have
+finite nonzero support. This module operationalises the three ways one
+probes that property at desk scale:
+
+* **witnesses** -- given y and a finite avoid set S, hunt for elements
+  z > y that pass three checks: the part of ideal(z) beyond ideal(y)
+  misses S, Mobius values factor through y (mu(x,y) mu(y,z) = mu(x,z)
+  below y), and mu(y,z) is nonzero. For such z, inverting any g
+  supported inside S forces f(z) = mu(y,z) f(y), so nonzero values of f
+  propagate upward forever. Divisibility and multisets use the fresh-
+  prime family z = y*q, subsets the fresh-element family z = y + {q};
+  chains and explicit posets fall back to a budgeted scan.
+
+* **censuses** -- the support set {y : a(x, y) != 0} restricted to a
+  window, with a verdict attached only where a built-in analytic
+  certificate applies (finite for the chain Mobius function, infinite
+  for the Mobius functions of divisibility, multisets, and subsets);
+  everything else is reported as inconclusive beyond the window.
+
+* **pair search** -- an exact homogeneous linear system looking for a
+  nonzero f supported in a window whose transform vanishes on a larger
+  shell; a nontrivial kernel exhibits a finite/finite candidate pair
+  (verified only up to the shell), a trivial kernel rules one out at
+  this truncation.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
+
+from . import numtheory
+from .errors import (
+    ElementOutsideWindow,
+    InsufficientWitnesses,
+    InvalidInput,
+    NotInverses,
+    NotStrictlyAbove,
+    PosetMismatch,
+    WindowNotNested,
+    ZeroFunction,
+)
+from .functions import FiniteSupportFunction, alpha_transform, materialize, mobius_inversion
+from .incidence import IntervalFunction, convolve, delta_function, mobius_value, zeta_function
+from .linalg import in_span, nullspace, primitive_integer_vector
+from .posets import Poset, Window, enumerate_window
+from .scalars import ZERO, GaussianRational
+
+DEFAULT_BUDGET = 10_000
+
+FINITE_CERTIFIED = "finite-certified"
+INFINITE_CERTIFIED = "infinite-certified"
+INCONCLUSIVE = "inconclusive-window-only"
+
+
+class WitnessConditions(NamedTuple):
+    disjoint: bool
+    factorize: bool
+    nonzero: bool
+    mu_yz: GaussianRational
+
+    @property
+    def all_hold(self) -> bool:
+        return self.disjoint and self.factorize and self.nonzero
+
+
+@dataclass(frozen=True)
+class WitnessCertificate:
+    """Record that ``z`` passed the witness conditions for ``(y, avoid_set)``.
+
+    When produced while verifying a concrete inversion pair, the
+    predicted value mu(y,z)*f(y) and the observed value of f(z) (by
+    direct inversion over ideal(z)) are filled in; both are None for
+    bare witness streams.
+    """
+
+    y: object
+    avoid_set: tuple
+    z: object
+    cond_disjoint: bool
+    cond_factorize: bool
+    cond_nonzero: bool
+    mu_yz: GaussianRational
+    predicted_fz: GaussianRational | None = None
+    observed_fz: GaussianRational | None = None
+
+    @property
+    def all_conditions(self) -> bool:
+        return self.cond_disjoint and self.cond_factorize and self.cond_nonzero
+
+    def to_json_dict(self, p: Poset) -> dict:
+        fmt = p.format_element
+        return {
+            "y": fmt(self.y),
+            "avoid_set": [fmt(s) for s in self.avoid_set],
+            "z": fmt(self.z),
+            "cond_disjoint": self.cond_disjoint,
+            "cond_factorize": self.cond_factorize,
+            "cond_nonzero": self.cond_nonzero,
+            "mu_yz": str(self.mu_yz),
+            "predicted_fz": None if self.predicted_fz is None else str(self.predicted_fz),
+            "observed_fz": None if self.observed_fz is None else str(self.observed_fz),
+        }
+
+
+@dataclass(frozen=True)
+class SupportCensus:
+    """Window-restricted support of an interval function's row at ``x``."""
+
+    x: object
+    function_name: str
+    window: Window
+    members: list
+    verdict: str
+    certificate_note: str
+
+    def to_json_dict(self, p: Poset) -> dict:
+        return {
+            "x": p.format_element(self.x),
+            "function": self.function_name,
+            "window": self.window.label(),
+            "members": [p.format_element(m) for m in self.members],
+            "count": len(self.members),
+            "verdict": self.verdict,
+            "certificate_note": self.certificate_note,
+        }
+
+
+@dataclass(frozen=True)
+class PairSearchResult:
+    """Outcome of the finite-support pair search.
+
+    ``unknowns`` lists the window elements indexing nullspace vectors;
+    ``candidate`` (when present) is a pair (f, g) with f a primitive
+    integer kernel vector and g its transform materialised on the shell.
+    Vanishing of g beyond the shell is never checked, hence the caveat.
+    """
+
+    window: Window
+    shell: Window
+    nullspace_dimension: int
+    unknowns: list
+    nullspace_basis: list = field(repr=False)
+    candidate: tuple[FiniteSupportFunction, FiniteSupportFunction] | None = None
+    caveat: str = "verified only on shell"
+
+    def vector_in_nullspace(self, f: FiniteSupportFunction) -> bool:
+        """Whether a function supported in the window lies in the kernel."""
+        vector = [f[x] for x in self.unknowns]
+        return in_span(self.nullspace_basis, vector)
+
+    def to_json_dict(self, p: Poset) -> dict:
+        fmt = p.format_element
+        candidate = None
+        if self.candidate is not None:
+            f, g = self.candidate
+            candidate = {
+                "f": {fmt(k): str(v) for k, v in f.items()},
+                "g": {fmt(k): str(v) for k, v in g.items()},
+            }
+        return {
+            "window": self.window.label(),
+            "shell": self.shell.label(),
+            "nullspace_dimension": self.nullspace_dimension,
+            "unknowns": [fmt(x) for x in self.unknowns],
+            "candidate": candidate,
+            "caveat": self.caveat,
+        }
+
+
+@dataclass(frozen=True)
+class ConjectureReport:
+    """Necessary-condition censuses juxtaposed with a pair-search outcome
+    for an inverse pair (a, b). Evidence only; no verdict is drawn."""
+
+    poset: Poset
+    alpha_name: str
+    beta_name: str
+    window: Window
+    shell: Window
+    censuses: list
+    pair_search: PairSearchResult
+
+    def to_json_dict(self) -> dict:
+        p = self.poset
+        return {
+            "poset": p.family,
+            "alpha": self.alpha_name,
+            "beta": self.beta_name,
+            "window": self.window.label(),
+            "shell": self.shell.label(),
+            "censuses": [
+                {
+                    "x": p.format_element(x),
+                    "alpha_support": sa.to_json_dict(p),
+                    "beta_support": sb.to_json_dict(p),
+                }
+                for x, sa, sb in self.censuses
+            ],
+            "pair_search": self.pair_search.to_json_dict(p),
+        }
+
+
+# -- witness conditions ------------------------------------------------
+
+
+def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
+    """Evaluate the three witness conditions for z > y against a finite
+    avoid set: (ideal(z) - ideal(y)) misses the set, Mobius values
+    factor through y on all of ideal(y), and mu(y, z) != 0."""
+    y, z = p.canon(y), p.canon(z)
+    if not (p._leq(y, z) and y != z):
+        raise NotStrictlyAbove(
+            f"{p.format_element(z)} is not strictly above {p.format_element(y)}"
+        )
+    avoid = {p.canon(s) for s in avoid_set}
+    ideal_y = p.ideal(y)
+    fresh = set(p.ideal(z)) - set(ideal_y)
+    disjoint = fresh.isdisjoint(avoid)
+    mu_yz = mobius_value(p, y, z)
+    factorize = all(
+        mobius_value(p, x, y) * mu_yz == mobius_value(p, x, z) for x in ideal_y
+    )
+    return WitnessConditions(disjoint, factorize, bool(mu_yz), mu_yz)
+
+
+def _witness_candidates(p: Poset, y, avoid: set):
+    """Candidate elements z > y in deterministic order.
+
+    Divisibility and multisets multiply in ascending fresh primes,
+    subsets adjoin ascending fresh ground elements; these families pass
+    the witness conditions by construction. Chains and explicit posets
+    scan canonically ordered elements above y.
+    """
+    family = p.family
+    if family == "divisibility":
+        for q in numtheory.primes():
+            if y % q == 0 or any(s % q == 0 for s in avoid):
+                continue
+            yield y * q
+    elif family == "multisets":
+        used = {prime for prime, _ in y}
+        for s in avoid:
+            used.update(prime for prime, _ in s)
+        for q in numtheory.primes():
+            if q in used:
+                continue
+            yield tuple(sorted(y + ((q, 1),)))
+    elif family == "subsets":
+        used = set(y)
+        for s in avoid:
+            used.update(s)
+        for q in itertools.count(1):
+            if q in used:
+                continue
+            yield tuple(sorted(y + (q,)))
+    else:
+        yield from p.iter_above(y)
+
+
+def witnesses(
+    p: Poset, y, avoid_set, count: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[WitnessCertificate]:
+    """Stream up to ``count`` witness certificates for (y, avoid_set),
+    drawing at most ``budget`` candidates. A short stream signals budget
+    exhaustion, not proof of absence."""
+    if count < 1:
+        raise InvalidInput(f"count must be >= 1, got {count}")
+    if budget < 1:
+        raise InvalidInput(f"budget must be >= 1, got {budget}")
+    return _witness_stream(p, p.canon(y), {p.canon(s) for s in avoid_set}, count, budget)
+
+
+def _witness_stream(p, y, avoid, count, budget):
+    avoid_sorted = tuple(sorted(avoid, key=p.sort_key))
+    found = 0
+    for tried, z in enumerate(_witness_candidates(p, y, avoid)):
+        if tried >= budget:
+            return
+        conditions = check_witness_conditions(p, y, avoid, z)
+        if not conditions.all_hold:
+            continue
+        yield WitnessCertificate(
+            y=y,
+            avoid_set=avoid_sorted,
+            z=z,
+            cond_disjoint=conditions.disjoint,
+            cond_factorize=conditions.factorize,
+            cond_nonzero=conditions.nonzero,
+            mu_yz=conditions.mu_yz,
+        )
+        found += 1
+        if found >= count:
+            return
+
+
+def verify_uncertainty_witnesses(
+    p: Poset, g: FiniteSupportFunction, count: int, budget: int = DEFAULT_BUDGET
+) -> list[WitnessCertificate]:
+    """Invert ``g``, pick the first element y (canonical order, searching
+    the downward closure of the support) where the inversion is nonzero,
+    and certify ``count`` witnesses above it.
+
+    Every certificate carries the predicted value mu(y,z)*f(y) and the
+    observed f(z) recomputed by a direct sum over ideal(z); the two must
+    agree and be nonzero, which is exactly how a finite-support g forces
+    the inverted function to have infinite support.
+    """
+    if not g:
+        raise ZeroFunction("the supplied function is identically zero")
+    if g.poset != p:
+        raise PosetMismatch("function lives on a different poset")
+    f = mobius_inversion(g)
+
+    closure: dict = {}
+    for s in g.support():
+        for element in p.ideal(s):
+            closure[element] = None
+    base = None
+    f_base = ZERO
+    for element in sorted(closure, key=p.sort_key):
+        value = f(element)
+        if value:
+            base, f_base = element, value
+            break
+    # A minimal support element always gives a nonzero inversion value,
+    # so the scan above cannot fail.
+    assert base is not None
+
+    certificates = []
+    for cert in witnesses(p, base, g.support(), count, budget):
+        predicted = cert.mu_yz * f_base
+        observed = ZERO
+        for x in p.ideal(cert.z):
+            g_x = g[x]
+            if g_x:
+                observed = observed + mobius_value(p, x, cert.z) * g_x
+        assert observed == predicted and observed, "witness conclusion violated"
+        certificates.append(replace(cert, predicted_fz=predicted, observed_fz=observed))
+    if len(certificates) < count:
+        raise InsufficientWitnesses(certificates, count)
+    return certificates
+
+
+# -- censuses ----------------------------------------------------------
+
+_CENSUS_CERTIFICATES = {
+    ("chain", "mobius"): (
+        FINITE_CERTIFIED,
+        "closed form is nonzero only at x and its successor",
+    ),
+    ("divisibility", "mobius"): (
+        INFINITE_CERTIFIED,
+        "squarefree multiples x*q over fresh primes never vanish",
+    ),
+    ("multisets", "mobius"): (
+        INFINITE_CERTIFIED,
+        "mirror of the divisibility certificate under the integer-image map",
+    ),
+    ("subsets", "mobius"): (
+        INFINITE_CERTIFIED,
+        "closed form takes only the values +1 and -1",
+    ),
+}
+
+
+def support_census(
+    p: Poset, a: IntervalFunction, x, w: Window, **window_kwargs
+) -> SupportCensus:
+    """Collect {y in window : x <= y and a(x, y) != 0}, with an analytic
+    finiteness verdict where one of the built-in certificates applies
+    and ``inconclusive-window-only`` otherwise."""
+    if a.poset != p or w.poset != p:
+        raise PosetMismatch("census arguments live on different posets")
+    x = p.canon(x)
+    elements = enumerate_window(w, **window_kwargs)
+    if x not in set(elements):
+        raise ElementOutsideWindow(
+            f"{p.format_element(x)} is outside the window {w.label()}"
+        )
+    members = [
+        y for y in elements if p._leq(x, y) and a._evaluate_canonical(x, y)
+    ]
+    verdict, note = _CENSUS_CERTIFICATES.get(
+        (p.family, a.kind),
+        (INCONCLUSIVE, "no analytic certificate for this function on this poset"),
+    )
+    return SupportCensus(
+        x=x,
+        function_name=a.name,
+        window=w,
+        members=members,
+        verdict=verdict,
+        certificate_note=note,
+    )
+
+
+# -- finite-support pair search -----------------------------------------
+
+
+def finite_support_pair_search(
+    p: Poset,
+    w: Window,
+    shell: Window,
+    beta: IntervalFunction | None = None,
+    **window_kwargs,
+) -> PairSearchResult:
+    """Search for a nonzero f supported in ``w`` whose transform by
+    ``beta`` (the zeta function by default) vanishes on ``shell - w``.
+
+    One homogeneous equation per shell element outside the window;
+    unknowns are the window elements. The kernel is computed by exact
+    elimination. A nontrivial kernel yields a candidate pair: the first
+    basis vector normalised to integer entries with content 1, together
+    with its transform materialised on the shell. Vanishing beyond the
+    shell remains unverified.
+    """
+    if w.poset != p or shell.poset != p:
+        raise PosetMismatch("windows live on a different poset")
+    if beta is None:
+        beta = zeta_function(p)
+    elif beta.poset != p:
+        raise PosetMismatch("transform function lives on a different poset")
+    unknowns = enumerate_window(w, **window_kwargs)
+    shell_elements = enumerate_window(shell, **window_kwargs)
+    window_set = set(unknowns)
+    shell_set = set(shell_elements)
+    if not (window_set < shell_set):
+        raise WindowNotNested(
+            f"shell {shell.label()} must strictly contain window {w.label()}"
+        )
+
+    rows = []
+    for y in shell_elements:
+        if y in window_set:
+            continue
+        rows.append(
+            [
+                beta._evaluate_canonical(x, y) if p._leq(x, y) else ZERO
+                for x in unknowns
+            ]
+        )
+    basis = nullspace(rows, len(unknowns))
+
+    candidate = None
+    if basis:
+        vector = primitive_integer_vector(basis[0])
+        f = FiniteSupportFunction(p, zip(unknowns, vector))
+        g = materialize(alpha_transform(f, beta), shell, **window_kwargs)
+        candidate = (f, g)
+    return PairSearchResult(
+        window=w,
+        shell=shell,
+        nullspace_dimension=len(basis),
+        unknowns=unknowns,
+        nullspace_basis=basis,
+        candidate=candidate,
+    )
+
+
+# -- combined evidence --------------------------------------------------
+
+
+def conjecture_experiment(
+    p: Poset,
+    a: IntervalFunction,
+    b: IntervalFunction,
+    w: Window,
+    shell: Window,
+    sample_x,
+    **window_kwargs,
+) -> ConjectureReport:
+    """Gather evidence relating the necessary condition (both support
+    sets infinite for every base point) to actual adherence: census
+    S_x and T_x for each sample point against both functions of an
+    inverse pair, plus a pair search in the beta direction.
+
+    The pair (a, b) is verified to convolve to delta on every interval
+    inside the shell before anything else runs. No conclusion about the
+    equivalence itself is drawn or implied.
+    """
+    if a.poset != p or b.poset != p:
+        raise PosetMismatch("interval functions live on a different poset")
+    shell_elements = enumerate_window(shell, **window_kwargs)
+    product = convolve(a, b)
+    delta = delta_function(p)
+    for i, x in enumerate(shell_elements):
+        for y in shell_elements[i:]:
+            if not p._leq(x, y):
+                continue
+            if product._evaluate_canonical(x, y) != delta._evaluate_canonical(x, y):
+                raise NotInverses(
+                    f"(a*b)({p.format_element(x)}, {p.format_element(y)}) != delta"
+                )
+
+    censuses = []
+    for x in sample_x:
+        x = p.canon(x)
+        census_a = support_census(p, a, x, shell, **window_kwargs)
+        census_b = support_census(p, b, x, shell, **window_kwargs)
+        censuses.append((x, census_a, census_b))
+
+    search = finite_support_pair_search(p, w, shell, beta=b, **window_kwargs)
+    return ConjectureReport(
+        poset=p,
+        alpha_name=a.name,
+        beta_name=b.name,
+        window=w,
+        shell=shell,
+        censuses=censuses,
+        pair_search=search,
+    )

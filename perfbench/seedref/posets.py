@@ -1,0 +1,580 @@
+"""Locally finite posets with a bottom element.
+
+Four built-in families plus explicit finite posets loaded from cover
+relations:
+
+* ``divisibility`` -- positive integers ordered by divisibility,
+* ``chain``        -- positive integers with the usual total order,
+* ``subsets``      -- finite subsets of {1, 2, ...} ordered by inclusion,
+* ``multisets``    -- finite prime-keyed multisets ordered pointwise,
+* ``explicit``     -- a finite poset given by elements and cover pairs.
+
+Elements use canonical structured encodings so that equality, hashing,
+and output ordering are all decidable and reproducible: plain ints for
+the integer families, sorted tuples for subsets, sorted ``(prime, mult)``
+tuples for multisets, and identifier strings for explicit posets. Every
+returned element list is in canonical order, which is always a linear
+extension of the partial order.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from dataclasses import dataclass
+
+from . import numtheory
+from .errors import (
+    BoundTooLarge,
+    CyclicCovers,
+    DuplicateElement,
+    InvalidElement,
+    InvalidInput,
+    NoUniqueBottom,
+    NotComparable,
+    UnknownElementInCover,
+)
+
+DEFAULT_ELEMENT_CAP = 1 << 20
+
+
+class Poset:
+    """A locally finite poset with a bottom element.
+
+    Instances are immutable and hashable; all operations are pure, so a
+    handle may be shared freely across threads. Public methods canonise
+    their element arguments and raise ``InvalidElement`` on encodings
+    from the wrong family; the underscore variants assume canonical
+    input and skip validation.
+    """
+
+    family = "abstract"
+    is_total_order = False
+
+    # -- encoding ----------------------------------------------------
+
+    def canon(self, x):
+        """Return the canonical encoding of ``x``, validating it."""
+        raise NotImplementedError
+
+    def format_element(self, x) -> str:
+        raise NotImplementedError
+
+    def parse_element(self, text: str):
+        raise NotImplementedError
+
+    def sort_key(self, x):
+        """Canonical ordering key; a linear extension of the order."""
+        raise NotImplementedError
+
+    # -- order -------------------------------------------------------
+
+    def leq(self, x, y) -> bool:
+        return self._leq(self.canon(x), self.canon(y))
+
+    def _leq(self, x, y) -> bool:
+        raise NotImplementedError
+
+    def bottom(self):
+        raise NotImplementedError
+
+    def interval(self, x, y) -> list:
+        """All z with x <= z <= y, in canonical order."""
+        x, y = self.canon(x), self.canon(y)
+        if not self._leq(x, y):
+            raise NotComparable(
+                f"not comparable: {self.format_element(x)} !<= "
+                f"{self.format_element(y)} in {self.family}"
+            )
+        return self._interval(x, y)
+
+    def _interval(self, x, y) -> list:
+        raise NotImplementedError
+
+    def ideal(self, x) -> list:
+        """Principal order ideal: all y <= x, in canonical order."""
+        return self._interval(self.bottom(), self.canon(x))
+
+    # -- windows -----------------------------------------------------
+
+    def window_elements(self, bound, element_cap: int) -> list:
+        raise NotImplementedError
+
+    def iter_above(self, y):
+        """Elements strictly above ``y`` in canonical order (may be
+        unbounded). Only the families used by generic witness scans
+        implement this."""
+        raise NotImplementedError(f"{self.family} has no generic scan order")
+
+    def __repr__(self):
+        return f"Poset({self.family})"
+
+    def __eq__(self, other):
+        return isinstance(other, Poset) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return (self.family,)
+
+
+def _canon_positive_int(x, family: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidElement(f"{family} elements are positive integers, got {x!r}")
+    if x < 1:
+        raise InvalidElement(f"{family} elements are positive integers, got {x}")
+    return x
+
+
+def _parse_int(text: str, family: str) -> int:
+    try:
+        value = int(text.strip())
+    except ValueError:
+        raise InvalidElement(f"invalid {family} element: {text!r}") from None
+    return _canon_positive_int(value, family)
+
+
+class DivisibilityPoset(Poset):
+    """Positive integers ordered by divisibility; bottom element 1."""
+
+    family = "divisibility"
+
+    def canon(self, x):
+        return _canon_positive_int(x, self.family)
+
+    def format_element(self, x) -> str:
+        return str(x)
+
+    def parse_element(self, text: str):
+        return _parse_int(text, self.family)
+
+    def sort_key(self, x):
+        return x
+
+    def _leq(self, x, y) -> bool:
+        return y % x == 0
+
+    def bottom(self):
+        return 1
+
+    def _interval(self, x, y) -> list:
+        return [x * d for d in numtheory.divisors(y // x)]
+
+    def window_elements(self, bound, element_cap: int) -> list:
+        bound = _check_bound(bound, element_cap)
+        return list(range(1, bound + 1))
+
+    def divisor_window_elements(self, n: int) -> list:
+        """The divisors of ``n``: a downward-closed set in this order."""
+        return numtheory.divisors(_canon_positive_int(n, self.family))
+
+
+class ChainPoset(Poset):
+    """Positive integers with the usual total order; bottom element 1."""
+
+    family = "chain"
+    is_total_order = True
+
+    def canon(self, x):
+        return _canon_positive_int(x, self.family)
+
+    def format_element(self, x) -> str:
+        return str(x)
+
+    def parse_element(self, text: str):
+        return _parse_int(text, self.family)
+
+    def sort_key(self, x):
+        return x
+
+    def _leq(self, x, y) -> bool:
+        return x <= y
+
+    def bottom(self):
+        return 1
+
+    def _interval(self, x, y) -> list:
+        return list(range(x, y + 1))
+
+    def window_elements(self, bound, element_cap: int) -> list:
+        bound = _check_bound(bound, element_cap)
+        return list(range(1, bound + 1))
+
+    def iter_above(self, y):
+        return itertools.count(y + 1)
+
+
+class SubsetPoset(Poset):
+    """Finite subsets of the positive integers ordered by inclusion.
+
+    Elements are encoded as strictly increasing tuples; the bottom
+    element is the empty tuple. Canonical order is size, then
+    lexicographic.
+    """
+
+    family = "subsets"
+
+    def canon(self, x):
+        if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__"):
+            raise InvalidElement(f"subsets elements are integer collections, got {x!r}")
+        members = set()
+        for item in x:
+            members.add(_canon_positive_int(item, self.family))
+        return tuple(sorted(members))
+
+    def format_element(self, x) -> str:
+        return "{" + ",".join(str(v) for v in x) + "}"
+
+    def parse_element(self, text: str):
+        body = text.strip()
+        if not (body.startswith("{") and body.endswith("}")):
+            raise InvalidElement(f"invalid subsets element: {text!r}")
+        body = body[1:-1].strip()
+        if not body:
+            return ()
+        return self.canon(_parse_int(part, self.family) for part in body.split(","))
+
+    def sort_key(self, x):
+        return (len(x), x)
+
+    def _leq(self, x, y) -> bool:
+        return set(x).issubset(y)
+
+    def bottom(self):
+        return ()
+
+    def _interval(self, x, y) -> list:
+        extra = sorted(set(y) - set(x))
+        base = set(x)
+        out = []
+        for size in range(len(extra) + 1):
+            for combo in itertools.combinations(extra, size):
+                out.append(tuple(sorted(base.union(combo))))
+        out.sort(key=self.sort_key)
+        return out
+
+    def window_elements(self, bound, element_cap: int) -> list:
+        if not isinstance(bound, int) or bound < 0:
+            raise InvalidInput(f"subsets window bound must be >= 0, got {bound!r}")
+        if 1 << bound > element_cap:
+            raise BoundTooLarge(
+                f"subsets window over ground set of {bound} exceeds cap {element_cap}"
+            )
+        ground = range(1, bound + 1)
+        out = []
+        for size in range(bound + 1):
+            out.extend(itertools.combinations(ground, size))
+        return out
+
+
+class MultisetPoset(Poset):
+    """Finite prime-keyed multisets ordered by pointwise multiplicity.
+
+    An element is a sorted tuple of ``(prime, multiplicity)`` pairs with
+    multiplicities >= 1; the empty tuple is the bottom element. Via
+    prime factorisation this order is a mirror of divisibility, and the
+    canonical order is by integer image.
+    """
+
+    family = "multisets"
+
+    def canon(self, x):
+        if isinstance(x, dict):
+            items = x.items()
+        elif isinstance(x, (str, bytes)) or not hasattr(x, "__iter__"):
+            raise InvalidElement(f"multisets elements are (prime, mult) maps, got {x!r}")
+        else:
+            items = list(x)
+        out = {}
+        for entry in items:
+            try:
+                p, k = entry
+            except (TypeError, ValueError):
+                raise InvalidElement(
+                    f"multisets entries are (prime, mult) pairs, got {entry!r}"
+                ) from None
+            p = _canon_positive_int(p, self.family)
+            k = _canon_positive_int(k, self.family)
+            if not numtheory.is_prime(p):
+                raise InvalidElement(f"multiset keys must be prime, got {p}")
+            if p in out:
+                raise InvalidElement(f"duplicate multiset key {p}")
+            out[p] = k
+        return tuple(sorted(out.items()))
+
+    def format_element(self, x) -> str:
+        if not x:
+            return "1"
+        return "*".join(f"{p}^{k}" if k > 1 else str(p) for p, k in x)
+
+    def parse_element(self, text: str):
+        body = "".join(text.split())
+        if not body:
+            raise InvalidElement("empty multisets element")
+        if body == "1":
+            return ()
+        pairs = []
+        for factor in body.split("*"):
+            base, sep, exp = factor.partition("^")
+            p = _parse_int(base, self.family)
+            k = _parse_int(exp, self.family) if sep else 1
+            pairs.append((p, k))
+        return self.canon(pairs)
+
+    def sort_key(self, x):
+        return multiset_to_integer(x)
+
+    def _leq(self, x, y) -> bool:
+        upper = dict(y)
+        return all(upper.get(p, 0) >= k for p, k in x)
+
+    def bottom(self):
+        return ()
+
+    def _interval(self, x, y) -> list:
+        lower = dict(x)
+        out = []
+        choices = [range(lower.get(p, 0), k + 1) for p, k in y]
+        for combo in itertools.product(*choices):
+            out.append(tuple((p, k) for (p, _), k in zip(y, combo) if k > 0))
+        out.sort(key=self.sort_key)
+        return out
+
+    def window_elements(self, bound, element_cap: int) -> list:
+        bound = _check_bound(bound, element_cap)
+        return [integer_to_multiset(n) for n in range(1, bound + 1)]
+
+
+class ExplicitPoset(Poset):
+    """A finite poset given by string identifiers and cover pairs.
+
+    Reachability and a deterministic linear extension (lexicographically
+    smallest available identifier first) are precomputed at load time,
+    after which the handle is immutable.
+    """
+
+    family = "explicit"
+
+    def __init__(self, elements, covers):
+        ids = list(elements)
+        seen = set()
+        for ident in ids:
+            if not isinstance(ident, str) or not ident:
+                raise InvalidInput(f"element identifiers are nonempty strings, got {ident!r}")
+            if ident in seen:
+                raise DuplicateElement(f"duplicate element {ident!r}")
+            seen.add(ident)
+        successors: dict[str, list[str]] = {ident: [] for ident in ids}
+        indegree = {ident: 0 for ident in ids}
+        cover_pairs = []
+        for pair in covers:
+            try:
+                low, high = pair
+            except (TypeError, ValueError):
+                raise InvalidInput(f"cover pairs are two-element lists, got {pair!r}") from None
+            for ident in (low, high):
+                if ident not in seen:
+                    raise UnknownElementInCover(f"cover mentions unknown element {ident!r}")
+            if low == high:
+                raise CyclicCovers(f"self-cover at {low!r}")
+            cover_pairs.append((low, high))
+            successors[low].append(high)
+            indegree[high] += 1
+
+        # Deterministic topological order; failure means a cycle.
+        order: list[str] = []
+        ready = [ident for ident in ids if indegree[ident] == 0]
+        heapq.heapify(ready)
+        pending = dict(indegree)
+        while ready:
+            ident = heapq.heappop(ready)
+            order.append(ident)
+            for nxt in successors[ident]:
+                pending[nxt] -= 1
+                if pending[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        if len(order) != len(ids):
+            raise CyclicCovers("cover relation contains a cycle")
+
+        minimal = [ident for ident in ids if indegree[ident] == 0]
+        if len(minimal) != 1:
+            raise NoUniqueBottom(
+                "expected exactly one minimal element, found "
+                + (", ".join(sorted(minimal)) if minimal else "none")
+            )
+
+        # up_sets[v] = all w >= v, via reverse-topological accumulation.
+        up_sets: dict[str, frozenset] = {}
+        for ident in reversed(order):
+            acc = {ident}
+            for nxt in successors[ident]:
+                acc.update(up_sets[nxt])
+            up_sets[ident] = frozenset(acc)
+
+        self._elements = tuple(order)
+        self._index = {ident: i for i, ident in enumerate(order)}
+        self._up_sets = up_sets
+        self._bottom = minimal[0]
+        self._covers = tuple(sorted(cover_pairs))
+
+    def canon(self, x):
+        if x not in self._index:
+            raise InvalidElement(f"unknown element {x!r} in explicit poset")
+        return x
+
+    def format_element(self, x) -> str:
+        return x
+
+    def parse_element(self, text: str):
+        return self.canon(text)
+
+    def sort_key(self, x):
+        return self._index[x]
+
+    def _leq(self, x, y) -> bool:
+        return y in self._up_sets[x]
+
+    def bottom(self):
+        return self._bottom
+
+    def _interval(self, x, y) -> list:
+        up = self._up_sets
+        return [z for z in self._elements if z in up[x] and y in up[z]]
+
+    def window_elements(self, bound, element_cap: int) -> list:
+        return list(self._elements)
+
+    def iter_above(self, y):
+        up = self._up_sets[y]
+        return (z for z in self._elements if z != y and z in up)
+
+    def elements(self) -> list:
+        return list(self._elements)
+
+    def _key(self):
+        return (self.family, self._elements, self._covers)
+
+
+def _check_bound(bound, element_cap: int) -> int:
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise InvalidInput(f"window bound must be a positive integer, got {bound!r}")
+    if bound > element_cap:
+        raise BoundTooLarge(f"window of {bound} elements exceeds cap {element_cap}")
+    return bound
+
+
+_BUILTINS = {
+    "divisibility": DivisibilityPoset(),
+    "chain": ChainPoset(),
+    "subsets": SubsetPoset(),
+    "multisets": MultisetPoset(),
+}
+
+
+def get_poset(name: str) -> Poset:
+    """Return the built-in poset with the given family name."""
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise InvalidInput(
+            f"unknown poset {name!r}; expected one of {', '.join(sorted(_BUILTINS))}"
+        ) from None
+
+
+def load_explicit_poset(doc: dict) -> ExplicitPoset:
+    """Build an explicit poset from a document of the form
+    ``{"elements": ["a", ...], "covers": [["a", "b"], ...]}``."""
+    if not isinstance(doc, dict):
+        raise InvalidInput("explicit poset document must be an object")
+    try:
+        elements = doc["elements"]
+        covers = doc["covers"]
+    except KeyError as missing:
+        raise InvalidInput(f"explicit poset document lacks key {missing}") from None
+    if not isinstance(elements, list) or not isinstance(covers, list):
+        raise InvalidInput("'elements' and 'covers' must be lists")
+    return ExplicitPoset(elements, covers)
+
+
+# -- module-level operation aliases ----------------------------------
+
+
+def leq(p: Poset, x, y) -> bool:
+    return p.leq(x, y)
+
+
+def interval(p: Poset, x, y) -> list:
+    return p.interval(x, y)
+
+
+def ideal(p: Poset, x) -> list:
+    return p.ideal(x)
+
+
+def bottom(p: Poset):
+    return p.bottom()
+
+
+# -- multiset <-> integer isomorphism --------------------------------
+
+
+def multiset_to_integer(m) -> int:
+    """Integer image of a prime-keyed multiset: the product of
+    prime**multiplicity. Order-embedding onto divisibility."""
+    m = _BUILTINS["multisets"].canon(m)
+    n = 1
+    for p, k in m:
+        n *= p**k
+    return n
+
+
+def integer_to_multiset(n: int):
+    """Prime factorisation of ``n`` as a multiset; inverse of
+    ``multiset_to_integer``."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInput(f"expected a positive integer, got {n!r}")
+    return tuple(sorted(numtheory.prime_factors(n).items()))
+
+
+# -- windows ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Window:
+    """A finite downward-closed truncation of a poset.
+
+    ``bound`` is family-specific: maximum integer for divisibility,
+    chain, and multisets (integer image), maximum ground element for
+    subsets, ignored for explicit posets (the whole poset is the
+    window). With ``divisor_closure`` set on the divisibility poset the
+    window is the divisor set of ``bound`` instead of the full range.
+    """
+
+    poset: Poset
+    bound: int | None = None
+    divisor_closure: bool = False
+
+    def __post_init__(self):
+        if self.divisor_closure and self.poset.family != "divisibility":
+            raise InvalidInput("divisor-closure windows exist only for divisibility")
+        if self.poset.family != "explicit" and self.bound is None:
+            raise InvalidInput(f"{self.poset.family} windows need a bound")
+
+    def label(self) -> str:
+        if self.poset.family == "explicit":
+            return "explicit[all]"
+        if self.divisor_closure:
+            return f"divisibility[divisors of {self.bound}]"
+        return f"{self.poset.family}[bound={self.bound}]"
+
+
+def enumerate_window(w: Window, *, element_cap: int = DEFAULT_ELEMENT_CAP) -> list:
+    """All window elements in canonical order. Downward-closed by
+    construction for every family."""
+    if w.divisor_closure:
+        elements = w.poset.divisor_window_elements(w.bound)
+        if len(elements) > element_cap:
+            raise BoundTooLarge(f"window of {len(elements)} elements exceeds cap")
+        return elements
+    return w.poset.window_elements(w.bound, element_cap)

@@ -1,0 +1,175 @@
+"""Exact complex-rational scalars.
+
+Every value the library computes is a ``GaussianRational``: a complex
+number whose real and imaginary parts are arbitrary-precision rationals.
+There is no floating point and no rounding anywhere, so algebraic
+identities can be asserted with plain equality.
+
+The text format is ``"p/q"`` or ``"p"`` for the real part with an optional
+``"+r/s i"`` / ``"-r/s i"`` imaginary part, emitted without whitespace:
+``1``, ``-2/3``, ``0+1i``, ``1/2-3/4i``. Parsing tolerates whitespace.
+"""
+
+from __future__ import annotations
+
+import re as _re
+from fractions import Fraction
+
+from .errors import InvalidInput
+
+_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+_SIGNED_RATIONAL = r"[+-]\d+(?:/\d+)?"
+_FULL_RE = _re.compile(rf"^(?P<re>{_RATIONAL})(?:(?P<im>{_SIGNED_RATIONAL})i)?$")
+_IMAG_RE = _re.compile(rf"^(?P<im>{_RATIONAL})i$")
+
+
+class GaussianRational:
+    """Immutable exact scalar with rational real and imaginary parts.
+
+    Both parts are ``fractions.Fraction`` values, hence always in lowest
+    terms with positive denominator. Mixed arithmetic with ``int`` and
+    ``Fraction`` is supported; floats are rejected to keep exactness.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real=0, imag=0):
+        if isinstance(real, float) or isinstance(imag, float):
+            raise TypeError("floats are inexact; pass int or Fraction")
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
+
+    @classmethod
+    def parse(cls, text: str) -> "GaussianRational":
+        """Parse the canonical scalar text format (whitespace tolerated)."""
+        compact = "".join(text.split())
+        match = _FULL_RE.match(compact)
+        try:
+            if match:
+                real = Fraction(match.group("re"))
+                imag = Fraction(match.group("im")) if match.group("im") else Fraction(0)
+                return cls(real, imag)
+            match = _IMAG_RE.match(compact)
+            if match:
+                return cls(0, Fraction(match.group("im")))
+        except ZeroDivisionError:
+            raise InvalidInput(f"zero denominator in scalar: {text!r}") from None
+        raise InvalidInput(f"invalid scalar: {text!r}")
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        norm = other.real * other.real + other.imag * other.imag
+        if not norm:
+            raise ZeroDivisionError("division by zero scalar")
+        return GaussianRational(
+            (self.real * other.real + self.imag * other.imag) / norm,
+            (self.imag * other.real - self.real * other.imag) / norm,
+        )
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return GaussianRational(-self.real, -self.imag)
+
+    def __pos__(self):
+        return self
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.real, -self.imag)
+
+    def __bool__(self):
+        return bool(self.real) or bool(self.imag)
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
+
+    def __hash__(self):
+        # Matches hash of int/Fraction when the value is real, so mixed
+        # equality stays consistent with hashing.
+        if not self.imag:
+            return hash(self.real)
+        return hash((self.real, self.imag))
+
+    def is_integer(self) -> bool:
+        return not self.imag and self.real.denominator == 1
+
+    def as_integer(self) -> int:
+        if not self.is_integer():
+            raise ValueError(f"{self} is not an integer")
+        return self.real.numerator
+
+    def __str__(self):
+        if not self.imag:
+            return _format_fraction(self.real)
+        sign = "+" if self.imag > 0 else "-"
+        return f"{_format_fraction(self.real)}{sign}{_format_fraction(abs(self.imag))}i"
+
+    def __repr__(self):
+        return f"GaussianRational({str(self)!r})"
+
+
+def _format_fraction(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _coerce(value):
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return GaussianRational(value)
+    return None
+
+
+def as_scalar(value) -> GaussianRational:
+    """Coerce an int, Fraction, or GaussianRational; reject anything else."""
+    coerced = _coerce(value)
+    if coerced is None:
+        raise InvalidInput(f"cannot interpret {value!r} as an exact scalar")
+    return coerced
+
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+MINUS_ONE = GaussianRational(-1)
