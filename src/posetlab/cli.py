@@ -14,14 +14,7 @@ import sys
 
 from .errors import DomainError, InvalidInput, UsageError
 from .functions import function_from_document, function_to_document, materialize, mobius_inversion, zeta_transform
-from .incidence import (
-    classical_mobius,
-    convolve,
-    delta_function,
-    mobius_function,
-    mobius_value,
-    zeta_function,
-)
+from .incidence import convolve, delta_function, mobius_function, mobius_value, zeta_function
 from .lab import (
     conjecture_experiment,
     finite_support_pair_search,
@@ -29,6 +22,7 @@ from .lab import (
     verify_uncertainty_witnesses,
     witnesses,
 )
+from .numtheory import classical_mobius
 from .posets import (
     Poset,
     Window,
@@ -165,7 +159,7 @@ def _resolve_poset(args) -> tuple[Poset, str]:
     fn = getattr(args, "fn", None)
     if fn:
         doc = _load_json_file(fn)
-        name = doc.get("poset")
+        name = doc.get("poset") if isinstance(doc, dict) else None
         if not isinstance(name, str):
             raise UsageError(f"{fn} does not name its poset; pass --poset")
         try:

@@ -90,6 +90,13 @@ class InsufficientWitnesses(DomainError):
         )
 
 
+class WitnessConclusionViolated(DomainError):
+    """Witness verification found the inversion of g disagreeing with
+    the value mu(y,z) f(y) that the witness conditions predict, or
+    vanishing wherever it must not; the exact arithmetic contradicts
+    the theory it certifies."""
+
+
 class NotInverses(DomainError):
     """Supplied pair of interval functions does not convolve to delta."""
 

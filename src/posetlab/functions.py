@@ -16,9 +16,9 @@ are the two named specialisations.
 from __future__ import annotations
 
 from .errors import InvalidInput, PosetMismatch
-from .incidence import IntervalFunction, mobius_function
+from .incidence import IntervalFunction, mobius_function, zeta_function
 from .posets import Poset, Window, enumerate_window
-from .scalars import ZERO, GaussianRational, as_scalar
+from .scalars import ONE, ZERO, GaussianRational, as_scalar
 
 
 class FiniteSupportFunction:
@@ -120,7 +120,8 @@ def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableF
         total = ZERO
         for x, value in entries:
             if p._leq(x, y):
-                total = total + a._evaluate_canonical(x, y) * value
+                a_xy = a._evaluate_canonical(x, y)
+                total = total + (value if a_xy is ONE else a_xy * value)
         return total
 
     return EvaluableFunction(p, rule)
@@ -129,17 +130,7 @@ def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableF
 def zeta_transform(f: FiniteSupportFunction) -> EvaluableFunction:
     """Cumulative sums over principal ideals:
     y |-> sum of f(x) over support elements x <= y."""
-    p = f.poset
-    entries = list(f.items())
-
-    def rule(y):
-        total = ZERO
-        for x, value in entries:
-            if p._leq(x, y):
-                total = total + value
-        return total
-
-    return EvaluableFunction(p, rule)
+    return alpha_transform(f, zeta_function(f.poset))
 
 
 def mobius_inversion(g: FiniteSupportFunction) -> EvaluableFunction:

@@ -5,15 +5,15 @@ An ``IntervalFunction`` assigns an exact scalar to every interval
 
     (a * b)(x, y) = sum over x <= z <= y of a(x, z) * b(z, y),
 
-with identity ``delta`` (1 on the diagonal, 0 elsewhere) and with the
-constant function ``zeta`` whose convolution inverse is the Mobius
-function. Mobius values are computed by the defining recursion
+with identity ``delta`` (1 on the diagonal, 0 elsewhere). One
+triangular recursion computes every inverse b of a, a row at a time:
 
-    mu(x, x) = 1,    mu(x, y) = - sum over x <= z < y of mu(x, z),
+    b(x, x) = 1 / a(x, x),
+    b(x, y) = - (sum over x <= z < y of b(x, z) * a(z, y)) / a(y, y).
 
-evaluated by dynamic programming over the finite interval; general
-inverses use the analogous triangular recursion, dividing by diagonal
-entries as it goes.
+The Mobius function is the inverse of the constant function ``zeta``,
+where this is the defining recursion
+``mu(x, y) = - sum over x <= z < y of mu(x, z)``.
 
 Evaluations are memoised per instance. Instances are logically
 immutable: evaluation is pure, so a concurrent duplicate computation
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import weakref
 
-from . import numtheory
-from .errors import InvalidInput, NoClosedForm, NotComparable, NotInvertible, PosetMismatch
+from .errors import NotComparable, NotInvertible, PosetMismatch
 from .posets import Poset
-from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, as_scalar
+from .scalars import ONE, ZERO, GaussianRational, as_scalar
 
 
 class IntervalFunction:
@@ -72,6 +71,9 @@ class IntervalFunction:
         return self._evaluate_canonical(x, y)
 
     def _evaluate_canonical(self, x, y) -> GaussianRational:
+        if self.kind == "zeta":
+            # Not memoised: a Mobius row would leave one entry per term.
+            return ONE
         key = (x, y)
         cached = self._memo.get(key)
         if cached is not None:
@@ -84,48 +86,21 @@ class IntervalFunction:
         kind = self.kind
         if kind == "delta":
             return ONE if x == y else ZERO
-        if kind == "zeta":
-            return ONE
         if kind == "custom":
             return as_scalar(self._rule(x, y))
-        if kind == "mobius":
-            return self._mobius_row(x, y)
         if kind == "convolution":
             return self._convolution(x, y)
         if kind == "inverse":
             return self._inverse_row(x, y)
         raise AssertionError(f"unknown kind {kind!r}")
 
-    def _mobius_row(self, x, y) -> GaussianRational:
-        # Fills the memo for every (x, z) with z in [x, y]. Canonical
-        # interval order is a linear extension, so each value only needs
-        # earlier ones. Tracking nonzero entries keeps the inner sum
-        # proportional to the actual support of the row.
-        p = self.poset
-        memo = self._memo
-        nonzeros: list = []
-        for z in p._interval(x, y):
-            cached = memo.get((x, z))
-            if cached is not None:
-                if cached:
-                    nonzeros.append((z, cached))
-                continue
-            if z == x:
-                value = ONE
-            else:
-                total = ZERO
-                for w, mu_w in nonzeros:
-                    if p._leq(w, z):
-                        total = total + mu_w
-                value = -total
-            memo[(x, z)] = value
-            if value:
-                nonzeros.append((z, value))
-        return memo[(x, y)]
-
     def _inverse_row(self, x, y) -> GaussianRational:
         # Triangular solve for b with (b * a)(x, .) = delta, filling the
-        # memo for the whole row. Raises lazily on a zero diagonal.
+        # memo for the whole row. Canonical interval order is a linear
+        # extension, so each value only needs earlier ones; tracking the
+        # nonzero entries keeps the inner sum proportional to the row's
+        # support. Raises lazily on a zero diagonal. The `is ONE` tests
+        # spare a Mobius row (a = zeta) every multiply and divide.
         p = self.poset
         a = self.inner
         memo = self._memo
@@ -140,13 +115,14 @@ class IntervalFunction:
             if not diagonal:
                 raise NotInvertible(z)
             if z == x:
-                value = ONE / diagonal
+                value = ONE if diagonal is ONE else ONE / diagonal
             else:
                 total = ZERO
                 for w, b_w in nonzeros:
                     if p._leq(w, z):
-                        total = total + b_w * a._evaluate_canonical(w, z)
-                value = -(total / diagonal)
+                        a_wz = a._evaluate_canonical(w, z)
+                        total = total + (b_w if a_wz is ONE else b_w * a_wz)
+                value = -total if diagonal is ONE else -(total / diagonal)
             memo[(x, z)] = value
             if value:
                 nonzeros.append((z, value))
@@ -182,11 +158,11 @@ _MOBIUS_INSTANCES = weakref.WeakKeyDictionary()
 
 
 def mobius_function(p: Poset) -> IntervalFunction:
-    """The Mobius function of ``p``, shared per poset so the recursion
-    cache accumulates across callers."""
+    """The Mobius function of ``p``, the inverse of zeta, shared per
+    poset so the recursion cache accumulates across callers."""
     fn = _MOBIUS_INSTANCES.get(p)
     if fn is None:
-        fn = IntervalFunction(p, "mobius")
+        fn = IntervalFunction(p, "inverse", inner=zeta_function(p), name="mobius")
         _MOBIUS_INSTANCES[p] = fn
     return fn
 
@@ -219,17 +195,6 @@ def mobius_value(p: Poset, x, y) -> GaussianRational:
     return mobius_function(p).evaluate(x, y)
 
 
-def classical_mobius(n: int) -> int:
-    """The number-theoretic Mobius function: 0 when a square divides n,
-    otherwise (-1) to the number of distinct prime factors."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"expected a positive integer, got {n!r}")
-    factors = numtheory.prime_factors(n)
-    if any(k > 1 for k in factors.values()):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
 def closed_form_mobius(p: Poset, x, y) -> GaussianRational:
     """Closed-form mu(x, y) for the built-in families, as an oracle
     independent of the recursion. Explicit posets have none."""
@@ -239,25 +204,4 @@ def closed_form_mobius(p: Poset, x, y) -> GaussianRational:
             f"not comparable: {p.format_element(x)} !<= "
             f"{p.format_element(y)} in {p.family}"
         )
-    family = p.family
-    if family == "divisibility":
-        return GaussianRational(classical_mobius(y // x))
-    if family == "chain":
-        if x == y:
-            return ONE
-        if x + 1 == y:
-            return MINUS_ONE
-        return ZERO
-    if family == "subsets":
-        return MINUS_ONE if (len(y) - len(x)) % 2 else ONE
-    if family == "multisets":
-        lower = dict(x)
-        sign = 1
-        for prime, mult in y:
-            diff = mult - lower.get(prime, 0)
-            if diff > 1:
-                return ZERO
-            if diff == 1:
-                sign = -sign
-        return GaussianRational(sign)
-    raise NoClosedForm(f"no closed-form Mobius function for {family} posets")
+    return p._closed_form_mobius(x, y)

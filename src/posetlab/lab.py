@@ -29,11 +29,9 @@ probes that property at desk scale:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
-from . import numtheory
 from .errors import (
     ElementOutsideWindow,
     InsufficientWitnesses,
@@ -42,19 +40,16 @@ from .errors import (
     NotStrictlyAbove,
     PosetMismatch,
     WindowNotNested,
+    WitnessConclusionViolated,
     ZeroFunction,
 )
 from .functions import FiniteSupportFunction, alpha_transform, materialize, mobius_inversion
-from .incidence import IntervalFunction, convolve, delta_function, mobius_value, zeta_function
+from .incidence import IntervalFunction, convolve, delta_function, mobius_function, mobius_value, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
-from .posets import Poset, Window, enumerate_window
+from .posets import INCONCLUSIVE, Poset, Window, enumerate_window
 from .scalars import ZERO, GaussianRational
 
 DEFAULT_BUDGET = 10_000
-
-FINITE_CERTIFIED = "finite-certified"
-INFINITE_CERTIFIED = "infinite-certified"
-INCONCLUSIVE = "inconclusive-window-only"
 
 
 class WitnessConditions(NamedTuple):
@@ -228,40 +223,6 @@ def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     return WitnessConditions(disjoint, factorize, bool(mu_yz), mu_yz)
 
 
-def _witness_candidates(p: Poset, y, avoid: set):
-    """Candidate elements z > y in deterministic order.
-
-    Divisibility and multisets multiply in ascending fresh primes,
-    subsets adjoin ascending fresh ground elements; these families pass
-    the witness conditions by construction. Chains and explicit posets
-    scan canonically ordered elements above y.
-    """
-    family = p.family
-    if family == "divisibility":
-        for q in numtheory.primes():
-            if y % q == 0 or any(s % q == 0 for s in avoid):
-                continue
-            yield y * q
-    elif family == "multisets":
-        used = {prime for prime, _ in y}
-        for s in avoid:
-            used.update(prime for prime, _ in s)
-        for q in numtheory.primes():
-            if q in used:
-                continue
-            yield tuple(sorted(y + ((q, 1),)))
-    elif family == "subsets":
-        used = set(y)
-        for s in avoid:
-            used.update(s)
-        for q in itertools.count(1):
-            if q in used:
-                continue
-            yield tuple(sorted(y + (q,)))
-    else:
-        yield from p.iter_above(y)
-
-
 def witnesses(
     p: Poset, y, avoid_set, count: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[WitnessCertificate]:
@@ -278,7 +239,7 @@ def witnesses(
 def _witness_stream(p, y, avoid, count, budget):
     avoid_sorted = tuple(sorted(avoid, key=p.sort_key))
     found = 0
-    for tried, z in enumerate(_witness_candidates(p, y, avoid)):
+    for tried, z in enumerate(p.witness_candidates(y, avoid)):
         if tried >= budget:
             return
         conditions = check_witness_conditions(p, y, avoid, z)
@@ -328,8 +289,11 @@ def verify_uncertainty_witnesses(
             base, f_base = element, value
             break
     # A minimal support element always gives a nonzero inversion value,
-    # so the scan above cannot fail.
-    assert base is not None
+    # so the scan above cannot fail on correct arithmetic.
+    if base is None:
+        raise WitnessConclusionViolated(
+            "inversion vanishes on the downward closure of the support"
+        )
 
     certificates = []
     for cert in witnesses(p, base, g.support(), count, budget):
@@ -339,7 +303,11 @@ def verify_uncertainty_witnesses(
             g_x = g[x]
             if g_x:
                 observed = observed + mobius_value(p, x, cert.z) * g_x
-        assert observed == predicted and observed, "witness conclusion violated"
+        if not (observed == predicted and observed):
+            raise WitnessConclusionViolated(
+                f"witness conclusion violated at {p.format_element(cert.z)}: "
+                f"observed {observed}, predicted {predicted}"
+            )
         certificates.append(replace(cert, predicted_fz=predicted, observed_fz=observed))
     if len(certificates) < count:
         raise InsufficientWitnesses(certificates, count)
@@ -347,26 +315,6 @@ def verify_uncertainty_witnesses(
 
 
 # -- censuses ----------------------------------------------------------
-
-_CENSUS_CERTIFICATES = {
-    ("chain", "mobius"): (
-        FINITE_CERTIFIED,
-        "closed form is nonzero only at x and its successor",
-    ),
-    ("divisibility", "mobius"): (
-        INFINITE_CERTIFIED,
-        "squarefree multiples x*q over fresh primes never vanish",
-    ),
-    ("multisets", "mobius"): (
-        INFINITE_CERTIFIED,
-        "mirror of the divisibility certificate under the integer-image map",
-    ),
-    ("subsets", "mobius"): (
-        INFINITE_CERTIFIED,
-        "closed form takes only the values +1 and -1",
-    ),
-}
-
 
 def support_census(
     p: Poset, a: IntervalFunction, x, w: Window, **window_kwargs
@@ -385,9 +333,10 @@ def support_census(
     members = [
         y for y in elements if p._leq(x, y) and a._evaluate_canonical(x, y)
     ]
-    verdict, note = _CENSUS_CERTIFICATES.get(
-        (p.family, a.kind),
-        (INCONCLUSIVE, "no analytic certificate for this function on this poset"),
+    certificate = p.mobius_census if a is mobius_function(p) else None
+    verdict, note = certificate or (
+        INCONCLUSIVE,
+        "no analytic certificate for this function on this poset",
     )
     return SupportCensus(
         x=x,

@@ -1,4 +1,5 @@
-"""Small integer helpers: primality, factorisation, divisor enumeration.
+"""Small integer helpers: primality, factorisation, divisor enumeration,
+and the number-theoretic Mobius function.
 
 Trial division throughout; the library only ever factors desk-scale
 integers, where this beats importing a heavyweight dependency.
@@ -66,3 +67,14 @@ def divisors(n: int) -> list[int]:
         divs.extend(step)
     divs.sort()
     return divs
+
+
+def classical_mobius(n: int) -> int:
+    """The number-theoretic Mobius function: 0 when a square divides n,
+    otherwise (-1) to the number of distinct prime factors."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInput(f"expected a positive integer, got {n!r}")
+    factors = prime_factors(n)
+    if any(k > 1 for k in factors.values()):
+        return 0
+    return -1 if len(factors) % 2 else 1

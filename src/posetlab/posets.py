@@ -30,12 +30,19 @@ from .errors import (
     DuplicateElement,
     InvalidElement,
     InvalidInput,
+    NoClosedForm,
     NoUniqueBottom,
     NotComparable,
     UnknownElementInCover,
 )
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 DEFAULT_ELEMENT_CAP = 1 << 20
+
+# Support-census verdicts.
+FINITE_CERTIFIED = "finite-certified"
+INFINITE_CERTIFIED = "infinite-certified"
+INCONCLUSIVE = "inconclusive-window-only"
 
 
 class Poset:
@@ -106,6 +113,24 @@ class Poset:
         implement this."""
         raise NotImplementedError(f"{self.family} has no generic scan order")
 
+    # -- Mobius facts: oracles and certificates, never the recursion ---
+
+    mobius_census = None
+    """``(verdict, note)`` for support censuses of this family's Mobius
+    function, or None where no analytic certificate applies."""
+
+    def _closed_form_mobius(self, x, y) -> GaussianRational:
+        """mu(x, y) for canonical x <= y by a formula independent of the
+        recursion."""
+        raise NoClosedForm(f"no closed-form Mobius function for {self.family} posets")
+
+    def witness_candidates(self, y, avoid: set):
+        """Candidate elements z > y for witness streams, in deterministic
+        order. Families with a construction that passes the witness
+        conditions yield it; the others scan canonically ordered elements
+        above y."""
+        return self.iter_above(y)
+
     def __repr__(self):
         return f"Poset({self.family})"
 
@@ -169,6 +194,18 @@ class DivisibilityPoset(Poset):
         """The divisors of ``n``: a downward-closed set in this order."""
         return numtheory.divisors(_canon_positive_int(n, self.family))
 
+    mobius_census = (
+        INFINITE_CERTIFIED,
+        "squarefree multiples x*q over fresh primes never vanish",
+    )
+
+    def _closed_form_mobius(self, x, y) -> GaussianRational:
+        return GaussianRational(numtheory.classical_mobius(y // x))
+
+    def witness_candidates(self, y, avoid: set):
+        """y*q over ascending fresh primes q."""
+        return (y * q for q in _fresh_primes(y, avoid))
+
 
 class ChainPoset(Poset):
     """Positive integers with the usual total order; bottom element 1."""
@@ -203,6 +240,18 @@ class ChainPoset(Poset):
 
     def iter_above(self, y):
         return itertools.count(y + 1)
+
+    mobius_census = (
+        FINITE_CERTIFIED,
+        "closed form is nonzero only at x and its successor",
+    )
+
+    def _closed_form_mobius(self, x, y) -> GaussianRational:
+        if x == y:
+            return ONE
+        if x + 1 == y:
+            return MINUS_ONE
+        return ZERO
 
 
 class SubsetPoset(Poset):
@@ -257,7 +306,8 @@ class SubsetPoset(Poset):
     def window_elements(self, bound, element_cap: int) -> list:
         if not isinstance(bound, int) or bound < 0:
             raise InvalidInput(f"subsets window bound must be >= 0, got {bound!r}")
-        if 1 << bound > element_cap:
+        # Same test as 2**bound > element_cap, without building 2**bound.
+        if bound >= element_cap.bit_length():
             raise BoundTooLarge(
                 f"subsets window over ground set of {bound} exceeds cap {element_cap}"
             )
@@ -266,6 +316,19 @@ class SubsetPoset(Poset):
         for size in range(bound + 1):
             out.extend(itertools.combinations(ground, size))
         return out
+
+    mobius_census = (
+        INFINITE_CERTIFIED,
+        "closed form takes only the values +1 and -1",
+    )
+
+    def _closed_form_mobius(self, x, y) -> GaussianRational:
+        return MINUS_ONE if (len(y) - len(x)) % 2 else ONE
+
+    def witness_candidates(self, y, avoid: set):
+        """y + {q} over ascending fresh ground elements q."""
+        used = set(y).union(*avoid)
+        return (tuple(sorted(y + (q,))) for q in itertools.count(1) if q not in used)
 
 
 class MultisetPoset(Poset):
@@ -345,6 +408,31 @@ class MultisetPoset(Poset):
         bound = _check_bound(bound, element_cap)
         return [integer_to_multiset(n) for n in range(1, bound + 1)]
 
+    mobius_census = (
+        INFINITE_CERTIFIED,
+        "mirror of the divisibility certificate under the integer-image map",
+    )
+
+    def _closed_form_mobius(self, x, y) -> GaussianRational:
+        lower = dict(x)
+        sign = 1
+        for prime, mult in y:
+            diff = mult - lower.get(prime, 0)
+            if diff > 1:
+                return ZERO
+            if diff == 1:
+                sign = -sign
+        return GaussianRational(sign)
+
+    def witness_candidates(self, y, avoid: set):
+        """y + {q} over ascending fresh primes q: the divisibility
+        construction under the integer-image map."""
+        images = [multiset_to_integer(s) for s in avoid]
+        return (
+            tuple(sorted(y + ((q, 1),)))
+            for q in _fresh_primes(multiset_to_integer(y), images)
+        )
+
 
 class ExplicitPoset(Poset):
     """A finite poset given by string identifiers and cover pairs.
@@ -374,7 +462,7 @@ class ExplicitPoset(Poset):
             except (TypeError, ValueError):
                 raise InvalidInput(f"cover pairs are two-element lists, got {pair!r}") from None
             for ident in (low, high):
-                if ident not in seen:
+                if not isinstance(ident, str) or ident not in seen:
                     raise UnknownElementInCover(f"cover mentions unknown element {ident!r}")
             if low == high:
                 raise CyclicCovers(f"self-cover at {low!r}")
@@ -454,6 +542,12 @@ class ExplicitPoset(Poset):
 
     def _key(self):
         return (self.family, self._elements, self._covers)
+
+
+def _fresh_primes(n: int, avoid):
+    """Ascending primes dividing neither ``n`` nor any integer in
+    ``avoid``."""
+    return (q for q in numtheory.primes() if n % q and all(s % q for s in avoid))
 
 
 def _check_bound(bound, element_cap: int) -> int:

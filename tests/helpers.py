@@ -5,8 +5,10 @@ paths: sieves and naive factor counting for number theory, literal
 summation for identities.
 """
 
+import dataclasses
 from fractions import Fraction
 
+import posetlab.lab
 from posetlab import ExplicitPoset, FiniteSupportFunction, GaussianRational, custom_function
 
 
@@ -86,3 +88,15 @@ def random_interval_function(rng, poset, elements, name="random"):
             elif rng.random() >= 0.3:
                 table[(x, y)] = random_scalar(rng, 9)
     return custom_function(poset, lambda x, y: table.get((x, y), 0), name=name)
+
+
+def skew_witness_stream(monkeypatch):
+    """Make every witness certificate report twice the true mu(y, z), so
+    that witness verification must find its conclusion violated."""
+    stream = posetlab.lab.witnesses
+
+    def skewed(*args, **kwargs):
+        for cert in stream(*args, **kwargs):
+            yield dataclasses.replace(cert, mu_yz=cert.mu_yz * 2)
+
+    monkeypatch.setattr(posetlab.lab, "witnesses", skewed)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import skew_witness_stream
 from posetlab.cli import run
 
 
@@ -156,6 +157,12 @@ class TestWitnessCommands:
         assert [c["z"] for c in payload["certificates"]] == ["2", "3"]
         assert all(c["observed_fz"] == "-1" for c in payload["certificates"])
 
+    def test_verify_conclusion_mismatch_is_domain_error(self, capsys, monkeypatch, point_mass_file):
+        skew_witness_stream(monkeypatch)
+        status, out, err = invoke(capsys, "verify", "--fn", point_mass_file, "--count", "1")
+        assert (status, out) == (2, "")
+        assert "error: witness conclusion violated" in err
+
     def test_verify_insufficient_is_domain_error(self, capsys, tmp_path):
         fn = tmp_path / "chain.json"
         fn.write_text(json.dumps({"poset": "chain", "values": {"1": "1"}}))
@@ -170,6 +177,13 @@ class TestCensusSearchConjecture:
         assert status == 0
         assert "members: 1,2" in out
         assert "verdict: finite-certified" in out
+
+    def test_census_oversized_subsets_bound_is_usage_error(self, capsys):
+        status, _, err = invoke(
+            capsys, "census", "--poset", "subsets", "--x", "{}", "--bound", str(10**18)
+        )
+        assert status == 1
+        assert "exceeds cap" in err
 
     def test_census_json(self, capsys):
         status, out, _ = invoke(
@@ -256,6 +270,20 @@ class TestExplicitPosetFiles:
     def test_missing_file_is_usage_error(self, capsys):
         status, _, _ = invoke(capsys, "mobius", "--poset-file", "/nope.json", "--x", "a", "--y", "a")
         assert status == 1
+
+    def test_function_document_array_is_usage_error(self, capsys, tmp_path):
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps([{"poset": "chain"}]))
+        status, _, err = invoke(capsys, "transform", "--fn", str(fn), "--bound", "5")
+        assert status == 1
+        assert err.startswith("error:")
+
+    def test_unhashable_cover_identifier_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", ["b"]]]}))
+        status, _, err = invoke(capsys, "mobius", "--poset-file", str(path), "--x", "a", "--y", "a")
+        assert status == 1
+        assert err.startswith("error:")
 
 
 class TestDeterminism:

@@ -39,6 +39,10 @@ WINDOWS = [
     (SUBSETS, Window(SUBSETS, 4)),
     (MULTISETS, Window(MULTISETS, 40)),
 ]
+EXPLICIT_WINDOWS = [
+    (p, Window(p))
+    for p in (random_explicit_poset(random.Random(seed), 10) for seed in (3, 4, 5))
+]
 
 
 def random_intervals(rng, poset, window, count):
@@ -68,6 +72,11 @@ class TestEvaluate:
         a = custom_function(CHAIN, lambda x, y: y - x, name="gap")
         assert a.evaluate(3, 10) == 7
         assert a.name == "gap"
+
+    def test_zeta_is_not_memoised(self):
+        zeta = zeta_function(DIV)
+        assert invert(zeta).evaluate(1, 30) == -1
+        assert zeta._memo == {}
 
     def test_memoised_evaluation_is_stable(self):
         a = custom_function(CHAIN, lambda x, y: y - x)
@@ -173,6 +182,18 @@ class TestInvert:
             inv = invert(zeta_function(poset))
             for x, y in random_intervals(rng, poset, window, 40):
                 assert inv.evaluate(x, y) == mobius_value(poset, x, y)
+
+    @pytest.mark.parametrize("poset,window", WINDOWS + EXPLICIT_WINDOWS)
+    def test_mobius_matches_general_inverse(self, poset, window):
+        # The custom constant returns fresh scalars, so its inverse takes
+        # the multiply-and-divide path that zeta's ONE values skip.
+        general = invert(custom_function(poset, lambda x, y: 1))
+        mobius = mobius_function(poset)
+        elements = enumerate_window(window)
+        for i, x in enumerate(elements):
+            for y in elements[i:]:
+                if poset.leq(x, y):
+                    assert mobius.evaluate(x, y) == general.evaluate(x, y)
 
     def test_delta_inverse_is_delta(self):
         inv = invert(delta_function(CHAIN))

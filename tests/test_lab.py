@@ -1,10 +1,14 @@
 """Witness streams, support censuses, and the finite-support pair search."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
-from helpers import squarefree_upto
+import posetlab
+import posetlab.lab as lab
+from helpers import skew_witness_stream, squarefree_upto
 from posetlab import (
     ElementOutsideWindow,
     FiniteSupportFunction,
@@ -14,6 +18,7 @@ from posetlab import (
     NotStrictlyAbove,
     Window,
     WindowNotNested,
+    WitnessConclusionViolated,
     ZeroFunction,
     check_witness_conditions,
     closed_form_mobius,
@@ -23,6 +28,7 @@ from posetlab import (
     enumerate_window,
     finite_support_pair_search,
     get_poset,
+    invert,
     load_explicit_poset,
     materialize,
     mobius_function,
@@ -161,6 +167,29 @@ class TestVerifyUncertaintyWitnesses:
         certs = verify_uncertainty_witnesses(DIV, g, 1)
         assert certs[0].y == 2
 
+    def test_conclusion_mismatch_raises(self, monkeypatch):
+        skew_witness_stream(monkeypatch)
+        g = FiniteSupportFunction(DIV, {1: 1})
+        with pytest.raises(WitnessConclusionViolated, match="at 2: observed -1, predicted -2"):
+            verify_uncertainty_witnesses(DIV, g, 1)
+
+    def test_vanishing_inversion_raises(self, monkeypatch):
+        monkeypatch.setattr(lab, "mobius_inversion", lambda g: lambda y: GaussianRational(0))
+        with pytest.raises(WitnessConclusionViolated, match="vanishes"):
+            verify_uncertainty_witnesses(DIV, FiniteSupportFunction(DIV, {1: 1}), 1)
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so no check in the library may use one.
+    package = pathlib.Path(posetlab.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
 
 class TestSupportCensus:
     def test_chain_mobius_row_is_finite(self):
@@ -200,6 +229,11 @@ class TestSupportCensus:
         )
         census = support_census(p, mobius_function(p), "a", Window(p))
         assert census.members == ["a", "b"]
+        assert census.verdict == "inconclusive-window-only"
+
+    def test_user_built_inverse_of_zeta_is_inconclusive(self):
+        census = support_census(CHAIN, invert(zeta_function(CHAIN)), 1, Window(CHAIN, 10))
+        assert census.members == [1, 2]
         assert census.verdict == "inconclusive-window-only"
 
     def test_nonmobius_builtin_is_inconclusive(self):

@@ -134,6 +134,22 @@ class TestWindows:
         with pytest.raises(BoundTooLarge):
             enumerate_window(Window(SUBSETS, 21))
 
+    def test_subsets_cap_at_default(self):
+        assert len(enumerate_window(Window(SUBSETS, 20))) == 1 << 20
+
+    def test_subsets_cap_checked_before_allocating(self):
+        with pytest.raises(BoundTooLarge):
+            enumerate_window(Window(SUBSETS, 10**18))
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 8, 9, 255, 256, 1000])
+    def test_subsets_cap_is_two_to_the_bound(self, cap):
+        for bound in range(12):
+            if 1 << bound > cap:
+                with pytest.raises(BoundTooLarge):
+                    SUBSETS.window_elements(bound, cap)
+            else:
+                assert len(SUBSETS.window_elements(bound, cap)) == 1 << bound
+
     def test_bad_bounds(self):
         with pytest.raises(InvalidInput):
             enumerate_window(Window(CHAIN, 0))
@@ -248,6 +264,8 @@ class TestExplicitPosets:
     def test_unknown_element_in_cover(self):
         with pytest.raises(UnknownElementInCover):
             load_explicit_poset({"elements": ["a"], "covers": [["a", "b"]]})
+        with pytest.raises(UnknownElementInCover):
+            load_explicit_poset({"elements": ["a", "b"], "covers": [["a", ["b"]]]})
 
     def test_unknown_element_access(self):
         p = load_explicit_poset({"elements": ["a"], "covers": []})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_support_function
+from helpers import random_explicit_poset, random_support_function
 from posetlab import (
     FiniteSupportFunction,
     GaussianRational,
@@ -15,6 +15,7 @@ from posetlab import (
     PosetMismatch,
     Window,
     alpha_transform,
+    custom_function,
     delta_function,
     enumerate_window,
     function_from_document,
@@ -38,6 +39,10 @@ ROUNDTRIP_SETUPS = [
     (CHAIN, Window(CHAIN, 30)),
     (SUBSETS, Window(SUBSETS, 5)),
     (MULTISETS, Window(MULTISETS, 40)),
+]
+EXPLICIT_SETUPS = [
+    (p, Window(p))
+    for p in (random_explicit_poset(random.Random(seed), 10) for seed in (3, 4, 5))
 ]
 
 
@@ -128,6 +133,18 @@ class TestAlphaTransform:
         for _ in range(40):
             y = rng.randint(1, 40)
             assert via_alpha(y) == via_named(y)
+
+    @pytest.mark.parametrize("poset,window", ROUNDTRIP_SETUPS + EXPLICIT_SETUPS)
+    def test_zeta_transform_matches_general_transform(self, poset, window):
+        # The custom constant returns fresh scalars, so it takes the
+        # multiply path that zeta's ONE values skip.
+        rng = random.Random(43)
+        elements = enumerate_window(window)
+        f = random_support_function(rng, poset, elements)
+        ones = custom_function(poset, lambda x, y: 1)
+        assert materialize(zeta_transform(f), window) == materialize(
+            alpha_transform(f, ones), window
+        )
 
     def test_mobius_after_zeta_restores(self):
         w = Window(SUBSETS, 4)
