@@ -141,12 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json_file(path: str) -> dict:
+    # ValueError covers undecodable bytes, NUL bytes in the path, and
+    # integers past Python's digit limit as well as JSON syntax errors.
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(text)
+    except ValueError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 

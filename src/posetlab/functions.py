@@ -11,6 +11,15 @@ returned as lazily evaluated ``EvaluableFunction`` rules and only turned
 back into finite data by :func:`materialize` over an explicit window.
 The zeta transform (cumulative sums over ideals) and Mobius inversion
 are the two named specialisations.
+
+Evaluating a transform at one element y computes the defining sum
+above; this point rule is the reference oracle. On posets that are
+downsets of a product of chains (divisibility, multisets, subsets and
+the chain), :func:`materialize` computes transforms by zeta or by an
+inverse of zeta (Mobius) for a whole window at once instead: one pass
+per coordinate, as in Yates's algorithm and the fast zeta transform of
+Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). Every other
+transform, and every explicit poset, is evaluated point by point.
 """
 
 from __future__ import annotations
@@ -108,6 +117,16 @@ class EvaluableFunction:
         return self._rule(self.poset.canon(element))
 
 
+class _Transform(EvaluableFunction):
+    """The transform of ``h`` by ``a``, keeping both operands so that
+    :func:`materialize` can recognise a zeta or Mobius transform."""
+
+    def __init__(self, h: FiniteSupportFunction, a: IntervalFunction, rule):
+        super().__init__(h.poset, rule)
+        self.h = h
+        self.a = a
+
+
 def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableFunction:
     """The transform of ``h`` by the interval function ``a``:
     y |-> sum of a(x, y) * h(x) over support elements x <= y."""
@@ -124,7 +143,7 @@ def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableF
                 total = total + (value if a_xy is ONE else a_xy * value)
         return total
 
-    return EvaluableFunction(p, rule)
+    return _Transform(h, a, rule)
 
 
 def zeta_transform(f: FiniteSupportFunction) -> EvaluableFunction:
@@ -140,14 +159,64 @@ def mobius_inversion(g: FiniteSupportFunction) -> EvaluableFunction:
 
 
 def materialize(e: EvaluableFunction, w: Window, **window_kwargs) -> FiniteSupportFunction:
-    """Evaluate ``e`` on every window element and keep the nonzero
-    values: the exact restriction of ``e`` to the window."""
+    """The exact restriction of ``e`` to the window, keeping the nonzero
+    values.
+
+    A transform by zeta or by an inverse of zeta, on a poset with
+    :meth:`~posetlab.posets.Poset.coordinate_steps`, is computed for the
+    whole window coordinate by coordinate; it equals ``e(y)`` at every
+    window element. Anything else is evaluated at every window element.
+    Support elements outside the window never reach a window element,
+    because windows are downward closed."""
     if e.poset != w.poset:
         raise PosetMismatch("function and window live on different posets")
-    return FiniteSupportFunction(
-        e.poset,
-        ((y, e(y)) for y in enumerate_window(w, **window_kwargs)),
-    )
+    elements = enumerate_window(w, **window_kwargs)
+    if isinstance(e, _Transform):
+        sign = _zeta_power(e.a)
+        steps = e.poset.coordinate_steps(elements) if sign else None
+        if steps is not None:
+            values = _coordinatewise(e.h, sign, elements, steps)
+            return FiniteSupportFunction(e.poset, values.items())
+    return FiniteSupportFunction(e.poset, ((y, e(y)) for y in elements))
+
+
+def _zeta_power(a: IntervalFunction) -> int | None:
+    """1 for zeta, -1 for an inverse of zeta, None for anything else."""
+    if a.kind == "zeta":
+        return 1
+    if a.kind == "inverse" and a.inner.kind == "zeta":
+        return -1
+    return None
+
+
+def _coordinatewise(h: FiniteSupportFunction, sign: int, elements: list, steps) -> dict:
+    """Zeta (sign 1) or Mobius (sign -1) transform of ``h`` on a
+    downward-closed window of a product of chains.
+
+    Zeta is the product of one prefix-sum operator per chain, and Mobius
+    the product of their inverses, so each coordinate c gets one pass:
+    a[y] += a[y stepped down in c] in ascending order for zeta, and
+    a[y] -= a[y stepped down in c] in descending order for Mobius, which
+    reads the neighbour before this pass changes it."""
+    values = dict.fromkeys(elements, ZERO)
+    for x, value in h.items():
+        if x in values:
+            values[x] = value
+    passes: dict = {}
+    for c, y, z in steps:
+        passes.setdefault(c, []).append((y, z))
+    for pairs in passes.values():
+        if sign > 0:
+            for y, z in pairs:
+                below = values[z]
+                if below:
+                    values[y] = values[y] + below
+        else:
+            for y, z in reversed(pairs):
+                below = values[z]
+                if below:
+                    values[y] = values[y] - below
+    return values
 
 
 # -- function documents ------------------------------------------------

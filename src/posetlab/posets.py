@@ -131,6 +131,16 @@ class Poset:
         above y."""
         return self.iter_above(y)
 
+    # -- product-of-chains structure -----------------------------------
+
+    def coordinate_steps(self, elements):
+        """``(c, y, z)`` for every element y of a canonically ordered,
+        downward-closed ``elements`` list and every lower cover z of y,
+        where z is y stepped down one in coordinate c. Families that are
+        downsets of a product of chains yield these in element order;
+        the others return None."""
+        return None
+
     def __repr__(self):
         return f"Poset({self.family})"
 
@@ -206,6 +216,17 @@ class DivisibilityPoset(Poset):
         """y*q over ascending fresh primes q."""
         return (y * q for q in _fresh_primes(y, avoid))
 
+    def coordinate_steps(self, elements):
+        """One chain per prime: y // q for each prime q dividing y."""
+        smallest = numtheory.smallest_prime_factors(elements)
+        for y in elements:
+            n = y
+            while n > 1:
+                q = smallest[n]
+                yield q, y, y // q
+                while n % q == 0:
+                    n //= q
+
 
 class ChainPoset(Poset):
     """Positive integers with the usual total order; bottom element 1."""
@@ -252,6 +273,12 @@ class ChainPoset(Poset):
         if x + 1 == y:
             return MINUS_ONE
         return ZERO
+
+    def coordinate_steps(self, elements):
+        """A single chain: y - 1."""
+        for y in elements:
+            if y > 1:
+                yield 0, y, y - 1
 
 
 class SubsetPoset(Poset):
@@ -329,6 +356,12 @@ class SubsetPoset(Poset):
         """y + {q} over ascending fresh ground elements q."""
         used = set(y).union(*avoid)
         return (tuple(sorted(y + (q,))) for q in itertools.count(1) if q not in used)
+
+    def coordinate_steps(self, elements):
+        """One 2-chain per ground element: y - {i} for each i in y."""
+        for y in elements:
+            for k, member in enumerate(y):
+                yield member, y, y[:k] + y[k + 1:]
 
 
 class MultisetPoset(Poset):
@@ -433,6 +466,14 @@ class MultisetPoset(Poset):
             for q in _fresh_primes(multiset_to_integer(y), images)
         )
 
+    def coordinate_steps(self, elements):
+        """The divisibility steps under the integer-image map: one fewer
+        copy of each prime in y."""
+        for y in elements:
+            for k, (prime, mult) in enumerate(y):
+                fewer = ((prime, mult - 1),) if mult > 1 else ()
+                yield prime, y, y[:k] + fewer + y[k + 1:]
+
 
 class ExplicitPoset(Poset):
     """A finite poset given by string identifiers and cover pairs.
@@ -457,10 +498,9 @@ class ExplicitPoset(Poset):
         indegree = {ident: 0 for ident in ids}
         cover_pairs = []
         for pair in covers:
-            try:
-                low, high = pair
-            except (TypeError, ValueError):
-                raise InvalidInput(f"cover pairs are two-element lists, got {pair!r}") from None
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise InvalidInput(f"cover pairs are two-element lists, got {pair!r}")
+            low, high = pair
             for ident in (low, high):
                 if not isinstance(ident, str) or ident not in seen:
                     raise UnknownElementInCover(f"cover mentions unknown element {ident!r}")

@@ -54,6 +54,9 @@ class GaussianRational:
                 return cls(0, Fraction(match.group("im")))
         except ZeroDivisionError:
             raise InvalidInput(f"zero denominator in scalar: {text!r}") from None
+        except ValueError:
+            # Python refuses to convert integer strings past its digit limit.
+            raise InvalidInput(f"scalar has too many digits ({len(compact)} characters)") from None
         raise InvalidInput(f"invalid scalar: {text!r}")
 
     def __add__(self, other):
@@ -149,9 +152,13 @@ class GaussianRational:
 
 
 def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        # Past Python's digit limit, as in parse: such text could not be read back.
+        raise InvalidInput("scalar has too many digits to print") from None
 
 
 def _coerce(value):

@@ -8,6 +8,8 @@ summation for identities.
 import dataclasses
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 import posetlab.lab
 from posetlab import ExplicitPoset, FiniteSupportFunction, GaussianRational, custom_function
 
@@ -65,6 +67,19 @@ def random_scalar(rng, limit: int = 100) -> GaussianRational:
         )
         if value:
             return value
+
+
+def exact_scalars(kind: str, limit: int = 9):
+    """Hypothesis strategy for nonzero scalars of one tier: ``"int"``,
+    ``"rational"`` or ``"gaussian"``."""
+    parts = st.integers(-limit, limit)
+    denominators = st.integers(1, limit)
+    if kind == "int":
+        return parts.filter(bool).map(GaussianRational)
+    rationals = st.builds(Fraction, parts, denominators)
+    if kind == "rational":
+        return rationals.filter(bool).map(GaussianRational)
+    return st.builds(GaussianRational, rationals, rationals.filter(bool))
 
 
 def random_support_function(rng, poset, pool, max_support: int = 8, limit: int = 100):

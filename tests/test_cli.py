@@ -1,8 +1,14 @@
 """CLI behaviour: output, exit codes, JSON round-trips, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import skew_witness_stream
 from posetlab.cli import run
@@ -94,6 +100,30 @@ class TestTransforms:
         status, out, _ = invoke(capsys, "invert-transform", "--fn", point_mass_file, "--bound", "10")
         assert status == 0
         assert out.splitlines()[:3] == ["1 = 1", "2 = -1", "3 = -1"]
+
+    @pytest.mark.parametrize("command", ["transform", "invert-transform"])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"poset": "divisibility", "values": {"6": "%s"}}' % ("7" * 5000),
+            '{"poset": "divisibility", "values": {"6": %s}}' % ("7" * 5000),
+        ],
+        ids=["string", "number"],
+    )
+    def test_oversized_scalar_is_usage_error(self, capsys, tmp_path, command, document):
+        fn = tmp_path / "fn.json"
+        fn.write_text(document)
+        status, out, err = invoke(capsys, command, "--fn", str(fn), "--bound", "12")
+        assert (status, out) == (1, "")
+        assert err.startswith("error:")
+
+    def test_unprintable_result_is_usage_error(self, capsys, tmp_path):
+        fn = tmp_path / "fn.json"
+        values = {"1": "1/" + "7" * 3000, "2": "1/" + "7" * 2999 + "1"}
+        fn.write_text(json.dumps({"poset": "divisibility", "values": values}))
+        status, out, err = invoke(capsys, "transform", "--fn", str(fn), "--bound", "4")
+        assert (status, out) == (1, "")
+        assert "too many digits" in err
 
     def test_bound_required_for_builtin(self, capsys, point_mass_file):
         assert invoke(capsys, "transform", "--fn", point_mass_file)[0] == 1
@@ -284,6 +314,136 @@ class TestExplicitPosetFiles:
         status, _, err = invoke(capsys, "mobius", "--poset-file", str(path), "--x", "a", "--y", "a")
         assert status == 1
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize("cover", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+    def test_malformed_cover_pair_is_usage_error(self, capsys, tmp_path, cover):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "covers": [cover]}))
+        status, out, err = invoke(capsys, "mobius", "--poset-file", str(path), "--x", "a", "--y", "b")
+        assert (status, out) == (1, "")
+        assert "two-element lists" in err
+
+
+# -- fuzzing the transform commands ------------------------------------------
+
+# Stands for the path of a valid explicit-poset file written next to the
+# document; the test substitutes it into the document text.
+_EXPLICIT_FILE = "@explicit-poset-file@"
+
+_VALID_SCALAR = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds("{}-{}/{}i".format, st.integers(-9, 9), st.integers(1, 9), st.integers(1, 9)),
+)
+# Each family with encodings of its own elements.
+_FAMILY_KEYS = {
+    "divisibility": st.integers(1, 40).map(str),
+    "chain": st.integers(1, 40).map(str),
+    "subsets": st.sets(st.integers(1, 6), max_size=3).map(
+        lambda xs: "{" + ",".join(map(str, sorted(xs))) + "}"
+    ),
+    "multisets": st.sampled_from(["1", "2", "3", "2^2", "2*3", "5", "2^3*3", "7"]),
+    _EXPLICIT_FILE: st.sampled_from(["a", "b", "c"]),
+}
+_WELL_FORMED = st.one_of(
+    [
+        st.fixed_dictionaries(
+            {"poset": st.just(name), "values": st.dictionaries(keys, _VALID_SCALAR, max_size=4)}
+        )
+        for name, keys in _FAMILY_KEYS.items()
+    ]
+)
+
+# Around Python's 4300-digit limit on integer strings; two values past
+# 2150 digits can also sum to a result that is too long to print.
+_LONG_DIGITS = st.builds(
+    lambda digit, n: digit * n, st.sampled_from("137"), st.sampled_from([2200, 4300, 4301, 5000])
+)
+_OVERSIZED = st.one_of(_LONG_DIGITS, _LONG_DIGITS.map("1/{}".format))
+_ZERO_DENOMINATOR = st.builds("{}/0".format, st.integers(-9, 9))
+_NON_STRING = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_SCALAR = st.one_of(_VALID_SCALAR, _ZERO_DENOMINATOR, _OVERSIZED, _NON_STRING, st.text(max_size=6))
+_ENCODING = st.one_of(
+    st.sampled_from(["0", "-4", "{1,,2}", "{0}", "4^2", "2^0", "zz", "", "9" * 5000]),
+    st.integers(-5, 10**5).map(str),
+    st.text(max_size=6),
+    *_FAMILY_KEYS.values(),  # encodings that may belong to another family
+)
+_POSET_NAME = st.one_of(
+    st.sampled_from([*_FAMILY_KEYS, "explicit", "Divisibility", "", ".",
+                     "no-such-file.json", "a\x00b"]),
+    # No "/": an unknown name is tried as a path relative to the working directory.
+    st.text(alphabet=st.characters(blacklist_characters="/"), max_size=10),
+    st.integers(),
+    st.none(),
+)
+_BOTTOM = {"divisibility": "1", "chain": "1", "subsets": "{}", "multisets": "1", _EXPLICIT_FILE: "a"}
+
+
+def _with_value(doc, value):
+    """A well-formed document with one more value at the poset's bottom."""
+    return {**doc, "values": {**doc["values"], _BOTTOM[doc["poset"]]: value}}
+
+
+def _with_key(doc, key):
+    return {**doc, "values": {**doc["values"], key: "1"}}
+
+
+# One branch per kind of fault, so each is drawn often.
+_DOCUMENT = st.one_of(
+    _WELL_FORMED,
+    st.builds(_with_value, _WELL_FORMED, _OVERSIZED),
+    st.builds(_with_value, _WELL_FORMED, _ZERO_DENOMINATOR),
+    st.builds(_with_value, _WELL_FORMED, _NON_STRING),
+    st.builds(_with_value, _WELL_FORMED, st.text(max_size=6)),
+    st.builds(_with_key, _WELL_FORMED, _ENCODING),
+    st.builds(lambda doc, name: {**doc, "poset": name}, _WELL_FORMED, _POSET_NAME),
+    st.builds(lambda doc, values: {**doc, "values": values}, _WELL_FORMED, _SCALAR),
+    st.builds(lambda doc: {"values": doc["values"]}, _WELL_FORMED),
+    st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3)),
+).map(json.dumps) | st.sampled_from(
+    ["", "not json", "{", '{"poset": "divisibility", "values": {"6": %s}}' % ("7" * 5000)]
+)
+# Small windows, or bounds that are invalid or exceed the element cap.
+_BOUND = st.one_of(
+    st.integers(1, 12),
+    st.integers(-10, 0),
+    st.integers(2**21, 10**40),
+    st.integers(-(10**40), -(2**21)),
+)
+
+
+class TestTransformFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(["transform", "invert-transform"]),
+        document=_DOCUMENT,
+        bound=_BOUND,
+        as_json=st.booleans(),
+    )
+    def test_exit_status_without_traceback(self, command, document, bound, as_json):
+        with tempfile.TemporaryDirectory() as tmp:
+            explicit = os.path.join(tmp, "explicit.json")
+            with open(explicit, "w", encoding="utf-8") as handle:
+                json.dump({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}, handle)
+            path = os.path.join(tmp, "fn.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(document.replace(json.dumps(_EXPLICIT_FILE), json.dumps(explicit)))
+            argv = [command, "--fn", path, "--bound", str(bound)] + (["--json"] if as_json else [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = run(argv)
+        assert status in (0, 1, 2)
+        if status:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from posetlab.errors import InvalidInput
-from posetlab.numtheory import divisors, is_prime, prime_factors, primes
+from posetlab.numtheory import divisors, is_prime, prime_factors, primes, smallest_prime_factors
 
 
 def test_is_prime_small_values():
@@ -42,3 +42,13 @@ def test_divisors_examples():
 def test_divisors_against_scan():
     for n in range(1, 200):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [list(range(1, 400)), divisors(720720), divisors(2**10), [1], []],
+    ids=["range", "divisors-720720", "divisors-1024", "one", "empty"],
+)
+def test_smallest_prime_factors_against_factorisation(elements):
+    expected = {n: min(prime_factors(n)) for n in elements if n > 1}
+    assert smallest_prime_factors(elements) == expected

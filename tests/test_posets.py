@@ -9,6 +9,7 @@ from posetlab import (
     BoundTooLarge,
     CyclicCovers,
     DuplicateElement,
+    ExplicitPoset,
     InvalidElement,
     InvalidInput,
     NotComparable,
@@ -267,6 +268,17 @@ class TestExplicitPosets:
         with pytest.raises(UnknownElementInCover):
             load_explicit_poset({"elements": ["a", "b"], "covers": [["a", ["b"]]]})
 
+    @pytest.mark.parametrize(
+        "cover", ["ab", {"a": 1, "b": 2}, ["a", "b", "b"], ("a",), None, 7]
+    )
+    def test_cover_pair_must_be_two_element_list(self, cover):
+        with pytest.raises(InvalidInput, match="two-element lists"):
+            load_explicit_poset({"elements": ["a", "b"], "covers": [cover]})
+
+    def test_cover_pair_may_be_tuple(self):
+        p = ExplicitPoset(["a", "b"], [("a", "b")])
+        assert leq(p, "a", "b")
+
     def test_unknown_element_access(self):
         p = load_explicit_poset({"elements": ["a"], "covers": []})
         with pytest.raises(InvalidElement):
@@ -285,6 +297,42 @@ class TestExplicitPosets:
                 for z in elements:
                     if (y, z) in rel:
                         assert (x, z) in rel
+
+
+class TestCoordinateSteps:
+    @pytest.mark.parametrize(
+        "window",
+        [
+            Window(DIV, 120),
+            Window(DIV, 720720, divisor_closure=True),
+            Window(CHAIN, 30),
+            Window(SUBSETS, 5),
+            Window(MULTISETS, 120),
+        ],
+        ids=lambda w: w.label(),
+    )
+    def test_steps_are_the_lower_covers(self, window):
+        p = window.poset
+        elements = enumerate_window(window)
+        steps = {}
+        for c, y, z in p.coordinate_steps(elements):
+            steps.setdefault(y, []).append((c, z))
+        for y in elements:
+            below = [z for z in ideal(p, y) if z != y]
+            covers = {z for z in below if not any(leq(p, z, w) and w != z for w in below)}
+            tagged = steps.get(y, [])
+            assert {z for _, z in tagged} == covers
+            # One step per coordinate.
+            assert len({c for c, _ in tagged}) == len(tagged)
+
+    def test_steps_arrive_in_element_order(self):
+        elements = enumerate_window(Window(SUBSETS, 4))
+        order = [y for _, y, _ in SUBSETS.coordinate_steps(elements)]
+        assert order == sorted(order, key=SUBSETS.sort_key)
+
+    def test_explicit_posets_have_none(self):
+        p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
+        assert p.coordinate_steps(["a", "b"]) is None
 
 
 class TestMultisetIsomorphism:

@@ -36,6 +36,20 @@ class TestTextFormat:
         with pytest.raises(InvalidInput):
             GaussianRational.parse(text)
 
+    @pytest.mark.parametrize(
+        "text", ["7" * 5000, "1/" + "3" * 4400, "1+" + "9" * 4400 + "i", "-" + "1" * 4301 + "i"]
+    )
+    def test_rejects_oversized_digit_strings(self, text):
+        with pytest.raises(InvalidInput, match="too many digits"):
+            GaussianRational.parse(text)
+
+    def test_refuses_to_print_past_digit_limit(self):
+        value = GaussianRational(Fraction(1, int("7" * 3000))) + GaussianRational(
+            Fraction(1, int("7" * 2999 + "1"))
+        )
+        with pytest.raises(InvalidInput, match="too many digits"):
+            str(value)
+
     @given(scalars)
     def test_emit_parse_round_trip(self, value):
         assert GaussianRational.parse(str(value)) == value

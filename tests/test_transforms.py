@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_explicit_poset, random_support_function
+from helpers import exact_scalars, random_explicit_poset, random_support_function
 from posetlab import (
+    BoundTooLarge,
     FiniteSupportFunction,
     GaussianRational,
     InvalidInput,
     PosetMismatch,
     Window,
     alpha_transform,
+    convolve,
     custom_function,
     delta_function,
     enumerate_window,
     function_from_document,
     function_to_document,
     get_poset,
+    integer_to_multiset,
+    invert,
     load_explicit_poset,
     materialize,
     mobius_function,
@@ -211,6 +215,117 @@ class TestMaterialize:
             assert value
         for y in enumerate_window(w):
             assert g(y) == stored[y]
+
+
+def point_values(e, window) -> dict:
+    """The point oracle: e(y) at every window element, zeros pruned."""
+    values = {y: e(y) for y in enumerate_window(window)}
+    return {y: v for y, v in values.items() if v}
+
+
+# Each window with elements just outside it, to check that support
+# there is ignored.
+KERNEL_SETUPS = [
+    (Window(DIV, 60), [61, 64, 90, 997]),
+    (Window(DIV, 720720, divisor_closure=True), [32, 27, 17, 49, 1000]),
+    (Window(DIV, 360, divisor_closure=True), [7, 16, 720]),
+    (Window(CHAIN, 40), [41, 50, 1000]),
+    (Window(SUBSETS, 5), [(6,), (1, 6), (2, 3, 7)]),
+    (Window(MULTISETS, 60), [integer_to_multiset(n) for n in (61, 64, 90, 121)]),
+]
+
+
+class TestCoordinatewiseKernel:
+    """Whole-window zeta and Mobius transforms against the point rule."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        setup=st.sampled_from(KERNEL_SETUPS),
+        kind=st.sampled_from(["int", "rational", "gaussian"]),
+        data=st.data(),
+    )
+    def test_kernel_equals_point_oracle(self, setup, kind, data):
+        window, outside = setup
+        p = window.poset
+        pool = enumerate_window(window) + outside
+        support = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+        values = data.draw(
+            st.lists(exact_scalars(kind), min_size=len(support), max_size=len(support))
+        )
+        f = FiniteSupportFunction(p, zip(support, values))
+        for transform in (zeta_transform, mobius_inversion):
+            e = transform(f)
+            assert dict(materialize(e, window).items()) == point_values(e, window)
+
+    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS)
+    def test_user_built_inverse_of_zeta_takes_kernel(self, window, outside):
+        p = window.poset
+        rng = random.Random(f"user-inverse-{window.label()}")
+        g = random_support_function(rng, p, enumerate_window(window) + outside)
+        a = invert(zeta_function(p))
+        result = materialize(alpha_transform(g, a), window)
+        assert a._memo == {}
+        assert dict(result.items()) == point_values(mobius_inversion(g), window)
+
+    def test_whole_window_mobius_leaves_shared_memo_empty(self):
+        memo = mobius_function(DIV)._memo
+        memo.clear()
+        g = FiniteSupportFunction(DIV, {1: 1, 6: -2, 35: 3})
+        materialize(mobius_inversion(g), Window(DIV, 500))
+        materialize(mobius_inversion(g), Window(DIV, 720720, divisor_closure=True))
+        assert memo == {}
+
+    @pytest.mark.parametrize(
+        "make_a",
+        [
+            lambda p: custom_function(p, lambda x, y: 1),
+            delta_function,
+            lambda p: convolve(zeta_function(p), zeta_function(p)),
+            lambda p: invert(custom_function(p, lambda x, y: 2)),
+        ],
+        ids=["custom", "delta", "convolution", "inverse-of-custom"],
+    )
+    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS[::2])
+    def test_other_interval_functions_take_point_path(self, make_a, window, outside):
+        p = window.poset
+        rng = random.Random(f"point-path-{window.label()}")
+        h = random_support_function(rng, p, enumerate_window(window) + outside, limit=9)
+        a = make_a(p)
+        e = alpha_transform(h, a)
+        result = materialize(e, window)
+        assert a._memo  # filled by point evaluations
+        assert dict(result.items()) == point_values(e, window)
+
+    @pytest.mark.parametrize("poset,window", EXPLICIT_SETUPS)
+    def test_explicit_posets_take_point_path(self, poset, window):
+        assert poset.coordinate_steps(enumerate_window(window)) is None
+        rng = random.Random(31)
+        g = random_support_function(rng, poset, enumerate_window(window))
+        mobius_function(poset)._memo.clear()
+        result = materialize(mobius_inversion(g), window)
+        assert mobius_function(poset)._memo
+        assert dict(result.items()) == point_values(mobius_inversion(g), window)
+
+    def test_bare_callable_takes_point_path(self):
+        e = zeta_transform(FiniteSupportFunction(DIV, {1: 1, 4: -1}))
+        calls = []
+
+        class PointOnly:
+            poset = DIV
+
+            def __call__(self, y):
+                calls.append(y)
+                return e(y)
+
+        window = Window(DIV, 30)
+        result = materialize(PointOnly(), window)
+        assert calls == enumerate_window(window)
+        assert result == materialize(e, window)
+
+    def test_element_cap_reaches_window(self):
+        e = mobius_inversion(FiniteSupportFunction(DIV, {1: 1}))
+        with pytest.raises(BoundTooLarge):
+            materialize(e, Window(DIV, 100), element_cap=50)
 
 
 class TestFunctionDocuments:
