@@ -391,8 +391,24 @@ def _cmd_isomap(args):
         enc = multisets.format_element(m)
         return {"n": args.n, "multiset": enc}, [enc]
     m = multisets.parse_element(args.m)
-    n = multiset_to_integer(m)
+    n = _printable_integer_image(m)
     return {"multiset": multisets.format_element(m), "n": n}, [str(n)]
+
+
+def _printable_integer_image(m) -> int:
+    """``multiset_to_integer(m)``, refusing an image with more decimal
+    digits than Python will print."""
+    # 0 means no limit; Python before 3.10.7 has neither limit nor getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # The image is at least 2**low_bits, and 2**(10*t/3) > 10**t, so a
+    # too-long image is refused here before any prime power is built.
+    low_bits = sum(k * (p.bit_length() - 1) for p, k in m)
+    if limit and 3 * low_bits >= 10 * limit:
+        raise InvalidInput(f"integer image has more than {limit} digits")
+    n = multiset_to_integer(m)
+    if limit and n >= 10**limit:
+        raise InvalidInput(f"integer image has more than {limit} digits")
+    return n
 
 
 _HANDLERS = {

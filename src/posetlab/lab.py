@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from .errors import (
+    BoundTooLarge,
     ElementOutsideWindow,
     InsufficientWitnesses,
     InvalidInput,
@@ -46,7 +47,7 @@ from .errors import (
 from .functions import FiniteSupportFunction, alpha_transform, materialize, mobius_inversion
 from .incidence import IntervalFunction, convolve, delta_function, mobius_function, mobius_value, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
-from .posets import INCONCLUSIVE, Poset, Window, enumerate_window
+from .posets import DEFAULT_ELEMENT_CAP, INCONCLUSIVE, Poset, Window, enumerate_window
 from .scalars import ZERO, GaussianRational
 
 DEFAULT_BUDGET = 10_000
@@ -351,6 +352,14 @@ def support_census(
 # -- finite-support pair search -----------------------------------------
 
 
+def _check_cap(count: int, what: str, window_kwargs) -> None:
+    """Refuse work of ``count`` units past the ``element_cap`` that
+    also bounds every window."""
+    element_cap = window_kwargs.get("element_cap", DEFAULT_ELEMENT_CAP)
+    if count > element_cap:
+        raise BoundTooLarge(f"{what} exceeds cap {element_cap}")
+
+
 def finite_support_pair_search(
     p: Poset,
     w: Window,
@@ -366,7 +375,8 @@ def finite_support_pair_search(
     elimination. A nontrivial kernel yields a candidate pair: the first
     basis vector normalised to integer entries with content 1, together
     with its transform materialised on the shell. Vanishing beyond the
-    shell remains unverified.
+    shell remains unverified. The matrix may hold at most ``element_cap``
+    cells, like each window.
     """
     if w.poset != p or shell.poset != p:
         raise PosetMismatch("windows live on a different poset")
@@ -382,6 +392,8 @@ def finite_support_pair_search(
         raise WindowNotNested(
             f"shell {shell.label()} must strictly contain window {w.label()}"
         )
+    cells = (len(shell_elements) - len(unknowns)) * len(unknowns)
+    _check_cap(cells, f"pair-search matrix of {cells} cells", window_kwargs)
 
     rows = []
     for y in shell_elements:
@@ -429,12 +441,15 @@ def conjecture_experiment(
     inverse pair, plus a pair search in the beta direction.
 
     The pair (a, b) is verified to convolve to delta on every interval
-    inside the shell before anything else runs. No conclusion about the
+    inside the shell before anything else runs; the shell may hold at
+    most ``element_cap`` pairs of elements. No conclusion about the
     equivalence itself is drawn or implied.
     """
     if a.poset != p or b.poset != p:
         raise PosetMismatch("interval functions live on a different poset")
     shell_elements = enumerate_window(shell, **window_kwargs)
+    pairs = len(shell_elements) * (len(shell_elements) + 1) // 2
+    _check_cap(pairs, f"inverse-pair check over {pairs} element pairs", window_kwargs)
     product = convolve(a, b)
     delta = delta_function(p)
     for i, x in enumerate(shell_elements):

@@ -248,6 +248,22 @@ class TestCensusSearchConjecture:
         assert status == 2
         assert "shell" in err
 
+    def test_search_matrix_over_cap_is_usage_error(self, capsys):
+        # 1100 x 1100 cells pass the default cap of 2**20, though each window is small.
+        status, out, err = invoke(
+            capsys, "search", "--poset", "chain", "--bound", "1100", "--shell-bound", "2200"
+        )
+        assert (status, out) == (1, "")
+        assert err == "error: pair-search matrix of 1210000 cells exceeds cap 1048576\n"
+
+    def test_conjecture_shell_over_cap_is_usage_error(self, capsys):
+        # 1500 chain elements: 1125750 pairs to check against delta.
+        status, out, err = invoke(
+            capsys, "conjecture", "--poset", "chain", "--bound", "2", "--shell-bound", "1500"
+        )
+        assert (status, out) == (1, "")
+        assert err == "error: inverse-pair check over 1125750 element pairs exceeds cap 1048576\n"
+
     def test_conjecture(self, capsys):
         status, out, _ = invoke(
             capsys,
@@ -277,6 +293,24 @@ class TestIsomap:
 
     def test_multiset_to_integer(self, capsys):
         assert invoke(capsys, "isomap", "--m", "2^2*3")[:2] == (0, "12\n")
+
+    # 4301 digits each for the first two; the larger exponents are refused
+    # from the exponent alone, before any power is built.
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("m", ["2^14285", "3^9013", "2^20000", "2^1000000000000", f"2^{10**40}"])
+    def test_image_past_digit_limit_is_usage_error(self, capsys, m, as_json):
+        status, out, err = invoke(capsys, "isomap", "--m", m, *(["--json"] if as_json else []))
+        assert (status, out) == (1, "")
+        assert err == "error: integer image has more than 4300 digits\n"
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("m", ["2^14000", "2^14284", "3^9012"])
+    def test_image_within_digit_limit_prints(self, capsys, m, as_json):
+        base, exponent = map(int, m.split("^"))
+        status, out, _ = invoke(capsys, "isomap", "--m", m, *(["--json"] if as_json else []))
+        assert status == 0
+        printed = json.loads(out)["n"] if as_json else int(out)
+        assert printed == base**exponent
 
     def test_exactly_one_direction(self, capsys):
         assert invoke(capsys, "isomap")[0] == 1
@@ -438,6 +472,66 @@ class TestTransformFuzz:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(document.replace(json.dumps(_EXPLICIT_FILE), json.dumps(explicit)))
             argv = [command, "--fn", path, "--bound", str(bound)] + (["--json"] if as_json else [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = run(argv)
+        assert status in (0, 1, 2)
+        if status:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
+
+
+# -- fuzzing the search commands ---------------------------------------------
+
+# Bounds that are small, invalid or past the element cap. Subsets bounds
+# 7..20 are left out: they pass every cap, yet one search can take 20 s
+# (subsets 10 in 11), and they reach no error path that 0..6 misses.
+_SEARCH_BOUND = st.one_of(st.none(), st.integers(-2, 40), st.integers(2**21, 10**40))
+_SUBSETS_BOUND = st.one_of(st.none(), st.integers(-2, 6), st.integers(21, 40), st.integers(2**21, 10**40))
+_DIVISORS = st.one_of(st.none(), st.integers(-2, 5000), st.sampled_from([720720, 2**70, 10**40]))
+_FUNCTION_NAME = st.sampled_from(["mobius", "zeta", "delta", "nope", ""])
+_INVERSE_PAIRS = st.sampled_from([("mobius", "zeta"), ("zeta", "mobius"), ("delta", "delta")])
+_SEARCH_FAULTS = [None, "bounds", "divisors", "names", "sample", "family"]
+
+
+@st.composite
+def _search_argv(draw):
+    """A well-formed search or conjecture call with at most one kind of fault."""
+    command = draw(st.sampled_from(["search", "conjecture"]))
+    family = draw(st.sampled_from(sorted(_FAMILY_KEYS)))
+    fault = draw(st.sampled_from(_SEARCH_FAULTS))
+    largest = 6 if family == "subsets" else 40
+    bound = draw(st.integers(1, largest - 1))
+    flags = {"--bound": bound, "--shell-bound": draw(st.integers(bound + 1, largest))}
+    alpha, beta = draw(_INVERSE_PAIRS)
+    sample = ",".join(draw(st.lists(_FAMILY_KEYS[family], max_size=3)))
+    if fault == "bounds":
+        bounds = _SUBSETS_BOUND if family == "subsets" else _SEARCH_BOUND
+        flags = {"--bound": draw(bounds), "--shell-bound": draw(bounds)}
+    elif fault == "divisors":
+        flags.update({"--divisors": draw(_DIVISORS), "--shell-divisors": draw(_DIVISORS)})
+    elif fault == "names":
+        alpha, beta = draw(_FUNCTION_NAME), draw(_FUNCTION_NAME)
+    elif fault == "sample":
+        sample = draw(st.one_of(st.lists(_ENCODING, max_size=3).map(",".join), st.text(max_size=8)))
+    elif fault == "family":
+        family = draw(st.sampled_from(["no-such-family", "Divisibility", ""]))
+    argv = [command, "--poset-file" if family == _EXPLICIT_FILE else "--poset", family]
+    argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    argv.append(f"--beta={beta}")
+    if command == "conjecture":
+        argv += [f"--alpha={alpha}", f"--sample={sample}"]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+class TestSearchFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_search_argv())
+    def test_exit_status_without_traceback(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            explicit = os.path.join(tmp, "explicit.json")
+            with open(explicit, "w", encoding="utf-8") as handle:
+                json.dump({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}, handle)
+            argv = [arg.replace(_EXPLICIT_FILE, explicit) for arg in argv]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = run(argv)

@@ -10,6 +10,7 @@ import posetlab
 import posetlab.lab as lab
 from helpers import skew_witness_stream, squarefree_upto
 from posetlab import (
+    BoundTooLarge,
     ElementOutsideWindow,
     FiniteSupportFunction,
     GaussianRational,
@@ -296,6 +297,23 @@ class TestPairSearch:
         with pytest.raises(WindowNotNested):
             finite_support_pair_search(CHAIN, Window(CHAIN, 6), Window(CHAIN, 5))
 
+    def test_matrix_cells_are_capped(self):
+        # Window 10 and shell 20 give a 10 x 10 matrix: 100 cells.
+        calls = []
+
+        def rule(x, y):
+            calls.append((x, y))
+            return 1
+
+        beta = custom_function(CHAIN, rule)
+        window, shell = Window(CHAIN, 10), Window(CHAIN, 20)
+        result = finite_support_pair_search(CHAIN, window, shell, beta=beta, element_cap=100)
+        assert result.nullspace_dimension == 9
+        calls.clear()
+        with pytest.raises(BoundTooLarge, match="100 cells exceeds cap 99"):
+            finite_support_pair_search(CHAIN, window, shell, beta=beta, element_cap=99)
+        assert calls == []
+
     def test_candidate_transform_vanishes_on_shell(self):
         for k in range(3, 7):
             window, shell = Window(CHAIN, k), Window(CHAIN, 2 * k)
@@ -395,6 +413,13 @@ class TestConjectureExperiment:
                 Window(CHAIN, 8),
                 [1],
             )
+
+    def test_inverse_check_pairs_are_capped(self):
+        # A 13-element shell has 13 * 14 / 2 = 91 pairs to compare with delta.
+        args = (CHAIN, mobius_function(CHAIN), zeta_function(CHAIN), Window(CHAIN, 5), Window(CHAIN, 13), [1])
+        assert conjecture_experiment(*args, element_cap=91).pair_search.nullspace_dimension == 4
+        with pytest.raises(BoundTooLarge, match="91 element pairs exceeds cap 90"):
+            conjecture_experiment(*args, element_cap=90)
 
     def test_json_report_shape(self):
         report = conjecture_experiment(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlab import GaussianRational
 from posetlab.linalg import in_span, nullspace, primitive_integer_vector, reduced_row_echelon
@@ -53,15 +55,71 @@ def test_kernel_vectors_annihilate():
             assert all(not v for v in matvec(rows, vector))
 
 
-def test_dimension_matches_sympy():
-    rng = random.Random(55)
-    for _ in range(30):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = random_matrix(rng, nrows, ncols)
-        expected = len(
-            sympy.Matrix([[v.real for v in row] for row in rows]).nullspace()
-        )
-        assert len(nullspace(rows, ncols)) == expected
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_ENTRIES = {
+    "int": st.builds(GaussianRational, st.integers(-3, 3)),
+    "rational": st.builds(GaussianRational, _RATIONAL),
+    "gaussian": st.builds(GaussianRational, _RATIONAL, _RATIONAL),
+}
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols): zero-heavy int, rational or Gaussian-rational
+    entries, any shape up to 6 x 6 (no rows at all included), some
+    columns forced to zero and possibly a row that depends on two others."""
+    entry = st.one_of(st.just(GaussianRational(0)), _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))])
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = GaussianRational(0)
+    if nrows >= 2 and draw(st.booleans()):
+        scale = draw(entry)
+        rows.append([scale * a + b for a, b in zip(rows[0], rows[1])])
+    return rows, ncols
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(
+        len(rows),
+        ncols,
+        [sympy.Rational(v.real) + sympy.I * sympy.Rational(v.imag) for row in rows for v in row],
+    )
+
+
+def from_sympy(value):
+    real, imag = sympy.expand_complex(value).as_real_imag()
+    return GaussianRational(Fraction(int(real.p), int(real.q)), Fraction(int(imag.p), int(imag.q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_dimension_matches_sympy(matrix, data):
+    """Echelon rows and pivots, the kernel basis (so its dimension) and
+    span tests agree exactly with sympy; the input is left untouched."""
+    rows, ncols = matrix
+    snapshot = [list(row) for row in rows]
+    reference = to_sympy(rows, ncols)
+    expected_rref, expected_pivots = reference.rref()
+    rank = len(expected_pivots)
+
+    rref, pivots = reduced_row_echelon(rows)
+    assert pivots == list(expected_pivots)
+    assert rref == [[from_sympy(v) for v in expected_rref.row(r)] for r in range(rank)]
+    basis = nullspace(rows, ncols)
+    assert basis == [[from_sympy(v) for v in vector] for vector in reference.nullspace()]
+    assert len(basis) == ncols - rank
+
+    coefficients = data.draw(st.lists(_ENTRIES["gaussian"], min_size=len(rows), max_size=len(rows)))
+    combination = [
+        sum((c * row[j] for c, row in zip(coefficients, rows)), GaussianRational(0)) for j in range(ncols)
+    ]
+    assert in_span(rows, combination)
+    other = data.draw(st.lists(_ENTRIES["gaussian"], min_size=ncols, max_size=ncols))
+    extended_rank = len(to_sympy([*rows, other], ncols).rref()[1])
+    assert in_span(rows, other) == (extended_rank == rank)
+    assert rows == snapshot
 
 
 def test_rref_pivots_are_unit_columns():
