@@ -170,7 +170,11 @@ def materialize(e: EvaluableFunction, w: Window, **window_kwargs) -> FiniteSuppo
     because windows are downward closed."""
     if e.poset != w.poset:
         raise PosetMismatch("function and window live on different posets")
-    elements = enumerate_window(w, **window_kwargs)
+    return _materialize_elements(e, enumerate_window(w, **window_kwargs))
+
+
+def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupportFunction:
+    """:func:`materialize` on an enumerated window."""
     if isinstance(e, _Transform):
         sign = _zeta_power(e.a)
         steps = e.poset.coordinate_steps(elements) if sign else None

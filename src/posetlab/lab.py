@@ -10,9 +10,11 @@ probes that property at desk scale:
   misses S, Mobius values factor through y (mu(x,y) mu(y,z) = mu(x,z)
   below y), and mu(y,z) is nonzero. For such z, inverting any g
   supported inside S forces f(z) = mu(y,z) f(y), so nonzero values of f
-  propagate upward forever. Divisibility and multisets use the fresh-
-  prime family z = y*q, subsets the fresh-element family z = y + {q};
-  chains and explicit posets fall back to a budgeted scan.
+  propagate upward forever. Divisibility, multisets and subsets raise
+  y by one fresh atom (z = y*q over fresh primes q, z = y + {q} over
+  fresh ground elements q); the chain tries only z = y + 1, the one
+  z > y with mu(y, z) != 0, and explicit posets scan every element
+  above y, within the budget.
 
 * **censuses** -- the support set {y : a(x, y) != 0} restricted to a
   window, with a verdict attached only where a built-in analytic
@@ -44,7 +46,7 @@ from .errors import (
     WitnessConclusionViolated,
     ZeroFunction,
 )
-from .functions import FiniteSupportFunction, alpha_transform, materialize, mobius_inversion
+from .functions import FiniteSupportFunction, _materialize_elements, alpha_transform, materialize, mobius_inversion
 from .incidence import IntervalFunction, convolve, delta_function, mobius_function, mobius_value, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
 from .posets import DEFAULT_ELEMENT_CAP, INCONCLUSIVE, Poset, Window, enumerate_window
@@ -228,8 +230,8 @@ def witnesses(
     p: Poset, y, avoid_set, count: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[WitnessCertificate]:
     """Stream up to ``count`` witness certificates for (y, avoid_set),
-    drawing at most ``budget`` candidates. A short stream signals budget
-    exhaustion, not proof of absence."""
+    drawing at most ``budget`` candidates. A short stream means the
+    budget or the family's candidates ran out, not proof of absence."""
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
     if budget < 1:
@@ -320,9 +322,10 @@ def verify_uncertainty_witnesses(
 def support_census(
     p: Poset, a: IntervalFunction, x, w: Window, **window_kwargs
 ) -> SupportCensus:
-    """Collect {y in window : x <= y and a(x, y) != 0}, with an analytic
-    finiteness verdict where one of the built-in certificates applies
-    and ``inconclusive-window-only`` otherwise."""
+    """Collect {y in window : x <= y and a(x, y) != 0}, the support of the
+    transform of the point mass at x by ``a`` on the window, with an
+    analytic finiteness verdict where one of the built-in certificates
+    applies and ``inconclusive-window-only`` otherwise."""
     if a.poset != p or w.poset != p:
         raise PosetMismatch("census arguments live on different posets")
     x = p.canon(x)
@@ -331,9 +334,8 @@ def support_census(
         raise ElementOutsideWindow(
             f"{p.format_element(x)} is outside the window {w.label()}"
         )
-    members = [
-        y for y in elements if p._leq(x, y) and a._evaluate_canonical(x, y)
-    ]
+    row = alpha_transform(FiniteSupportFunction(p, {x: 1}), a)
+    members = _materialize_elements(row, elements).support()
     certificate = p.mobius_census if a is mobius_function(p) else None
     verdict, note = certificate or (
         INCONCLUSIVE,

@@ -15,12 +15,20 @@ the integer families, sorted tuples for subsets, sorted ``(prime, mult)``
 tuples for multisets, and identifier strings for explicit posets. Every
 returned element list is in canonical order, which is always a linear
 extension of the partial order.
+
+The built-in families are downward-closed parts of a product of chains:
+one chain per prime (divisibility, multisets), one 2-chain per ground
+element (subsets), or a single chain. Their shared base derives the
+closed-form Mobius function (Rota's product theorem), the coordinate
+steps of whole-window transforms and witness candidates from each
+family's ``(coordinate, height)`` pairs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import numtheory
@@ -107,12 +115,6 @@ class Poset:
     def window_elements(self, bound, element_cap: int) -> list:
         raise NotImplementedError
 
-    def iter_above(self, y):
-        """Elements strictly above ``y`` in canonical order (may be
-        unbounded). Only the families used by generic witness scans
-        implement this."""
-        raise NotImplementedError(f"{self.family} has no generic scan order")
-
     # -- Mobius facts: oracles and certificates, never the recursion ---
 
     mobius_census = None
@@ -126,10 +128,8 @@ class Poset:
 
     def witness_candidates(self, y, avoid: set):
         """Candidate elements z > y for witness streams, in deterministic
-        order. Families with a construction that passes the witness
-        conditions yield it; the others scan canonically ordered elements
-        above y."""
-        return self.iter_above(y)
+        order; the stream may be unbounded or run out."""
+        raise NotImplementedError
 
     # -- product-of-chains structure -----------------------------------
 
@@ -170,10 +170,78 @@ def _parse_int(text: str, family: str) -> int:
     return _canon_positive_int(value, family)
 
 
-class DivisibilityPoset(Poset):
-    """Positive integers ordered by divisibility; bottom element 1."""
+def _interval_too_large() -> BoundTooLarge:
+    return BoundTooLarge(f"interval of more than {DEFAULT_ELEMENT_CAP} elements")
 
-    family = "divisibility"
+
+class _ChainProduct(Poset):
+    """A downward-closed part of a product of chains 0 < 1 < 2 < ...
+
+    A family supplies ``_pairs(x)``, the ascending ``(coordinate,
+    height)`` pairs of x with height >= 1, its inverse ``_from_pairs``,
+    and ``_coordinates()``, all coordinates in ascending order. It keeps
+    a native order test or interval only where that is measurably faster.
+    """
+
+    def _leq(self, x, y) -> bool:
+        upper = dict(self._pairs(y))
+        return all(upper.get(c, 0) >= k for c, k in self._pairs(x))
+
+    def bottom(self):
+        return self._from_pairs(())
+
+    def _interval(self, x, y) -> list:
+        lower = dict(self._pairs(x))
+        top = self._pairs(y)
+        size = 1
+        for c, k in top:
+            size *= k - lower.get(c, 0) + 1
+            if size > DEFAULT_ELEMENT_CAP:
+                raise _interval_too_large()
+        choices = [range(lower.get(c, 0), k + 1) for c, k in top]
+        out = [
+            self._from_pairs(tuple((c, k) for (c, _), k in zip(top, combo) if k))
+            for combo in itertools.product(*choices)
+        ]
+        out.sort(key=self.sort_key)
+        return out
+
+    def _closed_form_mobius(self, x, y) -> GaussianRational:
+        """Rota's product theorem: the product over coordinates of the
+        chain Mobius function of the height gap, which is 1, -1 and 0
+        for gaps 0, 1 and >= 2."""
+        lower = dict(self._pairs(x))
+        sign = 1
+        for c, k in self._pairs(y):
+            gap = k - lower.get(c, 0)
+            if gap > 1:
+                return ZERO
+            if gap:
+                sign = -sign
+        return ONE if sign > 0 else MINUS_ONE
+
+    def coordinate_steps(self, elements):
+        """y one lower in each coordinate where it has positive height."""
+        for y in elements:
+            pairs = self._pairs(y)
+            for i, (c, k) in enumerate(pairs):
+                lower = ((c, k - 1),) if k > 1 else ()
+                yield c, y, self._from_pairs(pairs[:i] + lower + pairs[i + 1:])
+
+    def witness_candidates(self, y, avoid: set):
+        """y raised to height 1 in each coordinate, ascending, whose atom
+        lies below neither y nor any avoided element: z = y*q over fresh
+        primes q for divisibility and multisets, y + {q} over fresh
+        ground elements q for subsets."""
+        pairs = self._pairs(y)
+        for c in self._coordinates():
+            atom = self._from_pairs(((c, 1),))
+            if not (self._leq(atom, y) or any(self._leq(atom, s) for s in avoid)):
+                yield self._from_pairs(tuple(sorted(pairs + ((c, 1),))))
+
+
+class _PositiveIntegers(_ChainProduct):
+    """Encoding and windows shared by the two integer families."""
 
     def canon(self, x):
         return _canon_positive_int(x, self.family)
@@ -187,18 +255,32 @@ class DivisibilityPoset(Poset):
     def sort_key(self, x):
         return x
 
-    def _leq(self, x, y) -> bool:
-        return y % x == 0
-
-    def bottom(self):
-        return 1
-
-    def _interval(self, x, y) -> list:
-        return [x * d for d in numtheory.divisors(y // x)]
-
     def window_elements(self, bound, element_cap: int) -> list:
         bound = _check_bound(bound, element_cap)
         return list(range(1, bound + 1))
+
+
+class DivisibilityPoset(_PositiveIntegers):
+    """Positive integers ordered by divisibility; bottom element 1. The
+    coordinates are the primes, but order tests, intervals and steps
+    use divisibility itself."""
+
+    family = "divisibility"
+
+    def _pairs(self, x) -> tuple:
+        return tuple(numtheory.prime_factors(x).items())
+
+    def _from_pairs(self, pairs: tuple):
+        return math.prod(p**k for p, k in pairs)
+
+    def _coordinates(self):
+        return numtheory.primes()
+
+    def _leq(self, x, y) -> bool:
+        return y % x == 0
+
+    def _interval(self, x, y) -> list:
+        return [x * d for d in numtheory.divisors(y // x)]
 
     def divisor_window_elements(self, n: int) -> list:
         """The divisors of ``n``: a downward-closed set in this order."""
@@ -208,13 +290,6 @@ class DivisibilityPoset(Poset):
         INFINITE_CERTIFIED,
         "squarefree multiples x*q over fresh primes never vanish",
     )
-
-    def _closed_form_mobius(self, x, y) -> GaussianRational:
-        return GaussianRational(numtheory.classical_mobius(y // x))
-
-    def witness_candidates(self, y, avoid: set):
-        """y*q over ascending fresh primes q."""
-        return (y * q for q in _fresh_primes(y, avoid))
 
     def coordinate_steps(self, elements):
         """One chain per prime: y // q for each prime q dividing y."""
@@ -228,60 +303,38 @@ class DivisibilityPoset(Poset):
                     n //= q
 
 
-class ChainPoset(Poset):
-    """Positive integers with the usual total order; bottom element 1."""
+class ChainPoset(_PositiveIntegers):
+    """Positive integers with the usual total order; bottom element 1.
+    One coordinate, in which n has height n - 1."""
 
     family = "chain"
     is_total_order = True
 
-    def canon(self, x):
-        return _canon_positive_int(x, self.family)
+    def _pairs(self, x) -> tuple:
+        return ((0, x - 1),) if x > 1 else ()
 
-    def format_element(self, x) -> str:
-        return str(x)
-
-    def parse_element(self, text: str):
-        return _parse_int(text, self.family)
-
-    def sort_key(self, x):
-        return x
+    def _from_pairs(self, pairs: tuple):
+        return pairs[0][1] + 1 if pairs else 1
 
     def _leq(self, x, y) -> bool:
         return x <= y
 
-    def bottom(self):
-        return 1
-
     def _interval(self, x, y) -> list:
+        if y - x >= DEFAULT_ELEMENT_CAP:
+            raise _interval_too_large()
         return list(range(x, y + 1))
-
-    def window_elements(self, bound, element_cap: int) -> list:
-        bound = _check_bound(bound, element_cap)
-        return list(range(1, bound + 1))
-
-    def iter_above(self, y):
-        return itertools.count(y + 1)
 
     mobius_census = (
         FINITE_CERTIFIED,
         "closed form is nonzero only at x and its successor",
     )
 
-    def _closed_form_mobius(self, x, y) -> GaussianRational:
-        if x == y:
-            return ONE
-        if x + 1 == y:
-            return MINUS_ONE
-        return ZERO
-
-    def coordinate_steps(self, elements):
-        """A single chain: y - 1."""
-        for y in elements:
-            if y > 1:
-                yield 0, y, y - 1
+    def witness_candidates(self, y, avoid: set):
+        """Only y + 1: mu(y, z) vanishes for every other z > y."""
+        return (y + 1,)
 
 
-class SubsetPoset(Poset):
+class SubsetPoset(_ChainProduct):
     """Finite subsets of the positive integers ordered by inclusion.
 
     Elements are encoded as strictly increasing tuples; the bottom
@@ -314,13 +367,22 @@ class SubsetPoset(Poset):
     def sort_key(self, x):
         return (len(x), x)
 
+    def _pairs(self, x) -> tuple:
+        return tuple((member, 1) for member in x)
+
+    def _from_pairs(self, pairs: tuple):
+        return tuple(member for member, _ in pairs)
+
+    def _coordinates(self):
+        return itertools.count(1)
+
     def _leq(self, x, y) -> bool:
         return set(x).issubset(y)
 
-    def bottom(self):
-        return ()
-
     def _interval(self, x, y) -> list:
+        # 2**gap elements; compared by bit length, without building 2**gap.
+        if len(y) - len(x) >= DEFAULT_ELEMENT_CAP.bit_length():
+            raise _interval_too_large()
         extra = sorted(set(y) - set(x))
         base = set(x)
         out = []
@@ -349,22 +411,8 @@ class SubsetPoset(Poset):
         "closed form takes only the values +1 and -1",
     )
 
-    def _closed_form_mobius(self, x, y) -> GaussianRational:
-        return MINUS_ONE if (len(y) - len(x)) % 2 else ONE
 
-    def witness_candidates(self, y, avoid: set):
-        """y + {q} over ascending fresh ground elements q."""
-        used = set(y).union(*avoid)
-        return (tuple(sorted(y + (q,))) for q in itertools.count(1) if q not in used)
-
-    def coordinate_steps(self, elements):
-        """One 2-chain per ground element: y - {i} for each i in y."""
-        for y in elements:
-            for k, member in enumerate(y):
-                yield member, y, y[:k] + y[k + 1:]
-
-
-class MultisetPoset(Poset):
+class MultisetPoset(_ChainProduct):
     """Finite prime-keyed multisets ordered by pointwise multiplicity.
 
     An element is a sorted tuple of ``(prime, multiplicity)`` pairs with
@@ -419,23 +467,25 @@ class MultisetPoset(Poset):
         return self.canon(pairs)
 
     def sort_key(self, x):
-        return multiset_to_integer(x)
+        """The integer image of canonical ``x``, without validating it
+        again; refused when it has more than ``DEFAULT_ELEMENT_CAP``
+        bits."""
+        # The image is at least 2**low_bits: refuse before building it.
+        low_bits = sum(k * (p.bit_length() - 1) for p, k in x)
+        if low_bits < DEFAULT_ELEMENT_CAP:
+            n = math.prod(p**k for p, k in x)
+            if n.bit_length() <= DEFAULT_ELEMENT_CAP:
+                return n
+        raise BoundTooLarge(f"multiset integer image of more than {DEFAULT_ELEMENT_CAP} bits")
 
-    def _leq(self, x, y) -> bool:
-        upper = dict(y)
-        return all(upper.get(p, 0) >= k for p, k in x)
+    def _pairs(self, x) -> tuple:
+        return x
 
-    def bottom(self):
-        return ()
+    def _from_pairs(self, pairs: tuple):
+        return pairs
 
-    def _interval(self, x, y) -> list:
-        lower = dict(x)
-        out = []
-        choices = [range(lower.get(p, 0), k + 1) for p, k in y]
-        for combo in itertools.product(*choices):
-            out.append(tuple((p, k) for (p, _), k in zip(y, combo) if k > 0))
-        out.sort(key=self.sort_key)
-        return out
+    def _coordinates(self):
+        return numtheory.primes()
 
     def window_elements(self, bound, element_cap: int) -> list:
         bound = _check_bound(bound, element_cap)
@@ -445,34 +495,6 @@ class MultisetPoset(Poset):
         INFINITE_CERTIFIED,
         "mirror of the divisibility certificate under the integer-image map",
     )
-
-    def _closed_form_mobius(self, x, y) -> GaussianRational:
-        lower = dict(x)
-        sign = 1
-        for prime, mult in y:
-            diff = mult - lower.get(prime, 0)
-            if diff > 1:
-                return ZERO
-            if diff == 1:
-                sign = -sign
-        return GaussianRational(sign)
-
-    def witness_candidates(self, y, avoid: set):
-        """y + {q} over ascending fresh primes q: the divisibility
-        construction under the integer-image map."""
-        images = [multiset_to_integer(s) for s in avoid]
-        return (
-            tuple(sorted(y + ((q, 1),)))
-            for q in _fresh_primes(multiset_to_integer(y), images)
-        )
-
-    def coordinate_steps(self, elements):
-        """The divisibility steps under the integer-image map: one fewer
-        copy of each prime in y."""
-        for y in elements:
-            for k, (prime, mult) in enumerate(y):
-                fewer = ((prime, mult - 1),) if mult > 1 else ()
-                yield prime, y, y[:k] + fewer + y[k + 1:]
 
 
 class ExplicitPoset(Poset):
@@ -573,7 +595,8 @@ class ExplicitPoset(Poset):
     def window_elements(self, bound, element_cap: int) -> list:
         return list(self._elements)
 
-    def iter_above(self, y):
+    def witness_candidates(self, y, avoid: set):
+        """Every element strictly above y, in canonical order."""
         up = self._up_sets[y]
         return (z for z in self._elements if z != y and z in up)
 
@@ -582,12 +605,6 @@ class ExplicitPoset(Poset):
 
     def _key(self):
         return (self.family, self._elements, self._covers)
-
-
-def _fresh_primes(n: int, avoid):
-    """Ascending primes dividing neither ``n`` nor any integer in
-    ``avoid``."""
-    return (q for q in numtheory.primes() if n % q and all(s % q for s in avoid))
 
 
 def _check_bound(bound, element_cap: int) -> int:

@@ -540,6 +540,142 @@ class TestSearchFuzz:
             assert err.getvalue().startswith("error:") and not out.getvalue()
 
 
+# -- fuzzing the point commands ------------------------------------------------
+
+_FORTY = "{" + ",".join(map(str, range(1, 41))) + "}"
+_GARBAGE = st.sampled_from(["", "x", "1.5", "-", "{", "{0}", "2^0", "9" * 5000, "0", "-3"])
+# Elements per family: small ones of its own, and shapes whose intervals
+# or integer images are past the cap. Divisibility integers stay at most
+# 10**12, so trial division stays bounded, and have few divisors. Chain
+# integers between 40 and the cap, smooth divisibility integers near
+# 10**12, multiset exponents between 10 and 2**20 and subsets windows
+# over 6 to 20 ground elements are left out: they pass every cap, yet a
+# witness check, a convolution, a sorted interval or a census over them
+# takes seconds to minutes, and they reach no error path that the others
+# miss.
+_POINT_ELEMENTS = {
+    "divisibility": st.one_of(
+        st.integers(1, 60).map(str),
+        st.sampled_from(["999999999989", str(2**39)]),
+    ),
+    "chain": st.one_of(
+        st.integers(1, 40).map(str),
+        st.sampled_from([str(2**21), "1000000000000", str(10**40)]),
+    ),
+    "subsets": st.one_of(
+        _FAMILY_KEYS["subsets"],
+        st.sampled_from([_FORTY, "{" + ",".join(map(str, range(7, 41))) + "}"]),
+    ),
+    "multisets": st.one_of(
+        _FAMILY_KEYS["multisets"],
+        st.sampled_from(
+            ["2^1000000000000", "2^999999999999", "2^1048600", "3^10^40", "5^1048600*7",
+             "2^999999999999*3", "2^" + "9" * 40]
+        ),
+    ),
+    _EXPLICIT_FILE: _FAMILY_KEYS[_EXPLICIT_FILE],
+}
+_FOREIGN = st.one_of(_GARBAGE, *_FAMILY_KEYS.values())
+_COUNT = st.one_of(st.integers(-1, 3).map(str), _GARBAGE)
+_BUDGET = st.one_of(st.integers(-1, 5).map(str), st.just("1000000000"), _GARBAGE)
+_CENSUS_BOUND = st.one_of(
+    st.none(), st.integers(-2, 40), st.integers(2**21, 10**40), st.sampled_from(["x", ""])
+)
+_SUBSETS_CENSUS_BOUND = st.one_of(
+    st.none(), st.integers(-2, 5), st.integers(21, 40), st.integers(2**21, 10**40)
+)
+_POINT_FAULTS = [None, "elements", "names", "numbers", "family"]
+
+
+@st.composite
+def _point_argv(draw):
+    """A well-formed mobius, convolve, census, witness or verify call with
+    at most one kind of fault: foreign or oversized elements, unknown
+    function names, bad counts, budgets or bounds, or an unknown family."""
+    command = draw(st.sampled_from(["mobius", "convolve", "census", "witness", "verify"]))
+    family = draw(st.sampled_from(sorted(_FAMILY_KEYS)))
+    fault = draw(st.sampled_from(_POINT_FAULTS))
+    own = _FAMILY_KEYS[family]
+    element = _POINT_ELEMENTS[family] if fault == "elements" else own
+    if fault == "elements" and draw(st.booleans()):
+        element = _FOREIGN
+    names = _FUNCTION_NAME if fault == "names" else st.sampled_from(["mobius", "zeta", "delta"])
+    numbers = fault == "numbers"
+    flags = {}
+    if command in ("mobius", "convolve"):
+        flags = {"--x": draw(element), "--y": draw(element)}
+        if command == "convolve":
+            flags.update({"--left": draw(names), "--right": draw(names)})
+    elif command == "census":
+        largest = 5 if family == "subsets" else 40
+        flags = {"--x": draw(element), "--alpha": draw(names), "--bound": draw(st.integers(1, largest))}
+        if numbers:
+            flags["--bound"] = draw(_SUBSETS_CENSUS_BOUND if family == "subsets" else _CENSUS_BOUND)
+            flags["--divisors"] = draw(st.one_of(st.none(), _DIVISORS))
+    elif command == "witness":
+        flags = {
+            "--y": draw(element),
+            "--avoid": ",".join(draw(st.lists(element, max_size=3))),
+            "--count": draw(_COUNT if numbers else st.integers(1, 3)),
+            "--budget": draw(_BUDGET if numbers else st.integers(1, 20)),
+        }
+    else:
+        keys = draw(st.lists(element, min_size=1, max_size=3))
+        values = draw(st.lists(_VALID_SCALAR, min_size=len(keys), max_size=len(keys)))
+        flags = {
+            "--fn": json.dumps({"poset": family, "values": dict(zip(keys, values))}),
+            "--count": draw(_COUNT if numbers else st.integers(1, 3)),
+            "--budget": draw(_BUDGET if numbers else st.integers(1, 20)),
+        }
+        family = None
+    if fault == "family" and family is not None:
+        family = draw(st.sampled_from(["no-such-family", "Divisibility", ""]))
+    argv = [command]
+    if family is not None:
+        argv += ["--poset-file" if family == _EXPLICIT_FILE else "--poset", family]
+    argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+class TestPointCommandFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_point_argv())
+    def test_exit_status_without_traceback(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            explicit = os.path.join(tmp, "explicit.json")
+            with open(explicit, "w", encoding="utf-8") as handle:
+                json.dump({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}, handle)
+            fn = os.path.join(tmp, "fn.json")
+            for i, arg in enumerate(argv):
+                if arg.startswith("--fn="):
+                    with open(fn, "w", encoding="utf-8") as handle:
+                        handle.write(arg[len("--fn="):].replace(_EXPLICIT_FILE, explicit))
+                    argv[i] = "--fn=" + fn
+            argv = [arg.replace(_EXPLICIT_FILE, explicit) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = run(argv)
+        assert status in (0, 1, 2)
+        if status:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
+
+
+class TestOversizedIntervals:
+    @pytest.mark.parametrize(
+        "family,x,y",
+        [
+            ("chain", "1", "1000000000000"),
+            ("multisets", "1", "2^1000000000000"),
+            ("subsets", "{}", _FORTY),
+            ("multisets", "2^999999999999", "2^1000000000000"),
+        ],
+    )
+    def test_mobius_is_usage_error(self, capsys, family, x, y):
+        status, out, err = invoke(capsys, "mobius", "--poset", family, "--x", x, "--y", y)
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and "1048576" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -1,14 +1,17 @@
 """Witness streams, support censuses, and the finite-support pair search."""
 
 import ast
+import itertools
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetlab
 import posetlab.lab as lab
-from helpers import skew_witness_stream, squarefree_upto
+from helpers import random_explicit_poset, random_interval_function, skew_witness_stream, squarefree_upto
 from posetlab import (
     BoundTooLarge,
     ElementOutsideWindow,
@@ -24,21 +27,25 @@ from posetlab import (
     check_witness_conditions,
     closed_form_mobius,
     conjecture_experiment,
+    convolve,
     custom_function,
     delta_function,
     enumerate_window,
     finite_support_pair_search,
     get_poset,
+    integer_to_multiset,
     invert,
     load_explicit_poset,
     materialize,
     mobius_function,
+    multiset_to_integer,
     support_census,
     verify_uncertainty_witnesses,
     witnesses,
     zeta_function,
     zeta_transform,
 )
+from posetlab.numtheory import primes
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
@@ -117,6 +124,70 @@ class TestWitnessStreams:
         # Budget 2 only reaches z = 2 and z = 3 on the chain.
         certs = list(witnesses(CHAIN, 1, [], 5, 2))
         assert [c.z for c in certs] == [2]
+
+
+def _reference_candidates(p, y, avoid):
+    """The per-family candidate formulas that the shared product-of-chains
+    construction replaced, kept here as the reference."""
+    if p is DIV:
+        return (y * q for q in primes() if y % q and all(s % q for s in avoid))
+    if p is SUBSETS:
+        used = set(y).union(*avoid)
+        return (tuple(sorted(y + (q,))) for q in itertools.count(1) if q not in used)
+    n = multiset_to_integer(y)
+    images = [multiset_to_integer(s) for s in avoid]
+    return (
+        tuple(sorted(y + ((q, 1),)))
+        for q in primes()
+        if n % q and all(s % q for s in images)
+    )
+
+
+_SMALL_INTEGERS = st.integers(1, 3000)
+_SMALL_SETS = st.sets(st.integers(1, 9), max_size=5).map(lambda s: tuple(sorted(s)))
+_ELEMENT_DRAWS = {
+    DIV: _SMALL_INTEGERS,
+    SUBSETS: _SMALL_SETS,
+    MULTISETS: _SMALL_INTEGERS.map(integer_to_multiset),
+}
+
+
+class TestSharedWitnessCandidates:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([DIV, SUBSETS, MULTISETS]))
+    def test_prefix_equals_the_family_formula(self, data, p):
+        y = data.draw(_ELEMENT_DRAWS[p])
+        avoid = set(data.draw(st.lists(_ELEMENT_DRAWS[p], max_size=4)))
+        got = list(itertools.islice(p.witness_candidates(y, avoid), 8))
+        assert got == list(itertools.islice(_reference_candidates(p, y, avoid), 8))
+
+    def test_chain_stream_equals_brute_force_scan(self):
+        rng = random.Random(11)
+        for y in range(1, 31):
+            for _ in range(3):
+                avoid = rng.sample(range(1, 80), rng.randint(0, 4))
+                scan = [
+                    z
+                    for z in range(y + 1, y + 41)
+                    if check_witness_conditions(CHAIN, y, avoid, z).all_hold
+                ]
+                stream = [c.z for c in witnesses(CHAIN, y, avoid, 50, budget=10**9)]
+                assert stream == scan
+
+    def test_chain_checks_one_candidate(self, monkeypatch):
+        checked = []
+        real = lab.check_witness_conditions
+
+        def counting(p, y, avoid, z):
+            checked.append(z)
+            if len(checked) > 1:
+                pytest.fail(f"checked a second candidate {z}")
+            return real(p, y, avoid, z)
+
+        monkeypatch.setattr(lab, "check_witness_conditions", counting)
+        certs = list(witnesses(CHAIN, 1, [], 3, budget=10**9))
+        assert [c.z for c in certs] == [2]
+        assert checked == [2]
 
 
 class TestVerifyUncertaintyWitnesses:
@@ -261,6 +332,59 @@ class TestSupportCensus:
         small = support_census(DIV, mobius_function(DIV), 1, Window(DIV, 40))
         large = support_census(DIV, mobius_function(DIV), 1, Window(DIV, 80))
         assert set(small.members) <= set(large.members)
+
+
+def _census_cases():
+    rng = random.Random(23)
+    windows = [
+        Window(DIV, 40),
+        Window(DIV, 360, divisor_closure=True),
+        Window(CHAIN, 25),
+        Window(SUBSETS, 4),
+        Window(MULTISETS, 40),
+        Window(random_explicit_poset(rng, 7)),
+    ]
+    for w in windows:
+        p = w.poset
+        elements = enumerate_window(w)
+        custom = random_interval_function(rng, p, elements)
+        functions = [
+            delta_function(p),
+            zeta_function(p),
+            mobius_function(p),
+            invert(zeta_function(p)),
+            custom,
+            invert(custom),
+            convolve(zeta_function(p), zeta_function(p)),
+            convolve(custom, mobius_function(p)),
+        ]
+        for a in functions:
+            yield pytest.param(w, a, id=f"{w.label()}-{a.name}")
+
+
+class TestCensusThroughMaterialize:
+    @pytest.mark.parametrize("window,a", list(_census_cases()))
+    def test_members_equal_the_row_scan(self, window, a):
+        p = window.poset
+        elements = enumerate_window(window)
+        for x in elements[:: max(1, len(elements) // 6)]:
+            census = support_census(p, a, x, window)
+            assert census.members == [y for y in elements if p.leq(x, y) and a.evaluate(x, y)]
+            expected = p.mobius_census if a is mobius_function(p) else None
+            assert (census.verdict, census.certificate_note) == (
+                expected
+                or ("inconclusive-window-only", "no analytic certificate for this function on this poset")
+            )
+
+    @pytest.mark.parametrize("window", [Window(DIV, 60), Window(SUBSETS, 5), Window(MULTISETS, 60)],
+                             ids=lambda w: w.label())
+    def test_zeta_and_mobius_rows_take_the_kernel(self, window):
+        p = window.poset
+        mobius = mobius_function(p)
+        mobius._memo.clear()
+        assert support_census(p, mobius, p.bottom(), window).members
+        assert support_census(p, invert(zeta_function(p)), p.bottom(), window).members
+        assert mobius._memo == {}
 
 
 class TestPairSearch:

@@ -1,9 +1,11 @@
 """Poset families, windows, explicit posets, and the multiset map."""
 
+import math
 import random
 
 import pytest
 
+import posetlab.numtheory as numtheory
 from helpers import random_explicit_poset
 from posetlab import (
     BoundTooLarge,
@@ -25,7 +27,10 @@ from posetlab import (
     leq,
     load_explicit_poset,
     multiset_to_integer,
+    zeta_function,
 )
+from posetlab.incidence import invert
+from posetlab.posets import DEFAULT_ELEMENT_CAP
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
@@ -333,6 +338,88 @@ class TestCoordinateSteps:
     def test_explicit_posets_have_none(self):
         p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
         assert p.coordinate_steps(["a", "b"]) is None
+
+
+class TestIntervalCaps:
+    """Intervals of more than DEFAULT_ELEMENT_CAP elements are refused
+    before any element is built."""
+
+    def test_chain_boundary(self):
+        assert len(interval(CHAIN, 5, DEFAULT_ELEMENT_CAP + 4)) == DEFAULT_ELEMENT_CAP
+        with pytest.raises(BoundTooLarge):
+            interval(CHAIN, 5, DEFAULT_ELEMENT_CAP + 5)
+        with pytest.raises(BoundTooLarge):
+            ideal(CHAIN, 10**12)
+
+    def test_subsets_compare_by_bit_length(self):
+        assert len(interval(SUBSETS, (3,), tuple(range(1, 12)))) == 1 << 10
+        with pytest.raises(BoundTooLarge):
+            interval(SUBSETS, (3,), tuple(range(1, 23)))
+        with pytest.raises(BoundTooLarge):
+            ideal(SUBSETS, range(1, 41))
+
+    def test_multisets_product_of_gaps(self):
+        assert len(interval(MULTISETS, ((2, 1),), ((2, 3), (3, 2)))) == 3 * 3
+        with pytest.raises(BoundTooLarge):
+            interval(MULTISETS, (), ((2, 1023), (3, 1024)))
+        with pytest.raises(BoundTooLarge):
+            ideal(MULTISETS, ((2, 10**12),))
+        with pytest.raises(BoundTooLarge):
+            ideal(MULTISETS, ((2, 10**40), (3, 10**40), (5, 10**40)))
+
+    def test_sizes_match_the_formulas(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            x = integer_to_multiset(rng.randint(1, 60))
+            y = integer_to_multiset(multiset_to_integer(x) * rng.randint(1, 60))
+            lower = dict(x)
+            assert len(interval(MULTISETS, x, y)) == math.prod(
+                k - lower.get(p, 0) + 1 for p, k in y
+            )
+            s = tuple(sorted(rng.sample(range(1, 9), rng.randint(0, 3))))
+            t = tuple(sorted(set(s) | set(rng.sample(range(1, 9), 3))))
+            assert len(interval(SUBSETS, s, t)) == 1 << (len(t) - len(s))
+
+
+class TestMultisetSortKey:
+    def test_equals_the_integer_image(self):
+        for m in enumerate_window(Window(MULTISETS, 300)):
+            assert MULTISETS.sort_key(m) == multiset_to_integer(m)
+
+    def test_only_public_arguments_are_validated(self, monkeypatch):
+        tested = []
+        real = numtheory.is_prime
+        monkeypatch.setattr(numtheory, "is_prime", lambda n: tested.append(n) or real(n))
+        y = ((2, 1), (1000003, 1))
+        # A fresh inverse of zeta, so the row is solved and its interval sorted.
+        assert invert(zeta_function(MULTISETS)).evaluate((), y) == 1
+        assert sorted(tested) == [2, 1000003]
+        tested.clear()
+        assert len(interval(MULTISETS, ((2, 1),), ((2, 3), (3, 1)))) == 6
+        assert sorted(tested) == [2, 2, 3]
+        # The public map still validates its argument.
+        tested.clear()
+        assert multiset_to_integer(y) == 2000006
+        assert sorted(tested) == [2, 1000003]
+
+    def test_refuses_images_past_the_cap(self):
+        cap = DEFAULT_ELEMENT_CAP
+        assert MULTISETS.sort_key(((2, cap - 1),)) == 1 << (cap - 1)
+        # Refused from the exponents alone, before the power is built.
+        for too_large in (((2, cap),), ((2, 10**12),), ((3, 10**40), (5, 1))):
+            with pytest.raises(BoundTooLarge):
+                MULTISETS.sort_key(too_large)
+        # Refused after an exact bit count: 3**k has more bits than k.
+        k = math.ceil(cap / math.log2(3))
+        while (3**k).bit_length() <= cap:
+            k += 1
+        assert MULTISETS.sort_key(((3, k - 1),)) == 3 ** (k - 1)
+        with pytest.raises(BoundTooLarge):
+            MULTISETS.sort_key(((3, k),))
+
+    def test_interval_of_huge_images_is_refused(self):
+        with pytest.raises(BoundTooLarge):
+            interval(MULTISETS, ((2, 10**12 - 1),), ((2, 10**12),))
 
 
 class TestMultisetIsomorphism:
