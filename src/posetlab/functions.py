@@ -27,7 +27,7 @@ from __future__ import annotations
 from .errors import InvalidInput, PosetMismatch
 from .incidence import IntervalFunction, mobius_function, zeta_function
 from .posets import Poset, Window, enumerate_window
-from .scalars import ONE, ZERO, GaussianRational, as_scalar
+from .scalars import ZERO, GaussianRational, as_scalar, narrow
 
 
 class FiniteSupportFunction:
@@ -133,15 +133,14 @@ def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableF
     if h.poset != a.poset:
         raise PosetMismatch("function and interval function live on different posets")
     p = h.poset
-    entries = list(h.items())
+    entries = [(x, narrow(value)) for x, value in h.items()]
 
     def rule(y):
-        total = ZERO
+        total = 0
         for x, value in entries:
             if p._leq(x, y):
-                a_xy = a._evaluate_canonical(x, y)
-                total = total + (value if a_xy is ONE else a_xy * value)
-        return total
+                total += a._evaluate_canonical(x, y) * value
+        return as_scalar(total)
 
     return _Transform(h, a, rule)
 

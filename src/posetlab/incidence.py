@@ -15,6 +15,11 @@ The Mobius function is the inverse of the constant function ``zeta``,
 where this is the defining recursion
 ``mu(x, y) = - sum over x <= z < y of mu(x, z)``.
 
+Values are computed and memoised in their narrowest exact type (see
+:func:`posetlab.scalars.narrow`), so a Mobius row is plain ``int``
+arithmetic; :meth:`IntervalFunction.evaluate` and the other public
+entry points return ``GaussianRational``.
+
 Evaluations are memoised per instance. Instances are logically
 immutable: evaluation is pure, so a concurrent duplicate computation
 writes the identical value into the cache (CPython dict operations are
@@ -24,10 +29,11 @@ atomic), and sharing an instance across threads is safe.
 from __future__ import annotations
 
 import weakref
+from fractions import Fraction
 
 from .errors import NotComparable, NotInvertible, PosetMismatch
 from .posets import Poset
-from .scalars import ONE, ZERO, GaussianRational, as_scalar
+from .scalars import GaussianRational, as_scalar, narrow
 
 
 class IntervalFunction:
@@ -68,12 +74,13 @@ class IntervalFunction:
                 f"not comparable: {p.format_element(x)} !<= "
                 f"{p.format_element(y)} in {p.family}"
             )
-        return self._evaluate_canonical(x, y)
+        return as_scalar(self._evaluate_canonical(x, y))
 
-    def _evaluate_canonical(self, x, y) -> GaussianRational:
+    def _evaluate_canonical(self, x, y):
+        """The value on [x, y] for canonical x <= y, in narrowest form."""
         if self.kind == "zeta":
             # Not memoised: a Mobius row would leave one entry per term.
-            return ONE
+            return 1
         key = (x, y)
         cached = self._memo.get(key)
         if cached is not None:
@@ -82,27 +89,28 @@ class IntervalFunction:
         self._memo[key] = value
         return value
 
-    def _compute(self, x, y) -> GaussianRational:
+    def _compute(self, x, y):
         kind = self.kind
         if kind == "delta":
-            return ONE if x == y else ZERO
+            return 1 if x == y else 0
         if kind == "custom":
-            return as_scalar(self._rule(x, y))
+            return narrow(self._rule(x, y))
         if kind == "convolution":
             return self._convolution(x, y)
         if kind == "inverse":
             return self._inverse_row(x, y)
         raise AssertionError(f"unknown kind {kind!r}")
 
-    def _inverse_row(self, x, y) -> GaussianRational:
+    def _inverse_row(self, x, y):
         # Triangular solve for b with (b * a)(x, .) = delta, filling the
-        # memo for the whole row. Canonical interval order is a linear
-        # extension, so each value only needs earlier ones; tracking the
-        # nonzero entries keeps the inner sum proportional to the row's
-        # support. Raises lazily on a zero diagonal. The `is ONE` tests
-        # spare a Mobius row (a = zeta) every multiply and divide.
+        # memo for the whole row: b(x, z) a(z, z) = delta(x, z) minus the
+        # sum of b(x, w) a(w, z) over x <= w < z. Canonical interval order
+        # is a linear extension, so each value only needs earlier ones;
+        # tracking the nonzero entries keeps the inner sum proportional
+        # to the row's support. Raises lazily on a zero diagonal.
         p = self.poset
-        a = self.inner
+        leq = p._leq
+        a = self.inner._evaluate_canonical
         memo = self._memo
         nonzeros: list = []
         for z in p._interval(x, y):
@@ -111,36 +119,49 @@ class IntervalFunction:
                 if cached:
                     nonzeros.append((z, cached))
                 continue
-            diagonal = a._evaluate_canonical(z, z)
+            diagonal = a(z, z)
             if not diagonal:
                 raise NotInvertible(z)
-            if z == x:
-                value = ONE if diagonal is ONE else ONE / diagonal
-            else:
-                total = ZERO
-                for w, b_w in nonzeros:
-                    if p._leq(w, z):
-                        a_wz = a._evaluate_canonical(w, z)
-                        total = total + (b_w if a_wz is ONE else b_w * a_wz)
-                value = -total if diagonal is ONE else -(total / diagonal)
+            total = 1 if z == x else 0
+            for w, b_w in nonzeros:
+                if leq(w, z):
+                    total -= b_w * a(w, z)
+            value = _divide(total, diagonal)
             memo[(x, z)] = value
             if value:
                 nonzeros.append((z, value))
         return memo[(x, y)]
 
-    def _convolution(self, x, y) -> GaussianRational:
+    def _convolution(self, x, y):
         p = self.poset
-        total = ZERO
+        left, right = self.left, self.right
+        # Fills a row-solved left factor's row over [x, y] in one walk,
+        # so the loop below only reads its memo.
+        left._evaluate_canonical(x, y)
+        total = 0
         for z in p._interval(x, y):
-            a_val = self.left._evaluate_canonical(x, z)
+            a_val = left._evaluate_canonical(x, z)
             if a_val:
-                b_val = self.right._evaluate_canonical(z, y)
+                b_val = right._evaluate_canonical(z, y)
                 if b_val:
-                    total = total + a_val * b_val
-        return total
+                    total += a_val * b_val
+        return narrow(total)
 
     def __repr__(self):
         return f"IntervalFunction({self.name} on {self.poset.family})"
+
+
+def _divide(value, divisor):
+    """value / divisor for narrow operands and a nonzero divisor, exactly
+    and in narrowest form; ``int / int`` would give a float."""
+    if divisor == -1:
+        value = -value
+    elif divisor != 1:
+        if type(value) is GaussianRational or type(divisor) is GaussianRational:
+            value = as_scalar(value) / divisor
+        else:
+            value = Fraction(value) / divisor
+    return value if type(value) is int else narrow(value)
 
 
 def delta_function(p: Poset) -> IntervalFunction:

@@ -47,10 +47,10 @@ from .errors import (
     ZeroFunction,
 )
 from .functions import FiniteSupportFunction, _materialize_elements, alpha_transform, materialize, mobius_inversion
-from .incidence import IntervalFunction, convolve, delta_function, mobius_function, mobius_value, zeta_function
+from .incidence import IntervalFunction, convolve, delta_function, mobius_function, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
 from .posets import DEFAULT_ELEMENT_CAP, INCONCLUSIVE, Poset, Window, enumerate_window
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, as_scalar, narrow
 
 DEFAULT_BUDGET = 10_000
 
@@ -219,11 +219,10 @@ def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     ideal_y = p.ideal(y)
     fresh = set(p.ideal(z)) - set(ideal_y)
     disjoint = fresh.isdisjoint(avoid)
-    mu_yz = mobius_value(p, y, z)
-    factorize = all(
-        mobius_value(p, x, y) * mu_yz == mobius_value(p, x, z) for x in ideal_y
-    )
-    return WitnessConditions(disjoint, factorize, bool(mu_yz), mu_yz)
+    mu = mobius_function(p)._evaluate_canonical
+    mu_yz = mu(y, z)
+    factorize = all(mu(x, y) * mu_yz == mu(x, z) for x in ideal_y)
+    return WitnessConditions(disjoint, factorize, bool(mu_yz), as_scalar(mu_yz))
 
 
 def witnesses(
@@ -298,14 +297,17 @@ def verify_uncertainty_witnesses(
             "inversion vanishes on the downward closure of the support"
         )
 
+    mu = mobius_function(p)._evaluate_canonical
+    g_values = {x: narrow(value) for x, value in g.items()}
     certificates = []
     for cert in witnesses(p, base, g.support(), count, budget):
         predicted = cert.mu_yz * f_base
-        observed = ZERO
+        total = 0
         for x in p.ideal(cert.z):
-            g_x = g[x]
-            if g_x:
-                observed = observed + mobius_value(p, x, cert.z) * g_x
+            g_x = g_values.get(x)
+            if g_x is not None:
+                total += mu(x, cert.z) * g_x
+        observed = as_scalar(total)
         if not (observed == predicted and observed):
             raise WitnessConclusionViolated(
                 f"witness conclusion violated at {p.format_element(cert.z)}: "
@@ -403,7 +405,7 @@ def finite_support_pair_search(
             continue
         rows.append(
             [
-                beta._evaluate_canonical(x, y) if p._leq(x, y) else ZERO
+                as_scalar(beta._evaluate_canonical(x, y)) if p._leq(x, y) else ZERO
                 for x in unknowns
             ]
         )

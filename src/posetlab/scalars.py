@@ -1,9 +1,18 @@
 """Exact complex-rational scalars.
 
-Every value the library computes is a ``GaussianRational``: a complex
+Every value the library returns is a ``GaussianRational``: a complex
 number whose real and imaginary parts are arbitrary-precision rationals.
 There is no floating point and no rounding anywhere, so algebraic
 identities can be asserted with plain equality.
+
+Internally, interval-function values are carried in their narrowest
+exact type (:func:`narrow`): an ``int`` when the value is a real
+integer, a ``Fraction`` when it is real but not an integer, and a
+``GaussianRational`` only when its imaginary part is nonzero. Nearly
+every value the library computes is an integer, and native ``int``
+arithmetic is many times faster than building two ``Fraction`` parts.
+The three types compare and hash alike on equal values, and results are
+wrapped back into ``GaussianRational`` where they leave the library.
 
 The text format is ``"p/q"`` or ``"p"`` for the real part with an optional
 ``"+r/s i"`` / ``"-r/s i"`` imaginary part, emitted without whitespace:
@@ -175,6 +184,22 @@ def as_scalar(value) -> GaussianRational:
     if coerced is None:
         raise InvalidInput(f"cannot interpret {value!r} as an exact scalar")
     return coerced
+
+
+def narrow(value):
+    """``value`` in its narrowest exact type: ``int``, ``Fraction`` or,
+    with a nonzero imaginary part, ``GaussianRational``. Anything that
+    :func:`as_scalar` rejects is rejected here too."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is GaussianRational:
+        if value.imag:
+            return value
+        value = value.real
+    elif kind is not Fraction:
+        return narrow(as_scalar(value))
+    return value.numerator if value.denominator == 1 else value
 
 
 ZERO = GaussianRational(0)

@@ -4,12 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetlab
 from helpers import skew_witness_stream
 from posetlab.cli import run
 
@@ -547,19 +550,20 @@ _GARBAGE = st.sampled_from(["", "x", "1.5", "-", "{", "{0}", "2^0", "9" * 5000, 
 # Elements per family: small ones of its own, and shapes whose intervals
 # or integer images are past the cap. Divisibility integers stay at most
 # 10**12, so trial division stays bounded, and have few divisors. Chain
-# integers between 40 and the cap, smooth divisibility integers near
+# integers between 500 and the cap, smooth divisibility integers near
 # 10**12, multiset exponents between 10 and 2**20 and subsets windows
 # over 6 to 20 ground elements are left out: they pass every cap, yet a
 # witness check, a convolution, a sorted interval or a census over them
 # takes seconds to minutes, and they reach no error path that the others
 # miss.
+_POINT_KEYS = dict(_FAMILY_KEYS, chain=st.integers(1, 500).map(str))
 _POINT_ELEMENTS = {
     "divisibility": st.one_of(
         st.integers(1, 60).map(str),
         st.sampled_from(["999999999989", str(2**39)]),
     ),
     "chain": st.one_of(
-        st.integers(1, 40).map(str),
+        _POINT_KEYS["chain"],
         st.sampled_from([str(2**21), "1000000000000", str(10**40)]),
     ),
     "subsets": st.one_of(
@@ -595,7 +599,7 @@ def _point_argv(draw):
     command = draw(st.sampled_from(["mobius", "convolve", "census", "witness", "verify"]))
     family = draw(st.sampled_from(sorted(_FAMILY_KEYS)))
     fault = draw(st.sampled_from(_POINT_FAULTS))
-    own = _FAMILY_KEYS[family]
+    own = _POINT_KEYS[family]
     element = _POINT_ELEMENTS[family] if fault == "elements" else own
     if fault == "elements" and draw(st.booleans()):
         element = _FOREIGN
@@ -690,3 +694,42 @@ class TestDeterminism:
         second = invoke(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+class TestOptimizedInterpreter:
+    """Under ``python -O`` every ``assert`` vanishes; the arithmetic and
+    the mathematical checks must not depend on one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("witness", "--poset", "divisibility", "--y", "6", "--avoid", "5,35", "--count", "3", "--json"),
+            ("witness", "--poset", "chain", "--y", "1", "--count", "2", "--budget", "400"),
+            ("witness", "--poset", "subsets", "--y", "{1,2}", "--avoid", "{3}", "--count", "2"),
+            ("verify", "--fn", "{multisets}", "--count", "2", "--json"),
+            ("verify", "--fn", "{chain}", "--count", "3", "--budget", "30"),
+            ("convolve", "--poset", "chain", "--left", "mobius", "--right", "zeta", "--x", "1", "--y", "300"),
+            ("convolve", "--poset", "divisibility", "--left", "zeta", "--right", "zeta", "--x", "2", "--y", "360", "--json"),
+            ("convolve", "--poset", "chain", "--left", "mobius", "--right", "zeta", "--x", "5", "--y", "3"),
+        ],
+    )
+    def test_output_matches_normal_run(self, tmp_path, argv):
+        documents = {
+            "{multisets}": {"poset": "multisets", "values": {"1": "2/3", "2*3": "1-1/2i", "5": "-4"}},
+            "{chain}": {"poset": "chain", "values": {"1": "1"}},
+        }
+        for name, document in documents.items():
+            path = tmp_path / (name.strip("{}") + ".json")
+            path.write_text(json.dumps(document))
+            argv = tuple(str(path) if arg == name else arg for arg in argv)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlab.__file__)))
+        env.pop("PYTHONOPTIMIZE", None)
+        command = "from posetlab.cli import main; main()"
+        normal, optimized = (
+            subprocess.run([sys.executable, *flags, "-c", command, *argv], capture_output=True, env=env)
+            for flags in ((), ("-O",))
+        )
+        assert normal.returncode in (0, 2)
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+            normal.returncode, normal.stdout, normal.stderr
+        )

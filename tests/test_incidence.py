@@ -185,8 +185,8 @@ class TestInvert:
 
     @pytest.mark.parametrize("poset,window", WINDOWS + EXPLICIT_WINDOWS)
     def test_mobius_matches_general_inverse(self, poset, window):
-        # The custom constant returns fresh scalars, so its inverse takes
-        # the multiply-and-divide path that zeta's ONE values skip.
+        # The custom constant's values pass through the rule and its
+        # narrowing; zeta's are the literal 1 of the solver.
         general = invert(custom_function(poset, lambda x, y: 1))
         mobius = mobius_function(poset)
         elements = enumerate_window(window)

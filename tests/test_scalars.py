@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from posetlab import GaussianRational, InvalidInput
+from posetlab.scalars import narrow
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -114,3 +115,31 @@ class TestValueProtocol:
         assert not GaussianRational(1, 1).is_integer()
         with pytest.raises(ValueError):
             GaussianRational(1, 1).as_integer()
+
+
+class TestNarrow:
+    @pytest.mark.parametrize(
+        "value,expected,kind",
+        [
+            (5, 5, int),
+            (Fraction(4, 2), 2, int),
+            (Fraction(-1, 3), Fraction(-1, 3), Fraction),
+            (GaussianRational(-7), -7, int),
+            (GaussianRational(Fraction(3, 4)), Fraction(3, 4), Fraction),
+            (GaussianRational(1, -2), GaussianRational(1, -2), GaussianRational),
+        ],
+    )
+    def test_narrowest_type(self, value, expected, kind):
+        narrowed = narrow(value)
+        assert type(narrowed) is kind and narrowed == expected
+
+    @pytest.mark.parametrize("value", [True, 0.5, 1.0, 1j, "1", None])
+    def test_rejects_what_as_scalar_rejects(self, value):
+        with pytest.raises(InvalidInput):
+            narrow(value)
+
+    @given(scalars)
+    def test_equal_with_equal_hash(self, value):
+        narrowed = narrow(value)
+        assert narrowed == value and hash(narrowed) == hash(value)
+        assert narrow(narrowed) is narrowed
