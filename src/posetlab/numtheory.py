@@ -1,30 +1,112 @@
 """Small integer helpers: primality, factorisation, divisor enumeration,
 and the number-theoretic Mobius function.
 
-Trial division throughout; the library only ever factors desk-scale
-integers, where this beats importing a heavyweight dependency.
+Every answer is exact, and every call does bounded work or raises
+``BoundTooLarge`` (CLI exit 1):
+
+* Trial division by the primes below 1000 takes out small factors, and
+  decides primality outright below 1000**2.
+* Past that, primality is the strong probable-prime test to the thirteen
+  prime bases 2, 3, ..., 41. It has no false positive below psi_13 =
+  3317044064679887385961981 (J. Sorenson and J. Webster, *Strong
+  pseudoprimes to twelve prime bases*, Math. Comp. 86, 2017), so it is a
+  proof there. A failed base proves a number composite at any size; a
+  number at or past psi_13 that passes every base is refused.
+* A composite cofactor is first tested for a perfect power by exact
+  integer roots, then split by Brent's variant of Pollard's rho (R. P.
+  Brent, BIT 20, 1980) on y -> y*y + c with c = 1, 2, ... in turn, so
+  the output is deterministic. A split is accepted only when a gcd
+  certifies it: every factor returned divides n and has passed the
+  primality test.
+* Each call has one fixed budget of work, counted in rho steps on a
+  modulus below 2**256. A step on a longer modulus, and each base of the
+  primality test, are charged in proportion to their cost. Past the
+  budget the call is refused.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import Iterator
 
-from .errors import InvalidInput
+from .errors import BoundTooLarge, InvalidInput
+
+_TRIAL_LIMIT = 1000
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to every base in _BASES.
+_PROVEN_LIMIT = 3317044064679887385961981
+# About twice the 1.9 million steps that split (10**12 + 39)(10**12 + 61).
+_STEP_BUDGET = 1 << 22
+# Rho steps between two gcds.
+_BATCH = 128
+
+
+def _sieve(limit: int) -> tuple[int, ...]:
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(i for i, flag in enumerate(flags) if flag)
+
+
+_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+
+
+class _Budget:
+    """Work left to one call, in rho steps on a modulus below 2**256.
+    Modular products cost the square of the modulus length, so a step
+    modulo an n of b bits is charged 1 + (b // 256)**2 steps."""
+
+    def __init__(self):
+        self.left = _STEP_BUDGET
+
+    def spend(self, steps: int, n: int) -> None:
+        self.left -= steps * (1 + (n.bit_length() >> 8) ** 2)
+        if self.left < 0:
+            raise BoundTooLarge(
+                f"factorisation or primality test needs more than {_STEP_BUDGET} rho steps"
+            )
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime; ``BoundTooLarge`` when n passes every base of
+    the test but lies past its proven range, or the test is past the
+    budget."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    return _passes_bases(n, _Budget())
+
+
+def _passes_bases(n: int, budget: _Budget) -> bool:
+    """Primality of an n > 1 with no prime factor below ``_TRIAL_LIMIT``."""
+    if n < _TRIAL_LIMIT**2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _BASES:
+        # One base is about b modular squarings: b / 2 rho steps.
+        budget.spend(n.bit_length() // 2, n)
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _PROVEN_LIMIT:
+        raise BoundTooLarge(
+            f"probable prime of {n.bit_length()} bits lies past the proven range "
+            f"below {_PROVEN_LIMIT}"
+        )
     return True
 
 
@@ -37,28 +119,124 @@ def primes() -> Iterator[int]:
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Factorisation as {prime: multiplicity}; n must be >= 1."""
+    """Factorisation as {prime: multiplicity}, in ascending prime order;
+    n must be >= 1."""
     if n < 1:
         raise InvalidInput(f"cannot factor {n}: expected a positive integer")
     out: dict[int, int] = {}
-    while n % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        n //= 2
-    d = 3
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            # What is left has no prime factor below its square root.
+            if n > 1:
+                out[n] = 1
+            return out
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out[p] = k
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out.update(sorted(_large_prime_factors(n).items()))
     return out
+
+
+def _large_prime_factors(n: int) -> dict[int, int]:
+    """Factorisation of n > 1 as {prime: multiplicity}, in no particular
+    order; n has no prime factor below ``_TRIAL_LIMIT``."""
+    budget = _Budget()
+    found: dict[int, int] = {}
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        for p in found:
+            while m % p == 0:
+                m //= p
+                found[p] += 1
+        if m == 1:
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            root, k = power
+            pending += [root] * k
+        elif _passes_bases(m, budget):
+            found[m] = 1
+        else:
+            g = _rho(m, budget)
+            # The smaller part first: its primes are then stripped from the other.
+            pending += sorted((g, m // g), reverse=True)
+    return found
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """``(r, k)`` with r**k == m for the least prime k that has one, or
+    None; m has no prime factor below ``_TRIAL_LIMIT``, so r exceeds it."""
+    for k in _SMALL_PRIMES:
+        if _TRIAL_LIMIT**k >= m:
+            return None
+        r = _integer_root(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """The largest r with r**k <= m, by Newton's method from a float
+    estimate."""
+    if k == 2:
+        return math.isqrt(m)
+    # The leading 31 bits of a float estimate, rounded up: the descent
+    # must start at or above the root.
+    x = math.log2(m) / k
+    shift = max(0, int(x) - 30)
+    r = (int(2 ** (x - shift)) + 1) << shift
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _rho(n: int, budget: _Budget) -> int:
+    """A factor 1 < g < n of the composite n, certified by a gcd."""
+    for c in count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            budget.spend(r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(_BATCH, r - k)
+                budget.spend(steps, n)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            # The batch overshot: replay it one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
+    return divisors_from_factors(prime_factors(n))
+
+
+def divisors_from_factors(factors: dict[int, int]) -> list[int]:
+    """All positive divisors of the n with factorisation ``factors``,
+    ascending."""
     divs = [1]
-    for p, k in prime_factors(n).items():
+    for p, k in factors.items():
         power = 1
         step = []
         for _ in range(k):

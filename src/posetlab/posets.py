@@ -174,6 +174,10 @@ def _interval_too_large() -> BoundTooLarge:
     return BoundTooLarge(f"interval of more than {DEFAULT_ELEMENT_CAP} elements")
 
 
+def _divisor_count(factors: dict) -> int:
+    return math.prod(k + 1 for k in factors.values())
+
+
 class _ChainProduct(Poset):
     """A downward-closed part of a product of chains 0 < 1 < 2 < ...
 
@@ -184,8 +188,17 @@ class _ChainProduct(Poset):
     """
 
     def _leq(self, x, y) -> bool:
-        upper = dict(self._pairs(y))
-        return all(upper.get(c, 0) >= k for c, k in self._pairs(x))
+        # A merge walk over the two ascending pair tuples.
+        upper = iter(self._pairs(y))
+        for c, k in self._pairs(x):
+            for d, h in upper:
+                if d >= c:
+                    break
+            else:
+                return False
+            if d != c or h < k:
+                return False
+        return True
 
     def bottom(self):
         return self._from_pairs(())
@@ -280,11 +293,20 @@ class DivisibilityPoset(_PositiveIntegers):
         return y % x == 0
 
     def _interval(self, x, y) -> list:
-        return [x * d for d in numtheory.divisors(y // x)]
+        factors = numtheory.prime_factors(y // x)
+        if _divisor_count(factors) > DEFAULT_ELEMENT_CAP:
+            raise _interval_too_large()
+        return [x * d for d in numtheory.divisors_from_factors(factors)]
 
-    def divisor_window_elements(self, n: int) -> list:
-        """The divisors of ``n``: a downward-closed set in this order."""
-        return numtheory.divisors(_canon_positive_int(n, self.family))
+    def divisor_window_elements(self, n: int, element_cap: int) -> list:
+        """The divisors of ``n``: a downward-closed set in this order,
+        refused before any is built when there are more than
+        ``element_cap``."""
+        factors = numtheory.prime_factors(_canon_positive_int(n, self.family))
+        size = _divisor_count(factors)
+        if size > element_cap:
+            raise BoundTooLarge(f"window of {size} elements exceeds cap")
+        return numtheory.divisors_from_factors(factors)
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -685,7 +707,7 @@ def integer_to_multiset(n: int):
     ``multiset_to_integer``."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInput(f"expected a positive integer, got {n!r}")
-    return tuple(sorted(numtheory.prime_factors(n).items()))
+    return tuple(numtheory.prime_factors(n).items())
 
 
 # -- windows ----------------------------------------------------------
@@ -724,8 +746,5 @@ def enumerate_window(w: Window, *, element_cap: int = DEFAULT_ELEMENT_CAP) -> li
     """All window elements in canonical order. Downward-closed by
     construction for every family."""
     if w.divisor_closure:
-        elements = w.poset.divisor_window_elements(w.bound)
-        if len(elements) > element_cap:
-            raise BoundTooLarge(f"window of {len(elements)} elements exceeds cap")
-        return elements
+        return w.poset.divisor_window_elements(w.bound, element_cap)
     return w.poset.window_elements(w.bound, element_cap)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetlab
+import posetlab.numtheory as numtheory
 from helpers import skew_witness_stream
 from posetlab.cli import run
 
@@ -80,6 +81,19 @@ class TestClassicalMobius:
 
     def test_invalid_input(self, capsys):
         assert invoke(capsys, "classical-mobius", "--n", "0")[0] == 1
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            ("3317044064679887385961981", "probable prime of 82 bits lies past the proven range"),
+            (str(10**4300 - 1), "needs more than 4194304 rho steps"),
+        ],
+        ids=["psi-13", "4300-digits"],
+    )
+    def test_past_the_proven_range_or_the_budget(self, capsys, n, message):
+        status, out, err = invoke(capsys, "classical-mobius", "--n", n)
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and message in err
 
 
 class TestTransforms:
@@ -293,6 +307,10 @@ class TestCensusSearchConjecture:
 class TestIsomap:
     def test_integer_to_multiset(self, capsys):
         assert invoke(capsys, "isomap", "--n", "360")[:2] == (0, "2^3*3^2*5\n")
+
+    def test_25_digit_semiprime(self, capsys):
+        n = str((10**12 + 39) * (10**12 + 61))
+        assert invoke(capsys, "isomap", "--n", n)[:2] == (0, "1000000000039*1000000000061\n")
 
     def test_multiset_to_integer(self, capsys):
         assert invoke(capsys, "isomap", "--m", "2^2*3")[:2] == (0, "12\n")
@@ -548,19 +566,34 @@ class TestSearchFuzz:
 _FORTY = "{" + ",".join(map(str, range(1, 41))) + "}"
 _GARBAGE = st.sampled_from(["", "x", "1.5", "-", "{", "{0}", "2^0", "9" * 5000, "0", "-3"])
 # Elements per family: small ones of its own, and shapes whose intervals
-# or integer images are past the cap. Divisibility integers stay at most
-# 10**12, so trial division stays bounded, and have few divisors. Chain
-# integers between 500 and the cap, smooth divisibility integers near
-# 10**12, multiset exponents between 10 and 2**20 and subsets windows
-# over 6 to 20 ground elements are left out: they pass every cap, yet a
-# witness check, a convolution, a sorted interval or a census over them
-# takes seconds to minutes, and they reach no error path that the others
-# miss.
+# or integer images are past the cap. Divisibility integers include a
+# 25-digit prime and semiprime, probable primes past the proven range of
+# the primality test, and the product of the first 23 primes, whose
+# divisors are past the cap; factorisation has a fixed step budget, so
+# each is bounded work. The semiprime has a 9-digit factor: one with two
+# 13-digit factors takes about a second to split, once per witness
+# candidate, and is left to TestNumberTheoryFuzz. Chain integers between 500 and the cap, smooth
+# divisibility integers near 10**12, multiset exponents between 10 and
+# 2**20 and subsets windows over 6 to 20 ground elements are left out:
+# they pass every cap, yet a witness check, a convolution, a sorted
+# interval or a census over them takes seconds to minutes, and they reach
+# no error path that the others miss.
 _POINT_KEYS = dict(_FAMILY_KEYS, chain=st.integers(1, 500).map(str))
+_PRIMORIAL_23 = "267064515689275851355624017992790"
 _POINT_ELEMENTS = {
     "divisibility": st.one_of(
         st.integers(1, 60).map(str),
-        st.sampled_from(["999999999989", str(2**39)]),
+        st.sampled_from(
+            [
+                "999999999989",
+                str(2**39),
+                "1000000000000000000000007",
+                "9999999370000060999996157",  # 999999937 * (10**16 + 61)
+                "3317044064679887385961981",  # psi_13, a strong pseudoprime to 2..41
+                "1000000000000000000000000000057",
+                _PRIMORIAL_23,
+            ]
+        ),
     ),
     "chain": st.one_of(
         _POINT_KEYS["chain"],
@@ -664,6 +697,80 @@ class TestPointCommandFuzz:
             assert err.getvalue().startswith("error:") and not out.getvalue()
 
 
+# -- fuzzing the number-theory commands ----------------------------------------
+
+_HARD_INTEGERS = st.sampled_from(
+    [
+        (10**18 + 3) * (10**18 + 9),  # two 19-digit primes
+        (5 * 10**18 + 3) * (7 * 10**18 + 13),
+        (10**12 + 39) * (10**12 + 61),
+        10**24 + 7,
+        3317044064679887385961981,  # psi_13
+        10**30 + 57,
+        2**127 - 1,
+        1009**9 * 2**5,
+        10**4300 - 1,
+    ]
+)
+_LARGE_INTEGERS = st.one_of(
+    st.integers(-5, 10**6),
+    st.integers(1, 10**40),
+    st.builds(lambda a, b: a * b, st.integers(1, 10**20), st.integers(1, 10**20)),
+    _HARD_INTEGERS,
+)
+_INTEGER_TEXT = st.one_of(
+    _LARGE_INTEGERS.map(str),
+    _GARBAGE,
+    st.sampled_from(["0x10", "1_000", " 12 ", "+7", "1e5", "\u0663", "9" * 4301, "--1"]),
+    st.text(max_size=8),
+)
+_MULTISET_TEXT = st.one_of(
+    st.lists(
+        st.tuples(_LARGE_INTEGERS.map(str), st.one_of(st.integers(-1, 5).map(str), _GARBAGE)),
+        max_size=3,
+    ).map(lambda pairs: "*".join(f"{p}^{k}" for p, k in pairs) or "1"),
+    _LARGE_INTEGERS.map(str),
+    _GARBAGE,
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _number_theory_argv(draw):
+    """classical-mobius --n or isomap --n/--m, well-formed or not."""
+    command = draw(st.sampled_from(["classical-mobius", "isomap-n", "isomap-m", "isomap-both"]))
+    if command == "classical-mobius":
+        argv = ["classical-mobius", f"--n={draw(_INTEGER_TEXT)}"]
+    else:
+        argv = ["isomap"]
+        if command != "isomap-m":
+            argv.append(f"--n={draw(_INTEGER_TEXT)}")
+        if command != "isomap-n":
+            argv.append(f"--m={draw(_MULTISET_TEXT)}")
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+class TestNumberTheoryFuzz:
+    """classical-mobius and isomap on integers up to 10**40, hard
+    semiprimes, multiset keys of that size and malformed text. The
+    factorisation budget is cut to 2**14 steps so that the many inputs
+    that exhaust it do so in milliseconds; the path is the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_number_theory_argv())
+    def test_exit_status_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numtheory, "_STEP_BUDGET", 1 << 14)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = run(argv)
+        assert status in (0, 1, 2)
+        if status:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
+        else:
+            assert not err.getvalue() and out.getvalue()
+
+
 class TestOversizedIntervals:
     @pytest.mark.parametrize(
         "family,x,y",
@@ -672,12 +779,19 @@ class TestOversizedIntervals:
             ("multisets", "1", "2^1000000000000"),
             ("subsets", "{}", _FORTY),
             ("multisets", "2^999999999999", "2^1000000000000"),
+            ("divisibility", "1", _PRIMORIAL_23),
         ],
     )
     def test_mobius_is_usage_error(self, capsys, family, x, y):
         status, out, err = invoke(capsys, "mobius", "--poset", family, "--x", x, "--y", y)
         assert (status, out) == (1, "")
         assert err.startswith("error:") and "1048576" in err
+
+    def test_divisor_window_past_the_cap_is_usage_error(self, capsys):
+        status, out, err = invoke(
+            capsys, "census", "--poset", "divisibility", "--x", "1", "--divisors", _PRIMORIAL_23
+        )
+        assert (status, out, err) == (1, "", "error: window of 8388608 elements exceeds cap\n")
 
 
 class TestDeterminism:

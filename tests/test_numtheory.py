@@ -1,11 +1,23 @@
 """Integer helpers against brute-force oracles."""
 
+import functools
 import itertools
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posetlab.errors import InvalidInput
-from posetlab.numtheory import divisors, is_prime, prime_factors, primes, smallest_prime_factors
+from posetlab.errors import BoundTooLarge, InvalidInput
+from posetlab.numtheory import (
+    _integer_root,
+    divisors,
+    is_prime,
+    prime_factors,
+    primes,
+    smallest_prime_factors,
+)
 
 
 def test_is_prime_small_values():
@@ -52,3 +64,198 @@ def test_divisors_against_scan():
 def test_smallest_prime_factors_against_factorisation(elements):
     expected = {n: min(prime_factors(n)) for n in elements if n > 1}
     assert smallest_prime_factors(elements) == expected
+
+
+# -- the factoriser against trial division ----------------------------------
+
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def trial_division(n):
+    """The oracle: {prime: multiplicity} by dividing out 2, 3, 5, 7, ..."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def oracle_is_prime(n):
+    return n > 1 and trial_division(n) == {n: 1}
+
+
+@functools.lru_cache(maxsize=None)
+def next_prime(n):
+    """The least prime >= n, certified by trial division."""
+    while not oracle_is_prime(n):
+        n += 1
+    return n
+
+
+def failing_bases(n):
+    """The bases of ``BASES`` to which odd n > 41 is not a strong probable
+    prime, by the textbook definition."""
+    s = 0
+    d = n - 1
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    failed = []
+    for a in BASES:
+        terms = [pow(a, d << r, n) for r in range(s)]
+        if terms[0] != 1 and n - 1 not in terms:
+            failed.append(a)
+    return failed
+
+
+def test_is_prime_below_a_million_against_a_sieve():
+    limit = 10**6
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, 1001):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if flags[n]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(1, 10**6), st.integers(1, 10**10)))
+def test_prime_factors_against_trial_division(n):
+    assert prime_factors(n) == trial_division(n)
+
+
+SMALL_PRIMES = st.integers(2, 10**4).map(next_prime)
+MEDIUM_PRIMES = st.integers(10**6, 10**9).map(next_prime)
+LARGE_PRIMES = st.integers(10**12, 10**12 + 10**8).map(next_prime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small=st.lists(SMALL_PRIMES, max_size=4),
+    medium=st.lists(MEDIUM_PRIMES, max_size=2),
+    large=st.lists(LARGE_PRIMES, max_size=1),
+)
+def test_products_of_primes_of_mixed_sizes(small, medium, large):
+    chosen = small + medium + large
+    expected = {p: chosen.count(p) for p in sorted(set(chosen))}
+    got = prime_factors(math.prod(chosen))
+    assert got == expected
+    assert list(got) == sorted(got)
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=LARGE_PRIMES, k=st.sampled_from([2, 3]), cofactor=st.sampled_from([1, 2, 999983, 1009]))
+def test_squares_and_cubes_of_primes_near_10_to_12(p, k, cofactor):
+    n = p**k * cofactor
+    assert prime_factors(n) == dict(sorted({p: k, **trial_division(cofactor)}.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.one_of(
+        st.integers(1, 10**60),
+        st.integers(1, 2**5000),
+        st.builds(lambda r, k, d: r**k + d, st.integers(1, 10**30), st.integers(2, 60), st.integers(-1, 1)),
+    ),
+    k=st.integers(2, 1000),
+)
+def test_integer_root_brackets_the_root(m, k):
+    m = max(m, 1)
+    r = _integer_root(m, k)
+    assert r**k <= m < (r + 1) ** k
+
+
+@pytest.mark.parametrize(
+    "n,factors",
+    [
+        (561, {3: 1, 11: 1, 17: 1}),
+        (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+        (3215031751, {151: 1, 751: 1, 28351: 1}),
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+        (318665857834031151167461, {399165290221: 1, 798330580441: 1}),
+    ],
+    ids=["carmichael-561", "carmichael-41041", "spsp-2-3-5-7", "spsp-to-31", "spsp-to-37"],
+)
+def test_carmichael_numbers_and_strong_pseudoprimes_are_composite(n, factors):
+    assert not is_prime(n)
+    assert prime_factors(n) == factors
+
+
+def test_strong_pseudoprimes_fail_only_the_last_bases():
+    # Only the thirteenth base, 41, proves 318665857834031151167461
+    # composite.
+    assert failing_bases(3215031751) == [11, 13, 17, 23, 29, 31, 41]
+    assert failing_bases(3825123056546413051) == [37, 41]
+    assert failing_bases(318665857834031151167461) == [41]
+
+
+def test_psi_13_is_never_reported_prime():
+    assert failing_bases(PSI_13) == []
+    try:
+        assert not is_prime(PSI_13)
+    except BoundTooLarge:
+        pass
+    try:
+        assert prime_factors(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+    except BoundTooLarge:
+        pass
+
+
+def test_primes_below_psi_13_are_proven_and_past_it_refused():
+    assert is_prime(10**24 + 7)
+    assert prime_factors(10**24 + 7) == {10**24 + 7: 1}
+    for probable_prime in (10**30 + 57, 2**521 - 1):
+        with pytest.raises(BoundTooLarge, match="proven range"):
+            is_prime(probable_prime)
+        with pytest.raises(BoundTooLarge, match="proven range"):
+            prime_factors(probable_prime)
+
+
+def test_25_digit_semiprime_factors():
+    p, q = 10**12 + 39, 10**12 + 61
+    # Prime by the thirteen-base theorem.
+    assert failing_bases(p) == failing_bases(q) == []
+    assert prime_factors(q * p) == {p: 1, q: 1}
+    assert divisors(p * q) == [1, p, q, p * q]
+
+
+def test_two_19_digit_primes_exhaust_the_budget():
+    p, q = 10**18 + 3, 10**18 + 9
+    start = time.perf_counter()
+    with pytest.raises(BoundTooLarge, match="rho steps"):
+        prime_factors(p * q)
+    # A few seconds on a desktop core; the bound only catches a hang.
+    assert time.perf_counter() - start < 60
+
+
+def test_huge_inputs_take_bounded_work():
+    # A Mersenne prime of 11213 bits: one base costs more than the budget.
+    with pytest.raises(BoundTooLarge, match="rho steps"):
+        is_prime(2**11213 - 1)
+    # Perfect powers of a prime above the trial-division table are roots,
+    # and a prime found by rho is divided out of the rest.
+    assert prime_factors(1009**1400) == {1009: 1400}
+    assert prime_factors(1009**70 * 1013**3 * 6) == {2: 1, 3: 1, 1009: 70, 1013: 3}
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1009 * 1013,
+        (10**12 + 39) * 1009,
+        999983 * 1000003 * (2**61 - 1),
+        (2**61 - 1) * (2**31 - 1) * 1009**2,
+        3825123056546413051 * 41041,
+    ],
+)
+def test_factors_come_back_ascending(n):
+    factors = prime_factors(n)
+    assert list(factors) == sorted(factors)
+    assert math.prod(p**k for p, k in factors.items()) == n
+    assert all(is_prime(p) for p in factors)

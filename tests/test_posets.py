@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetlab.numtheory as numtheory
+import posetlab.posets as posets
 from helpers import random_explicit_poset
 from posetlab import (
     BoundTooLarge,
@@ -50,6 +53,19 @@ class TestLeq:
     def test_multisets_pointwise(self):
         assert leq(MULTISETS, {2: 1, 3: 1}, {2: 2, 3: 1})
         assert not leq(MULTISETS, {2: 2}, {2: 1, 3: 5})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.integers(1, 5000),
+        b=st.one_of(st.integers(1, 5000), st.integers(1, 5000).map(lambda c: -c)),
+    )
+    def test_multisets_agree_with_divisibility_of_images(self, a, b):
+        # A negative b stands for the multiple a * |b|, so that x <= y is
+        # drawn as often as not.
+        b = a * -b if b < 0 else b
+        x, y = integer_to_multiset(a), integer_to_multiset(b)
+        assert MULTISETS._leq(x, y) == leq(MULTISETS, x, y) == (b % a == 0)
+        assert MULTISETS._leq(y, x) == (a % b == 0)
 
     def test_rejects_foreign_encodings(self):
         with pytest.raises(InvalidElement):
@@ -379,6 +395,42 @@ class TestIntervalCaps:
             s = tuple(sorted(rng.sample(range(1, 9), rng.randint(0, 3))))
             t = tuple(sorted(set(s) | set(rng.sample(range(1, 9), 3))))
             assert len(interval(SUBSETS, s, t)) == 1 << (len(t) - len(s))
+
+
+class TestDivisorCaps:
+    """Divisibility intervals and divisor windows are counted from the
+    factorisation and refused before any divisor is built."""
+
+    # The product of the first 23 primes: 2**23 divisors.
+    PRIMORIAL_23 = math.prod(p for p in range(2, 84) if numtheory.is_prime(p))
+
+    @pytest.fixture
+    def no_divisor_lists(self, monkeypatch):
+        def refuse(factors):
+            raise AssertionError("divisor list built")
+
+        monkeypatch.setattr(numtheory, "divisors_from_factors", refuse)
+
+    def test_interval_refused_before_building(self, no_divisor_lists):
+        with pytest.raises(BoundTooLarge, match="interval of more than 1048576 elements"):
+            interval(DIV, 1, self.PRIMORIAL_23)
+        with pytest.raises(BoundTooLarge, match="interval of more than 1048576 elements"):
+            ideal(DIV, 6 * self.PRIMORIAL_23)
+
+    def test_divisor_window_refused_before_building(self, no_divisor_lists):
+        window = Window(DIV, self.PRIMORIAL_23, divisor_closure=True)
+        with pytest.raises(BoundTooLarge, match="window of 8388608 elements exceeds cap"):
+            enumerate_window(window)
+        with pytest.raises(BoundTooLarge, match="window of 240 elements exceeds cap"):
+            enumerate_window(Window(DIV, 720720, divisor_closure=True), element_cap=239)
+
+    def test_boundaries(self, monkeypatch):
+        window = Window(DIV, 720720, divisor_closure=True)
+        assert enumerate_window(window, element_cap=240) == numtheory.divisors(720720)
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 240)
+        assert interval(DIV, 7, 7 * 720720) == [7 * d for d in numtheory.divisors(720720)]
+        with pytest.raises(BoundTooLarge, match="interval of more than 240 elements"):
+            interval(DIV, 7, 7 * 2 * 720720)
 
 
 class TestMultisetSortKey:
