@@ -13,7 +13,9 @@ triangular recursion computes every inverse b of a, a row at a time:
 
 The Mobius function is the inverse of the constant function ``zeta``,
 where this is the defining recursion
-``mu(x, y) = - sum over x <= z < y of mu(x, z)``.
+``mu(x, y) = - sum over x <= z < y of mu(x, z)``. The same solver gives
+columns: on the dual poset ``p._dual()``, mu_dual(z, x) = mu(x, z), so
+the dual's row at z is the column x -> mu(x, z).
 
 Values are computed and memoised in their narrowest exact type (see
 :func:`posetlab.scalars.narrow`), so a Mobius row is plain ``int``

@@ -14,7 +14,10 @@ probes that property at desk scale:
   y by one fresh atom (z = y*q over fresh primes q, z = y + {q} over
   fresh ground elements q); the chain tries only z = y + 1, the one
   z > y with mu(y, z) != 0, and explicit posets scan every element
-  above y, within the budget.
+  above y, within the budget. The checks and the verification read
+  columns x -> mu(x, z) of the Mobius function, computed as rows on the
+  dual poset by the one row solver: y's column once per stream, each
+  candidate's column in one walk down its ideal.
 
 * **censuses** -- the support set {y : a(x, y) != 0} restricted to a
   window, with a verdict attached only where a built-in analytic
@@ -209,19 +212,30 @@ class ConjectureReport:
 def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     """Evaluate the three witness conditions for z > y against a finite
     avoid set: (ideal(z) - ideal(y)) misses the set, Mobius values
-    factor through y on all of ideal(y), and mu(y, z) != 0."""
+    factor through y on all of ideal(y), and mu(y, z) != 0.
+
+    The columns x -> mu(x, y) and x -> mu(x, z) are rows of the dual
+    poset's Mobius function, each solved in one walk down its ideal and
+    kept in that function's shared memo, so y's column is solved once
+    per stream and verification reads z's column again."""
     y, z = p.canon(y), p.canon(z)
     if not (p._leq(y, z) and y != z):
         raise NotStrictlyAbove(
             f"{p.format_element(z)} is not strictly above {p.format_element(y)}"
         )
-    avoid = {p.canon(s) for s in avoid_set}
-    ideal_y = p.ideal(y)
-    fresh = set(p.ideal(z)) - set(ideal_y)
-    disjoint = fresh.isdisjoint(avoid)
-    mu = mobius_function(p)._evaluate_canonical
-    mu_yz = mu(y, z)
-    factorize = all(mu(x, y) * mu_yz == mu(x, z) for x in ideal_y)
+    # s lies in ideal(z) - ideal(y) exactly when s <= z and not s <= y.
+    disjoint = not any(
+        p._leq(s, z) and not p._leq(s, y) for s in {p.canon(s) for s in avoid_set}
+    )
+    # mu(b, a) on the dual is mu(a, b) here: one walk down ideal(y) fills
+    # y's column (a memo hit for every later candidate), one down ideal(z)
+    # fills z's.
+    mu = mobius_function(p._dual())._evaluate_canonical
+    bottom = p.bottom()
+    mu(y, bottom)
+    mu(z, bottom)
+    mu_yz = mu(z, y)
+    factorize = all(mu(y, x) * mu_yz == mu(z, x) for x in p.ideal(y))
     return WitnessConditions(disjoint, factorize, bool(mu_yz), as_scalar(mu_yz))
 
 
@@ -269,9 +283,11 @@ def verify_uncertainty_witnesses(
     and certify ``count`` witnesses above it.
 
     Every certificate carries the predicted value mu(y,z)*f(y) and the
-    observed f(z) recomputed by a direct sum over ideal(z); the two must
-    agree and be nonzero, which is exactly how a finite-support g forces
-    the inverted function to have infinite support.
+    observed f(z) recomputed by a direct sum of mu(x,z)*g(x) over the
+    support of g below z; the two must agree and be nonzero, which is
+    exactly how a finite-support g forces the inverted function to have
+    infinite support. The sum reads the column mu(., z), a row on the
+    dual poset that the witness check has already solved.
     """
     if not g:
         raise ZeroFunction("the supplied function is identically zero")
@@ -297,16 +313,15 @@ def verify_uncertainty_witnesses(
             "inversion vanishes on the downward closure of the support"
         )
 
-    mu = mobius_function(p)._evaluate_canonical
+    mu = mobius_function(p._dual())._evaluate_canonical
     g_values = {x: narrow(value) for x, value in g.items()}
     certificates = []
     for cert in witnesses(p, base, g.support(), count, budget):
         predicted = cert.mu_yz * f_base
         total = 0
-        for x in p.ideal(cert.z):
-            g_x = g_values.get(x)
-            if g_x is not None:
-                total += mu(x, cert.z) * g_x
+        for x, g_x in g_values.items():
+            if p._leq(x, cert.z):
+                total += mu(cert.z, x) * g_x
         observed = as_scalar(total)
         if not (observed == predicted and observed):
             raise WitnessConclusionViolated(

@@ -22,10 +22,14 @@ Every answer is exact, and every call does bounded work or raises
   modulus below 2**256. A step on a longer modulus, and each base of the
   primality test, are charged in proportion to their cost. Past the
   budget the call is refused.
+* The factorisations of the last few large cofactors are kept, so a
+  witness stream over y*q, y*q', ... splits y's cofactor once. Refusals
+  are not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import count
 from typing import Iterator
@@ -123,27 +127,49 @@ def prime_factors(n: int) -> dict[int, int]:
     n must be >= 1."""
     if n < 1:
         raise InvalidInput(f"cannot factor {n}: expected a positive integer")
+    out, m = _trial_division(n)
+    if m > 1:
+        out.update(sorted(_large_prime_factors(m).items()))
+    return out
+
+
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """``(factors, m)``: the primes below ``_TRIAL_LIMIT`` in n >= 1 with
+    their multiplicities, ascending, plus a prime cofactor when trial
+    division proves one; and m, the cofactor left to factor, which is 1
+    or has no prime factor below the limit."""
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
             # What is left has no prime factor below its square root.
             if n > 1:
                 out[n] = 1
-            return out
+            return out, 1
         if n % p == 0:
             k = 0
             while n % p == 0:
                 n //= p
                 k += 1
             out[p] = k
-    if n > 1:
-        out.update(sorted(_large_prime_factors(n).items()))
-    return out
+    return out, n
 
 
 def _large_prime_factors(n: int) -> dict[int, int]:
     """Factorisation of n > 1 as {prime: multiplicity}, in no particular
-    order; n has no prime factor below ``_TRIAL_LIMIT``."""
+    order; n has no prime factor below ``_TRIAL_LIMIT``. A fresh dict
+    each call, copied from a bounded cache of recent cofactors."""
+    return dict(_cached_large_prime_factors(n))
+
+
+# A witness stream factors y*q for one fresh prime q after another, so
+# the same large cofactor of y comes back once per candidate.
+_FACTOR_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _cached_large_prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """``_large_prime_factors`` as an immutable tuple of pairs; a refusal
+    raises and is not cached."""
     budget = _Budget()
     found: dict[int, int] = {}
     pending = [n]
@@ -165,7 +191,7 @@ def _large_prime_factors(n: int) -> dict[int, int]:
             g = _rho(m, budget)
             # The smaller part first: its primes are then stripped from the other.
             pending += sorted((g, m // g), reverse=True)
-    return found
+    return tuple(found.items())
 
 
 def _perfect_power(m: int) -> tuple[int, int] | None:
@@ -269,10 +295,16 @@ def smallest_prime_factors(elements: list[int]) -> dict[int, int]:
 
 def classical_mobius(n: int) -> int:
     """The number-theoretic Mobius function: 0 when a square divides n,
-    otherwise (-1) to the number of distinct prime factors."""
+    otherwise (-1) to the number of distinct prime factors. A square
+    found by trial division or as a perfect power of the cofactor
+    answers 0 before any cofactor is split."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInput(f"expected a positive integer, got {n!r}")
-    factors = prime_factors(n)
+    factors, m = _trial_division(n)
+    if m > 1 and all(k == 1 for k in factors.values()):
+        if _perfect_power(m) is not None:
+            return 0
+        factors.update(_large_prime_factors(m))
     if any(k > 1 for k in factors.values()):
         return 0
     return -1 if len(factors) % 2 else 1

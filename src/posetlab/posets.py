@@ -14,7 +14,10 @@ and output ordering are all decidable and reproducible: plain ints for
 the integer families, sorted tuples for subsets, sorted ``(prime, mult)``
 tuples for multisets, and identifier strings for explicit posets. Every
 returned element list is in canonical order, which is always a linear
-extension of the partial order.
+extension of the partial order. Every poset also has an internal dual
+view, ``_dual()``, with the order reversed and intervals listed in
+reversed canonical order, through which the Mobius solver computes
+columns.
 
 The built-in families are downward-closed parts of a product of chains:
 one chain per prime (divisibility, multisets), one 2-chain per ground
@@ -141,6 +144,17 @@ class Poset:
         the others return None."""
         return None
 
+    # -- dual ---------------------------------------------------------
+
+    def _dual(self) -> "Poset":
+        """The dual view of this poset (see ``_Dual``), built once. It is
+        kept on the poset itself, so the two refer only to each other and
+        neither keeps the other alive."""
+        dual = self.__dict__.get("_dual_view")
+        if dual is None:
+            dual = self._dual_view = _Dual(self)
+        return dual
+
     def __repr__(self):
         return f"Poset({self.family})"
 
@@ -152,6 +166,32 @@ class Poset:
 
     def _key(self):
         return (self.family,)
+
+
+class _Dual(Poset):
+    """The dual of ``base``: the same elements in the same encoding, the
+    order reversed. It has no bottom, windows or census and serves the
+    solver, which reads only ``_leq`` and ``_interval``. Since
+    mu_dual(y, x) = mu(x, y) (Rota), a row of the dual's Mobius function
+    is a column of the base's."""
+
+    def __init__(self, base: Poset):
+        self.family = base.family
+        self._base = base
+        self.canon = base.canon
+        self.format_element = base.format_element
+        leq = base._leq
+        self._leq = lambda x, y: leq(y, x)
+
+    def _interval(self, x, y) -> list:
+        # Reversed canonical order is a linear extension of the dual order.
+        return self._base._interval(y, x)[::-1]
+
+    def __repr__(self):
+        return f"Poset(dual of {self.family})"
+
+    def _key(self):
+        return ("dual",) + self._base._key()
 
 
 def _canon_positive_int(x, family: str) -> int:

@@ -86,7 +86,8 @@ class TestClassicalMobius:
         "n,message",
         [
             ("3317044064679887385961981", "probable prime of 82 bits lies past the proven range"),
-            (str(10**4300 - 1), "needs more than 4194304 rho steps"),
+            # The 4300-digit repunit: squarefree below 1000, not a power.
+            (str((10**4300 - 1) // 9), "needs more than 4194304 rho steps"),
         ],
         ids=["psi-13", "4300-digits"],
     )
@@ -94,6 +95,21 @@ class TestClassicalMobius:
         status, out, err = invoke(capsys, "classical-mobius", "--n", n)
         assert (status, out) == (1, "")
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # 9 * (10**18 + 3) * (10**18 + 9): its two 19-digit primes
+            # would exhaust the rho budget.
+            "9000000000000000108000000000000000243",
+            str(10**4300 - 1),  # 9 times the repunit above
+            str(2 * (10**12 + 39) ** 2),  # a square cofactor
+            str(2 * 1009**3),  # a cube cofactor
+        ],
+        ids=["9pq", "4300-nines", "square-cofactor", "cube-cofactor"],
+    )
+    def test_square_found_before_splitting(self, capsys, n):
+        assert invoke(capsys, "classical-mobius", "--n", n) == (0, "0\n", "")
 
 
 class TestTransforms:
@@ -193,6 +209,29 @@ class TestWitnessCommands:
         )
         assert status == 0
         assert "budget exhausted" in out
+
+    def test_large_chain_check_reads_columns(self, capsys):
+        # The one candidate z = 20001 has mu(y, z) = -1, but x = y - 1
+        # breaks the factorisation, so the stream certifies nothing. Each
+        # column is one linear walk down an ideal of 20000 elements.
+        status, out, _ = invoke(
+            capsys, "witness", "--poset", "chain", "--y", "20000", "--count", "1", "--json"
+        )
+        assert status == 0
+        assert (json.loads(out)["found"], json.loads(out)["certificates"]) == (0, [])
+        chain = posetlab.get_poset("chain")
+        assert posetlab.check_witness_conditions(chain, 20000, [], 20001) == (
+            True, False, True, posetlab.GaussianRational(-1),
+        )
+
+    def test_large_subsets_witness(self, capsys):
+        status, out, _ = invoke(
+            capsys, "witness", "--poset", "subsets", "--y", "{1,2,3,4,5,6,7,8}",
+            "--count", "1", "--json",
+        )
+        assert status == 0
+        [cert] = json.loads(out)["certificates"]
+        assert (cert["z"], cert["mu_yz"]) == ("{1,2,3,4,5,6,7,8,9}", "-1")
 
     def test_verify(self, capsys, point_mass_file):
         status, out, _ = invoke(
@@ -567,12 +606,12 @@ _FORTY = "{" + ",".join(map(str, range(1, 41))) + "}"
 _GARBAGE = st.sampled_from(["", "x", "1.5", "-", "{", "{0}", "2^0", "9" * 5000, "0", "-3"])
 # Elements per family: small ones of its own, and shapes whose intervals
 # or integer images are past the cap. Divisibility integers include a
-# 25-digit prime and semiprime, probable primes past the proven range of
-# the primality test, and the product of the first 23 primes, whose
-# divisors are past the cap; factorisation has a fixed step budget, so
-# each is bounded work. The semiprime has a 9-digit factor: one with two
-# 13-digit factors takes about a second to split, once per witness
-# candidate, and is left to TestNumberTheoryFuzz. Chain integers between 500 and the cap, smooth
+# 25-digit prime and two semiprimes, probable primes past the proven
+# range of the primality test, and the product of the first 23 primes,
+# whose divisors are past the cap; factorisation has a fixed step budget,
+# so each is bounded work. The balanced semiprime takes about a second to
+# split, once: a witness stream over it meets the same cofactor at every
+# candidate and reads it from the factorisation cache. Chain integers between 500 and the cap, smooth
 # divisibility integers near 10**12, multiset exponents between 10 and
 # 2**20 and subsets windows over 6 to 20 ground elements are left out:
 # they pass every cap, yet a witness check, a convolution, a sorted
@@ -589,6 +628,7 @@ _POINT_ELEMENTS = {
                 str(2**39),
                 "1000000000000000000000007",
                 "9999999370000060999996157",  # 999999937 * (10**16 + 61)
+                "1000000000100000000002379",  # (10**12 + 39) * (10**12 + 61)
                 "3317044064679887385961981",  # psi_13, a strong pseudoprime to 2..41
                 "1000000000000000000000000000057",
                 _PRIMORIAL_23,

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import classical_mu_oracle, random_explicit_poset, random_interval_function
 from posetlab import (
@@ -307,3 +309,43 @@ class TestExplicitPosetAlgebra:
                         GaussianRational(0),
                     )
                     assert total == (1 if x == y else 0)
+
+
+class TestDualColumns:
+    """A row of the dual's Mobius function is a column of the poset's
+    (Rota): mu_dual(z, x) = mu(x, z), checked exactly against the row
+    recursion."""
+
+    @staticmethod
+    def assert_columns_are_rows(p, tops):
+        column = invert(zeta_function(p._dual()))
+        shared = mobius_function(p._dual())
+        for z in tops:
+            rows = invert(zeta_function(p))
+            for x in p.ideal(z):
+                value = rows.evaluate(x, z)
+                assert column.evaluate(z, x) == value == mobius_value(p, x, z)
+                assert shared.evaluate(z, x) == value
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), window=st.sampled_from([w for _, w in WINDOWS]))
+    def test_builtin_families(self, data, window):
+        elements = enumerate_window(window)
+        tops = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+        self.assert_columns_are_rows(window.poset, tops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), size=st.integers(1, 12))
+    def test_random_explicit_posets(self, seed, size):
+        p = random_explicit_poset(random.Random(seed), size)
+        self.assert_columns_are_rows(p, enumerate_window(Window(p)))
+
+    def test_one_walk_fills_a_column(self):
+        column = invert(zeta_function(DIV._dual()))
+        assert column.evaluate(60, 1) == 0
+        assert column._memo == {(60, x): mobius_value(DIV, x, 60).real for x in DIV.ideal(60)}
+
+    def test_mobius_value_stays_on_rows(self):
+        mobius_function(SUBSETS)._memo.clear()
+        assert mobius_value(SUBSETS, (), (1, 2)) == 1
+        assert set(mobius_function(SUBSETS)._memo) == {((), x) for x in SUBSETS.ideal((1, 2))}

@@ -45,6 +45,7 @@ from posetlab import (
     zeta_function,
     zeta_transform,
 )
+from posetlab.incidence import IntervalFunction
 from posetlab.numtheory import primes
 
 DIV = get_poset("divisibility")
@@ -75,6 +76,61 @@ class TestWitnessConditions:
             check_witness_conditions(DIV, 6, [], 6)
         with pytest.raises(NotStrictlyAbove):
             check_witness_conditions(DIV, 6, [], 5)
+
+    @staticmethod
+    def row_conditions(p, y, avoid, z):
+        """The conditions by Mobius rows on a fresh inverse of zeta, one
+        row per element of ideal(y)."""
+        ideal_y = p.ideal(y)
+        fresh = set(p.ideal(z)) - set(ideal_y)
+        mu = invert(zeta_function(p)).evaluate
+        mu_yz = mu(y, z)
+        factorize = all(mu(x, y) * mu_yz == mu(x, z) for x in ideal_y)
+        return (fresh.isdisjoint(avoid), factorize, bool(mu_yz), mu_yz)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), window=st.sampled_from(
+        [Window(DIV, 120), Window(CHAIN, 40), Window(SUBSETS, 5), Window(MULTISETS, 120)]
+    ))
+    def test_columns_agree_with_rows_for_any_z_above_y(self, data, window):
+        p = window.poset
+        elements = enumerate_window(window)
+        y, z = data.draw(st.sampled_from(
+            [(a, b) for i, a in enumerate(elements) for b in elements[i + 1 :] if p._leq(a, b)]
+        ))
+        avoid = data.draw(st.lists(st.sampled_from(elements), max_size=4))
+        assert check_witness_conditions(p, y, avoid, z) == self.row_conditions(p, y, set(avoid), z)
+
+    def test_columns_agree_with_rows_on_random_explicit_posets(self):
+        rng = random.Random(17)
+        for _ in range(8):
+            p = random_explicit_poset(rng, rng.randint(2, 10))
+            elements = p.elements()
+            for y in elements:
+                for z in elements:
+                    if z != y and p.leq(y, z):
+                        avoid = rng.sample(elements, rng.randint(0, 2))
+                        assert check_witness_conditions(p, y, avoid, z) == self.row_conditions(
+                            p, y, set(avoid), z
+                        )
+
+    def test_one_candidate_walks_at_most_two_columns(self, monkeypatch):
+        mobius_function(SUBSETS._dual())._memo.clear()
+        walks = []
+        solve = IntervalFunction._inverse_row
+
+        def counting(self, x, y):
+            walks.append((self.poset, x, y))
+            return solve(self, x, y)
+
+        monkeypatch.setattr(IntervalFunction, "_inverse_row", counting)
+        y = (1, 2, 3, 4, 5)
+        assert check_witness_conditions(SUBSETS, y, [], y + (6,)).all_hold
+        assert len(walks) <= 2 and all(p == SUBSETS._dual() for p, _, _ in walks)
+        # y's column is memoised: the next candidate walks only its own.
+        walks.clear()
+        assert check_witness_conditions(SUBSETS, y, [], y + (7,)).all_hold
+        assert walks == [(SUBSETS._dual(), y + (7,), ())]
 
 
 class TestWitnessStreams:

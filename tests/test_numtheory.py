@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetlab.numtheory as numtheory
+from helpers import classical_mu_oracle
+from posetlab import get_poset, witnesses
 from posetlab.errors import BoundTooLarge, InvalidInput
 from posetlab.numtheory import (
     _integer_root,
+    classical_mobius,
     divisors,
     is_prime,
     prime_factors,
@@ -259,3 +263,46 @@ def test_factors_come_back_ascending(n):
     assert list(factors) == sorted(factors)
     assert math.prod(p**k for p, k in factors.items()) == n
     assert all(is_prime(p) for p in factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(2, 3000), m=st.one_of(st.integers(1, 10**6), MEDIUM_PRIMES))
+def test_classical_mobius_of_squareful_numbers(s, m):
+    n = s * s * m
+    assert classical_mobius(n) == classical_mu_oracle(n) == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=MEDIUM_PRIMES, k=st.sampled_from([2, 3]), cofactor=st.sampled_from([1, 6, 1009, 1013 * 1019]))
+def test_classical_mobius_of_squares_past_the_trial_limit(p, k, cofactor):
+    # The oracle would trial-divide up to p; a square divides, so mu is 0.
+    assert classical_mobius(p**k * cofactor) == 0
+
+
+SEMIPRIME = 1000003 * 1000033
+
+
+def test_large_factorisations_are_cached_as_copies():
+    numtheory._cached_large_prime_factors.cache_clear()
+    first = numtheory._large_prime_factors(SEMIPRIME)
+    first[2] = 1
+    assert numtheory._large_prime_factors(SEMIPRIME) == {1000003: 1, 1000033: 1}
+    info = numtheory._cached_large_prime_factors.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, numtheory._FACTOR_CACHE_SIZE)
+
+
+def test_refusals_are_not_cached(monkeypatch):
+    numtheory._cached_large_prime_factors.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(numtheory, "_STEP_BUDGET", 1)
+        with pytest.raises(BoundTooLarge):
+            prime_factors(SEMIPRIME)
+    assert prime_factors(SEMIPRIME) == {1000003: 1, 1000033: 1}
+
+
+def test_witness_stream_splits_the_cofactor_once():
+    numtheory._cached_large_prime_factors.cache_clear()
+    certs = list(witnesses(get_poset("divisibility"), SEMIPRIME, [], 3))
+    assert [c.z for c in certs] == [2 * SEMIPRIME, 3 * SEMIPRIME, 5 * SEMIPRIME]
+    info = numtheory._cached_large_prime_factors.cache_info()
+    assert info.misses == 1 and info.hits >= 3
