@@ -30,7 +30,6 @@ atomic), and sharing an instance across threads is safe.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 from .errors import NotComparable, NotInvertible, PosetMismatch
@@ -176,17 +175,14 @@ def zeta_function(p: Poset) -> IntervalFunction:
     return IntervalFunction(p, "zeta")
 
 
-_MOBIUS_INSTANCES: "weakref.WeakKeyDictionary[Poset, IntervalFunction]"
-_MOBIUS_INSTANCES = weakref.WeakKeyDictionary()
-
-
 def mobius_function(p: Poset) -> IntervalFunction:
     """The Mobius function of ``p``, the inverse of zeta, shared per
-    poset so the recursion cache accumulates across callers."""
-    fn = _MOBIUS_INSTANCES.get(p)
+    poset so the recursion cache accumulates across callers. It is kept
+    on the poset itself, like ``p._dual()``: the two refer only to each
+    other, so neither keeps the other alive."""
+    fn = p.__dict__.get("_mobius")
     if fn is None:
-        fn = IntervalFunction(p, "inverse", inner=zeta_function(p), name="mobius")
-        _MOBIUS_INSTANCES[p] = fn
+        fn = p._mobius = IntervalFunction(p, "inverse", inner=zeta_function(p), name="mobius")
     return fn
 
 

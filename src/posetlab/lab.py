@@ -353,7 +353,7 @@ def support_census(
         )
     row = alpha_transform(FiniteSupportFunction(p, {x: 1}), a)
     members = _materialize_elements(row, elements).support()
-    certificate = p.mobius_census if a is mobius_function(p) else None
+    certificate = p.mobius_census if a is mobius_function(a.poset) else None
     verdict, note = certificate or (
         INCONCLUSIVE,
         "no analytic certificate for this function on this poset",
@@ -390,8 +390,10 @@ def finite_support_pair_search(
     ``beta`` (the zeta function by default) vanishes on ``shell - w``.
 
     One homogeneous equation per shell element outside the window;
-    unknowns are the window elements. The kernel is computed by exact
-    elimination. A nontrivial kernel yields a candidate pair: the first
+    unknowns are the window elements. The matrix cells are beta's values
+    in narrowest form, and the kernel is computed by exact sparse
+    elimination; the basis and the candidate hold ``GaussianRational``
+    values. A nontrivial kernel yields a candidate pair: the first
     basis vector normalised to integer entries with content 1, together
     with its transform materialised on the shell. Vanishing beyond the
     shell remains unverified. The matrix may hold at most ``element_cap``
@@ -420,7 +422,7 @@ def finite_support_pair_search(
             continue
         rows.append(
             [
-                as_scalar(beta._evaluate_canonical(x, y)) if p._leq(x, y) else ZERO
+                beta._evaluate_canonical(x, y) if p._leq(x, y) else 0
                 for x in unknowns
             ]
         )

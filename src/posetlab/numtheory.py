@@ -170,15 +170,25 @@ _FACTOR_CACHE_SIZE = 32
 def _cached_large_prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     """``_large_prime_factors`` as an immutable tuple of pairs; a refusal
     raises and is not cached."""
-    budget = _Budget()
     found: dict[int, int] = {}
+    for p in _large_primes(n):
+        found[p] = found.get(p, 0) + 1
+    return tuple(found.items())
+
+
+def _large_primes(n: int):
+    """The prime factors of n > 1, which has none below ``_TRIAL_LIMIT``,
+    each yielded once per multiplicity as soon as it is known, so a
+    caller can stop at the first repeat."""
+    budget = _Budget()
+    found: list[int] = []
     pending = [n]
     while pending:
         m = pending.pop()
         for p in found:
             while m % p == 0:
                 m //= p
-                found[p] += 1
+                yield p
         if m == 1:
             continue
         power = _perfect_power(m)
@@ -186,12 +196,12 @@ def _cached_large_prime_factors(n: int) -> tuple[tuple[int, int], ...]:
             root, k = power
             pending += [root] * k
         elif _passes_bases(m, budget):
-            found[m] = 1
+            found.append(m)
+            yield m
         else:
             g = _rho(m, budget)
             # The smaller part first: its primes are then stripped from the other.
             pending += sorted((g, m // g), reverse=True)
-    return tuple(found.items())
 
 
 def _perfect_power(m: int) -> tuple[int, int] | None:
@@ -296,15 +306,22 @@ def smallest_prime_factors(elements: list[int]) -> dict[int, int]:
 def classical_mobius(n: int) -> int:
     """The number-theoretic Mobius function: 0 when a square divides n,
     otherwise (-1) to the number of distinct prime factors. A square
-    found by trial division or as a perfect power of the cofactor
-    answers 0 before any cofactor is split."""
+    found by trial division, as a perfect power of the cofactor or as a
+    prime that splitting the cofactor meets twice answers 0 before the
+    rest of n is factored."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInput(f"expected a positive integer, got {n!r}")
     factors, m = _trial_division(n)
-    if m > 1 and all(k == 1 for k in factors.values()):
-        if _perfect_power(m) is not None:
-            return 0
-        factors.update(_large_prime_factors(m))
     if any(k > 1 for k in factors.values()):
         return 0
-    return -1 if len(factors) % 2 else 1
+    count = len(factors)
+    if m > 1:
+        if _perfect_power(m) is not None:
+            return 0
+        seen: set[int] = set()
+        for p in _large_primes(m):
+            if p in seen:
+                return 0
+            seen.add(p)
+        count += len(seen)
+    return -1 if count % 2 else 1

@@ -105,8 +105,11 @@ class TestClassicalMobius:
             str(10**4300 - 1),  # 9 times the repunit above
             str(2 * (10**12 + 39) ** 2),  # a square cofactor
             str(2 * 1009**3),  # a cube cofactor
+            # 1009**2 * (10**18 + 3) * (10**18 + 9): rho meets 1009 twice
+            # before the two 19-digit primes would exhaust the budget.
+            str(1009**2 * (10**18 + 3) * (10**18 + 9)),
         ],
-        ids=["9pq", "4300-nines", "square-cofactor", "cube-cofactor"],
+        ids=["9pq", "4300-nines", "square-cofactor", "cube-cofactor", "split-square"],
     )
     def test_square_found_before_splitting(self, capsys, n):
         assert invoke(capsys, "classical-mobius", "--n", n) == (0, "0\n", "")
@@ -543,8 +546,9 @@ class TestTransformFuzz:
 # -- fuzzing the search commands ---------------------------------------------
 
 # Bounds that are small, invalid or past the element cap. Subsets bounds
-# 7..20 are left out: they pass every cap, yet one search can take 20 s
-# (subsets 10 in 11), and they reach no error path that 0..6 misses.
+# 7..20 are left out: they pass every cap, yet one search can take 2 to
+# 3 s (subsets 10 in 11, 2.1 GHz Xeon vCPU), and they reach no error path
+# that 0..6 misses.
 _SEARCH_BOUND = st.one_of(st.none(), st.integers(-2, 40), st.integers(2**21, 10**40))
 _SUBSETS_BOUND = st.one_of(st.none(), st.integers(-2, 6), st.integers(21, 40), st.integers(2**21, 10**40))
 _DIVISORS = st.one_of(st.none(), st.integers(-2, 5000), st.sampled_from([720720, 2**70, 10**40]))
@@ -841,6 +845,10 @@ class TestDeterminism:
             ("census", "--poset", "divisibility", "--x", "1", "--bound", "50", "--json"),
             ("search", "--poset", "chain", "--bound", "6", "--shell-bound", "12", "--json"),
             ("witness", "--poset", "divisibility", "--y", "6", "--avoid", "1,2,3,6", "--json"),
+            ("search", "--poset", "divisibility", "--divisors", "6", "--shell-bound", "7", "--json"),
+            ("search", "--poset", "subsets", "--bound", "3", "--shell-bound", "4"),
+            ("conjecture", "--poset", "divisibility", "--alpha", "zeta", "--beta", "mobius",
+             "--bound", "6", "--shell-bound", "12", "--sample", "1,2", "--json"),
         ],
     )
     def test_repeat_invocations_byte_identical(self, capsys, argv):
@@ -865,6 +873,10 @@ class TestOptimizedInterpreter:
             ("convolve", "--poset", "chain", "--left", "mobius", "--right", "zeta", "--x", "1", "--y", "300"),
             ("convolve", "--poset", "divisibility", "--left", "zeta", "--right", "zeta", "--x", "2", "--y", "360", "--json"),
             ("convolve", "--poset", "chain", "--left", "mobius", "--right", "zeta", "--x", "5", "--y", "3"),
+            ("search", "--poset", "divisibility", "--divisors", "6", "--shell-bound", "7"),
+            ("search", "--poset", "subsets", "--bound", "3", "--shell-bound", "4", "--json"),
+            ("conjecture", "--poset", "divisibility", "--alpha", "zeta", "--beta", "mobius",
+             "--bound", "6", "--shell-bound", "12", "--sample", "1,2"),
         ],
     )
     def test_output_matches_normal_run(self, tmp_path, argv):

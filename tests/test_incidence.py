@@ -1,6 +1,8 @@
 """Interval functions: Mobius recursion, convolution, inversion, oracles."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from posetlab import (
     NotInvertible,
     PosetMismatch,
     Window,
+    check_witness_conditions,
     classical_mobius,
     closed_form_mobius,
     convolve,
@@ -349,3 +352,35 @@ class TestDualColumns:
         mobius_function(SUBSETS)._memo.clear()
         assert mobius_value(SUBSETS, (), (1, 2)) == 1
         assert set(mobius_function(SUBSETS)._memo) == {((), x) for x in SUBSETS.ideal((1, 2))}
+
+
+class TestSharedMobiusLifetime:
+    """The shared Mobius function is kept on its poset (and the dual's on
+    the dual view), so a poset the caller drops is collected with its memo."""
+
+    @staticmethod
+    def diamond(bottom):
+        # Equal posets may share state, so each test names its own bottom.
+        return load_explicit_poset(
+            {"elements": [bottom, "a", "b", "1"],
+             "covers": [[bottom, "a"], [bottom, "b"], ["a", "1"], ["b", "1"]]}
+        )
+
+    def test_shared_per_poset(self):
+        p = self.diamond("shared")
+        assert mobius_function(p) is mobius_function(p)
+        assert mobius_function(p._dual()) is mobius_function(p._dual())
+        assert mobius_function(p) is not mobius_function(p._dual())
+
+    @pytest.mark.parametrize("use", ["mobius_value", "witness_check"])
+    def test_explicit_poset_is_collected(self, use):
+        p = self.diamond(use)
+        if use == "mobius_value":
+            assert mobius_value(p, use, "1") == 1
+        else:
+            conditions = check_witness_conditions(p, "a", [], "1")
+            assert conditions.mu_yz == -1
+        alive = weakref.ref(p)
+        del p
+        gc.collect()
+        assert alive() is None

@@ -4,8 +4,10 @@ import ast
 import itertools
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,12 +48,24 @@ from posetlab import (
     zeta_transform,
 )
 from posetlab.incidence import IntervalFunction
+from posetlab.linalg import primitive_integer_vector
+from posetlab.scalars import as_scalar
 from posetlab.numtheory import primes
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
 SUBSETS = get_poset("subsets")
 MULTISETS = get_poset("multisets")
+
+
+def _to_sympy(value):
+    value = as_scalar(value)
+    return sympy.Rational(value.real) + sympy.I * sympy.Rational(value.imag)
+
+
+def _from_sympy(value):
+    real, imag = (sympy.Rational(part) for part in sympy.expand_complex(value).as_real_imag())
+    return GaussianRational(Fraction(real.p, real.q), Fraction(imag.p, imag.q))
 
 
 class TestWitnessConditions:
@@ -345,6 +359,13 @@ class TestSupportCensus:
         assert [multiset_to_integer(m) for m in census.members] == squarefree_upto(30)
         assert census.verdict == "infinite-certified"
 
+    def test_mobius_of_an_equal_poset_is_certified(self):
+        # Each poset instance keeps its own shared Mobius function.
+        twin = type(DIV)()
+        assert twin == DIV and twin is not DIV
+        census = support_census(DIV, mobius_function(twin), 1, Window(DIV, 30))
+        assert census.verdict == "infinite-certified"
+
     def test_custom_function_is_inconclusive(self):
         box = custom_function(CHAIN, lambda x, y: 1 if y - x < 3 else 0)
         census = support_census(CHAIN, box, 1, Window(CHAIN, 20))
@@ -536,6 +557,30 @@ class TestPairSearch:
             scaled = rng.randint(2, 5) * f
             assert result.vector_in_nullspace(scaled)
 
+
+    def test_gaussian_beta_kernel_matches_sympy(self):
+        """A Gaussian-valued beta: the basis is sympy's nullspace of the
+        dense shell matrix, and the candidate is its first vector made
+        primitive, whose transform vanishes on the shell outside the window."""
+
+        def rule(x, y):
+            return 1 if x == y else GaussianRational(x % 3 - 1, 1 + y % 2)
+
+        beta = custom_function(DIV, rule)
+        window, shell = Window(DIV, 8), Window(DIV, 14)
+        result = finite_support_pair_search(DIV, window, shell, beta=beta)
+        unknowns = result.unknowns
+        equations = [y for y in enumerate_window(shell) if y not in set(unknowns)]
+        matrix = sympy.Matrix(
+            [[_to_sympy(rule(x, y)) if y % x == 0 else 0 for x in unknowns] for y in equations]
+        )
+        expected = [[_from_sympy(v) for v in vector] for vector in matrix.nullspace()]
+        assert expected and result.nullspace_basis == expected
+        f, g = result.candidate
+        primitive = primitive_integer_vector(expected[0])
+        assert dict(f.items()) == {x: v for x, v in zip(unknowns, primitive) if v}
+        assert any(v.imag for _, v in f.items())
+        assert all(g[y] == 0 for y in equations)
 
 class TestConjectureExperiment:
     def test_chain_mobius_zeta(self):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
@@ -120,6 +121,87 @@ def test_dimension_matches_sympy(matrix, data):
     extended_rank = len(to_sympy([*rows, other], ncols).rref()[1])
     assert in_span(rows, other) == (extended_rank == rank)
     assert rows == snapshot
+
+
+# Narrow cells as the pair search passes them: plain ints (zeros
+# included), Fractions and Gaussian rationals with a nonzero imaginary part.
+_NARROW = st.one_of(
+    st.integers(-3, 3),
+    _RATIONAL.filter(lambda v: v.denominator != 1),
+    st.builds(GaussianRational, _RATIONAL, _RATIONAL.filter(bool)),
+)
+
+
+@st.composite
+def sparse_narrow_matrices(draw):
+    """(rows, ncols): mostly zero (int 0) cells mixed with ints,
+    Fractions and Gaussian rationals, up to 8 x 8, with some rows and
+    some columns forced to zero."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    cell = st.one_of(st.just(0), st.just(0), st.just(0), _NARROW)
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = 0
+    if nrows:
+        for r in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+            rows[r] = [0] * ncols
+    return rows, ncols
+
+
+def to_gaussian(rows):
+    return [[GaussianRational(v.real, v.imag) for v in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_narrow_matrices(), st.randoms(use_true_random=False), st.data())
+def test_sparse_narrow_cells_match_sympy(matrix, rng, data):
+    """On narrow, mostly zero input the rref, pivots, kernel and span
+    tests equal sympy's, every result is a ``GaussianRational``, and a
+    reordering of the rows (another choice of pivot rows) changes
+    nothing, since the rref is unique."""
+    rows, ncols = matrix
+    reference = to_sympy(to_gaussian(rows), ncols)
+    expected_rref, expected_pivots = reference.rref()
+    rank = len(expected_pivots)
+
+    rref, pivots = reduced_row_echelon(rows)
+    assert pivots == list(expected_pivots)
+    assert rref == [[from_sympy(v) for v in expected_rref.row(r)] for r in range(rank)]
+    basis = nullspace(rows, ncols)
+    assert basis == [[from_sympy(v) for v in vector] for vector in reference.nullspace()]
+    assert all(type(v) is GaussianRational for row in (*rref, *basis) for v in row)
+
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert reduced_row_echelon(shuffled) == (rref, pivots)
+    assert nullspace(shuffled, ncols) == basis
+
+    vector = data.draw(st.lists(_NARROW, min_size=ncols, max_size=ncols))
+    extended_rank = len(to_sympy(to_gaussian([*rows, vector]), ncols).rref()[1])
+    assert in_span(rows, vector) == (extended_rank == rank)
+    for kernel_vector in basis:
+        assert in_span(basis, primitive_integer_vector(kernel_vector))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0), _NARROW), min_size=1, max_size=8))
+def test_primitive_vector_is_a_primitive_multiple(vector):
+    """The result is a nonzero multiple of the input with Gaussian
+    integer entries, content 1 and a positive leading entry."""
+    result = primitive_integer_vector(vector)
+    assert all(type(v) is GaussianRational for v in result)
+    support = [i for i, v in enumerate(vector) if v]
+    assert [i for i, v in enumerate(result) if v] == support
+    if not support:
+        return
+    ratio = result[support[0]] / vector[support[0]]
+    assert result == [ratio * v for v in vector]
+    parts = [part for v in result for part in (v.real, v.imag)]
+    assert all(part.denominator == 1 for part in parts)
+    assert gcd(*(part.numerator for part in parts)) == 1
+    lead = result[support[0]]
+    assert lead.real > 0 or (lead.real == 0 and lead.imag > 0)
 
 
 def test_rref_pivots_are_unit_columns():

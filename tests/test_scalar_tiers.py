@@ -42,6 +42,7 @@ from posetlab import (
     zeta_function,
 )
 from posetlab.incidence import IntervalFunction
+from posetlab.linalg import nullspace, primitive_integer_vector, reduced_row_echelon
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
@@ -307,16 +308,33 @@ class TestPublicBoundary:
             for value in (cert.mu_yz, cert.predicted_fz, cert.observed_fz):
                 assert type(value) is GaussianRational
 
-    def test_linalg_entries_are_gaussian(self, monkeypatch):
+    def test_linalg_cells_are_narrow_and_results_gaussian(self, monkeypatch):
+        """The pair search hands ``nullspace`` its memoised narrow values
+        (zeros included as ``int``); everything that comes back out of
+        the linear algebra is a ``GaussianRational``."""
         seen = []
-        nullspace = lab.nullspace
+        original = lab.nullspace
 
         def recording(rows, ncols):
-            seen.extend(entry for row in rows for entry in row)
-            return nullspace(rows, ncols)
+            seen.append(rows)
+            return original(rows, ncols)
 
         monkeypatch.setattr(lab, "nullspace", recording)
         beta = custom_function(DIV, lambda x, y: 1 if x == y else Fraction(x, y))
-        for b in (zeta_function(DIV), mobius_function(DIV), beta):
-            finite_support_pair_search(DIV, Window(DIV, 6), Window(DIV, 12), beta=b)
-        assert seen and all(type(entry) is GaussianRational for entry in seen)
+        for b, cell_types in ((zeta_function(DIV), {int}), (mobius_function(DIV), {int}),
+                              (beta, {int, Fraction})):
+            result = finite_support_pair_search(DIV, Window(DIV, 6), Window(DIV, 12), beta=b)
+            rows = seen.pop()
+            cells = [entry for row in rows for entry in row]
+            assert cells and all(is_normal(entry) for entry in cells)
+            assert {type(entry) for entry in cells} == cell_types
+            assert result.nullspace_basis
+            for vector in result.nullspace_basis:
+                assert all(type(v) is GaussianRational for v in vector)
+            f, g = result.candidate
+            assert all(type(v) is GaussianRational for _, v in (*f.items(), *g.items()))
+            rref, _ = reduced_row_echelon(rows)
+            kernel = nullspace(rows, len(rows[0]))
+            outputs = [*(v for row in (*rref, *kernel) for v in row),
+                       *primitive_integer_vector(result.nullspace_basis[-1])]
+            assert outputs and all(type(v) is GaussianRational for v in outputs)
