@@ -160,21 +160,25 @@ def _resolve_poset(args) -> tuple[Poset, str]:
         return load_explicit_poset(_load_json_file(args.poset_file)), args.poset_file
     if getattr(args, "poset", None):
         return get_poset(args.poset), args.poset
-    fn = getattr(args, "fn", None)
-    if fn:
-        doc = _load_json_file(fn)
-        name = doc.get("poset") if isinstance(doc, dict) else None
-        if not isinstance(name, str):
-            raise UsageError(f"{fn} does not name its poset; pass --poset")
-        try:
-            return get_poset(name), name
-        except InvalidInput:
-            return load_explicit_poset(_load_json_file(name)), name
     raise UsageError("a poset is required: pass --poset or --poset-file")
 
 
-def _load_function(args, p: Poset):
-    return function_from_document(_load_json_file(args.fn), p)
+def _resolve_function(args):
+    """The poset, its label and the ``--fn`` function. The document is
+    read once: after the poset when a flag names it, first when the
+    document itself names it."""
+    if args.poset_file or args.poset or not args.fn:
+        p, label = _resolve_poset(args)
+        return p, label, function_from_document(_load_json_file(args.fn), p)
+    doc = _load_json_file(args.fn)
+    label = doc.get("poset") if isinstance(doc, dict) else None
+    if not isinstance(label, str):
+        raise UsageError(f"{args.fn} does not name its poset; pass --poset")
+    try:
+        p = get_poset(label)
+    except InvalidInput:
+        p = load_explicit_poset(_load_json_file(label))
+    return p, label, function_from_document(doc, p)
 
 
 def _window_from_args(p: Poset, bound, divisors, flag="--bound") -> Window:
@@ -248,8 +252,7 @@ def _cmd_classical_mobius(args):
 
 
 def _transform_command(args, transform):
-    p, label = _resolve_poset(args)
-    f = _load_function(args, p)
+    p, label, f = _resolve_function(args)
     window = _window_from_args(p, args.bound, args.divisors)
     result = materialize(transform(f), window)
     return function_to_document(result, label), _function_lines(result, p)
@@ -302,8 +305,7 @@ def _cmd_witness(args):
 
 
 def _cmd_verify(args):
-    p, label = _resolve_poset(args)
-    g = _load_function(args, p)
+    p, label, g = _resolve_function(args)
     certs = verify_uncertainty_witnesses(p, g, args.count, args.budget)
     payload = {
         "poset": label,

@@ -29,7 +29,8 @@ class InvalidInput(UsageError):
 
 
 class BoundTooLarge(UsageError):
-    """Window would exceed the configured element cap."""
+    """Work past ``posets.DEFAULT_ELEMENT_CAP`` or the factorisation
+    step budget."""
 
 
 class CyclicCovers(UsageError):

@@ -157,7 +157,7 @@ def mobius_inversion(g: FiniteSupportFunction) -> EvaluableFunction:
     return alpha_transform(g, mobius_function(g.poset))
 
 
-def materialize(e: EvaluableFunction, w: Window, **window_kwargs) -> FiniteSupportFunction:
+def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
     """The exact restriction of ``e`` to the window, keeping the nonzero
     values.
 
@@ -169,7 +169,7 @@ def materialize(e: EvaluableFunction, w: Window, **window_kwargs) -> FiniteSuppo
     because windows are downward closed."""
     if e.poset != w.poset:
         raise PosetMismatch("function and window live on different posets")
-    return _materialize_elements(e, enumerate_window(w, **window_kwargs))
+    return _materialize_elements(e, enumerate_window(w))
 
 
 def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupportFunction:

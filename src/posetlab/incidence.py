@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotComparable, NotInvertible, PosetMismatch
+from .errors import NotInvertible, PosetMismatch
 from .posets import Poset
 from .scalars import GaussianRational, as_scalar, narrow
 
@@ -68,14 +68,7 @@ class IntervalFunction:
     def evaluate(self, x, y) -> GaussianRational:
         """The value on the interval [x, y]; raises ``NotComparable``
         when x <= y fails."""
-        p = self.poset
-        x, y = p.canon(x), p.canon(y)
-        if not p._leq(x, y):
-            raise NotComparable(
-                f"not comparable: {p.format_element(x)} !<= "
-                f"{p.format_element(y)} in {p.family}"
-            )
-        return as_scalar(self._evaluate_canonical(x, y))
+        return as_scalar(self._evaluate_canonical(*self.poset._comparable(x, y)))
 
     def _evaluate_canonical(self, x, y):
         """The value on [x, y] for canonical x <= y, in narrowest form."""
@@ -217,10 +210,4 @@ def mobius_value(p: Poset, x, y) -> GaussianRational:
 def closed_form_mobius(p: Poset, x, y) -> GaussianRational:
     """Closed-form mu(x, y) for the built-in families, as an oracle
     independent of the recursion. Explicit posets have none."""
-    x, y = p.canon(x), p.canon(y)
-    if not p._leq(x, y):
-        raise NotComparable(
-            f"not comparable: {p.format_element(x)} !<= "
-            f"{p.format_element(y)} in {p.family}"
-        )
-    return p._closed_form_mobius(x, y)
+    return p._closed_form_mobius(*p._comparable(x, y))

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from .errors import (
-    BoundTooLarge,
     ElementOutsideWindow,
     InsufficientWitnesses,
     InvalidInput,
@@ -52,8 +51,8 @@ from .errors import (
 from .functions import FiniteSupportFunction, _materialize_elements, alpha_transform, materialize, mobius_inversion
 from .incidence import IntervalFunction, convolve, delta_function, mobius_function, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
-from .posets import DEFAULT_ELEMENT_CAP, INCONCLUSIVE, Poset, Window, enumerate_window
-from .scalars import ZERO, GaussianRational, as_scalar, narrow
+from .posets import INCONCLUSIVE, Poset, Window, _check_cap, enumerate_window
+from .scalars import GaussianRational, as_scalar, narrow
 
 DEFAULT_BUDGET = 10_000
 
@@ -278,9 +277,9 @@ def _witness_stream(p, y, avoid, count, budget):
 def verify_uncertainty_witnesses(
     p: Poset, g: FiniteSupportFunction, count: int, budget: int = DEFAULT_BUDGET
 ) -> list[WitnessCertificate]:
-    """Invert ``g``, pick the first element y (canonical order, searching
-    the downward closure of the support) where the inversion is nonzero,
-    and certify ``count`` witnesses above it.
+    """Invert ``g``, take y, the first support element in canonical
+    order, and certify ``count`` witnesses above it. No support element
+    lies below y, so the inversion f vanishes there and f(y) = g(y) != 0.
 
     Every certificate carries the predicted value mu(y,z)*f(y) and the
     observed f(z) recomputed by a direct sum of mu(x,z)*g(x) over the
@@ -293,24 +292,13 @@ def verify_uncertainty_witnesses(
         raise ZeroFunction("the supplied function is identically zero")
     if g.poset != p:
         raise PosetMismatch("function lives on a different poset")
-    f = mobius_inversion(g)
-
-    closure: dict = {}
-    for s in g.support():
-        for element in p.ideal(s):
-            closure[element] = None
-    base = None
-    f_base = ZERO
-    for element in sorted(closure, key=p.sort_key):
-        value = f(element)
-        if value:
-            base, f_base = element, value
-            break
-    # A minimal support element always gives a nonzero inversion value,
-    # so the scan above cannot fail on correct arithmetic.
-    if base is None:
+    base = g.support()[0]
+    f_base = mobius_inversion(g)(base)
+    # Fails only on faulty arithmetic.
+    if f_base != g[base]:
         raise WitnessConclusionViolated(
-            "inversion vanishes on the downward closure of the support"
+            f"inversion at {p.format_element(base)} is {f_base}, not "
+            f"g's value {g[base]}, although g vanishes below it"
         )
 
     mu = mobius_function(p._dual())._evaluate_canonical
@@ -336,9 +324,7 @@ def verify_uncertainty_witnesses(
 
 # -- censuses ----------------------------------------------------------
 
-def support_census(
-    p: Poset, a: IntervalFunction, x, w: Window, **window_kwargs
-) -> SupportCensus:
+def support_census(p: Poset, a: IntervalFunction, x, w: Window) -> SupportCensus:
     """Collect {y in window : x <= y and a(x, y) != 0}, the support of the
     transform of the point mass at x by ``a`` on the window, with an
     analytic finiteness verdict where one of the built-in certificates
@@ -346,7 +332,7 @@ def support_census(
     if a.poset != p or w.poset != p:
         raise PosetMismatch("census arguments live on different posets")
     x = p.canon(x)
-    elements = enumerate_window(w, **window_kwargs)
+    elements = enumerate_window(w)
     if x not in set(elements):
         raise ElementOutsideWindow(
             f"{p.format_element(x)} is outside the window {w.label()}"
@@ -371,20 +357,8 @@ def support_census(
 # -- finite-support pair search -----------------------------------------
 
 
-def _check_cap(count: int, what: str, window_kwargs) -> None:
-    """Refuse work of ``count`` units past the ``element_cap`` that
-    also bounds every window."""
-    element_cap = window_kwargs.get("element_cap", DEFAULT_ELEMENT_CAP)
-    if count > element_cap:
-        raise BoundTooLarge(f"{what} exceeds cap {element_cap}")
-
-
 def finite_support_pair_search(
-    p: Poset,
-    w: Window,
-    shell: Window,
-    beta: IntervalFunction | None = None,
-    **window_kwargs,
+    p: Poset, w: Window, shell: Window, beta: IntervalFunction | None = None
 ) -> PairSearchResult:
     """Search for a nonzero f supported in ``w`` whose transform by
     ``beta`` (the zeta function by default) vanishes on ``shell - w``.
@@ -396,8 +370,8 @@ def finite_support_pair_search(
     values. A nontrivial kernel yields a candidate pair: the first
     basis vector normalised to integer entries with content 1, together
     with its transform materialised on the shell. Vanishing beyond the
-    shell remains unverified. The matrix may hold at most ``element_cap``
-    cells, like each window.
+    shell remains unverified. The matrix may hold at most
+    ``DEFAULT_ELEMENT_CAP`` cells, like each window.
     """
     if w.poset != p or shell.poset != p:
         raise PosetMismatch("windows live on a different poset")
@@ -405,8 +379,8 @@ def finite_support_pair_search(
         beta = zeta_function(p)
     elif beta.poset != p:
         raise PosetMismatch("transform function lives on a different poset")
-    unknowns = enumerate_window(w, **window_kwargs)
-    shell_elements = enumerate_window(shell, **window_kwargs)
+    unknowns = enumerate_window(w)
+    shell_elements = enumerate_window(shell)
     window_set = set(unknowns)
     shell_set = set(shell_elements)
     if not (window_set < shell_set):
@@ -414,7 +388,7 @@ def finite_support_pair_search(
             f"shell {shell.label()} must strictly contain window {w.label()}"
         )
     cells = (len(shell_elements) - len(unknowns)) * len(unknowns)
-    _check_cap(cells, f"pair-search matrix of {cells} cells", window_kwargs)
+    _check_cap(cells, f"pair-search matrix of {cells} cells exceeds cap {{cap}}")
 
     rows = []
     for y in shell_elements:
@@ -432,7 +406,7 @@ def finite_support_pair_search(
     if basis:
         vector = primitive_integer_vector(basis[0])
         f = FiniteSupportFunction(p, zip(unknowns, vector))
-        g = materialize(alpha_transform(f, beta), shell, **window_kwargs)
+        g = materialize(alpha_transform(f, beta), shell)
         candidate = (f, g)
     return PairSearchResult(
         window=w,
@@ -454,7 +428,6 @@ def conjecture_experiment(
     w: Window,
     shell: Window,
     sample_x,
-    **window_kwargs,
 ) -> ConjectureReport:
     """Gather evidence relating the necessary condition (both support
     sets infinite for every base point) to actual adherence: census
@@ -463,14 +436,14 @@ def conjecture_experiment(
 
     The pair (a, b) is verified to convolve to delta on every interval
     inside the shell before anything else runs; the shell may hold at
-    most ``element_cap`` pairs of elements. No conclusion about the
+    most ``DEFAULT_ELEMENT_CAP`` pairs of elements. No conclusion about the
     equivalence itself is drawn or implied.
     """
     if a.poset != p or b.poset != p:
         raise PosetMismatch("interval functions live on a different poset")
-    shell_elements = enumerate_window(shell, **window_kwargs)
+    shell_elements = enumerate_window(shell)
     pairs = len(shell_elements) * (len(shell_elements) + 1) // 2
-    _check_cap(pairs, f"inverse-pair check over {pairs} element pairs", window_kwargs)
+    _check_cap(pairs, f"inverse-pair check over {pairs} element pairs exceeds cap {{cap}}")
     product = convolve(a, b)
     delta = delta_function(p)
     for i, x in enumerate(shell_elements):
@@ -485,11 +458,11 @@ def conjecture_experiment(
     censuses = []
     for x in sample_x:
         x = p.canon(x)
-        census_a = support_census(p, a, x, shell, **window_kwargs)
-        census_b = support_census(p, b, x, shell, **window_kwargs)
+        census_a = support_census(p, a, x, shell)
+        census_b = support_census(p, b, x, shell)
         censuses.append((x, census_a, census_b))
 
-    search = finite_support_pair_search(p, w, shell, beta=b, **window_kwargs)
+    search = finite_support_pair_search(p, w, shell, beta=b)
     return ConjectureReport(
         poset=p,
         alpha_name=a.name,

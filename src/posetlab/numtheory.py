@@ -172,14 +172,17 @@ def _cached_large_prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     raises and is not cached."""
     found: dict[int, int] = {}
     for p in _large_primes(n):
-        found[p] = found.get(p, 0) + 1
+        if p is not None:
+            found[p] = found.get(p, 0) + 1
     return tuple(found.items())
 
 
 def _large_primes(n: int):
     """The prime factors of n > 1, which has none below ``_TRIAL_LIMIT``,
     each yielded once per multiplicity as soon as it is known, so a
-    caller can stop at the first repeat."""
+    caller can stop at the first repeat. A perfect power met on the way
+    yields None before its root is split: some prime repeats there,
+    though which one is not yet known."""
     budget = _Budget()
     found: list[int] = []
     pending = [n]
@@ -193,6 +196,7 @@ def _large_primes(n: int):
             continue
         power = _perfect_power(m)
         if power is not None:
+            yield None
             root, k = power
             pending += [root] * k
         elif _passes_bases(m, budget):
@@ -306,9 +310,9 @@ def smallest_prime_factors(elements: list[int]) -> dict[int, int]:
 def classical_mobius(n: int) -> int:
     """The number-theoretic Mobius function: 0 when a square divides n,
     otherwise (-1) to the number of distinct prime factors. A square
-    found by trial division, as a perfect power of the cofactor or as a
-    prime that splitting the cofactor meets twice answers 0 before the
-    rest of n is factored."""
+    found by trial division, as a perfect power met while the cofactor
+    is split or as a prime met twice answers 0 before the rest of n is
+    factored."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInput(f"expected a positive integer, got {n!r}")
     factors, m = _trial_division(n)
@@ -316,11 +320,9 @@ def classical_mobius(n: int) -> int:
         return 0
     count = len(factors)
     if m > 1:
-        if _perfect_power(m) is not None:
-            return 0
         seen: set[int] = set()
         for p in _large_primes(m):
-            if p in seen:
+            if p is None or p in seen:
                 return 0
             seen.add(p)
         count += len(seen)

@@ -96,15 +96,19 @@ class Poset:
     def bottom(self):
         raise NotImplementedError
 
-    def interval(self, x, y) -> list:
-        """All z with x <= z <= y, in canonical order."""
+    def _comparable(self, x, y) -> tuple:
+        """Canonical ``(x, y)``; raises ``NotComparable`` unless x <= y."""
         x, y = self.canon(x), self.canon(y)
         if not self._leq(x, y):
             raise NotComparable(
                 f"not comparable: {self.format_element(x)} !<= "
                 f"{self.format_element(y)} in {self.family}"
             )
-        return self._interval(x, y)
+        return x, y
+
+    def interval(self, x, y) -> list:
+        """All z with x <= z <= y, in canonical order."""
+        return self._interval(*self._comparable(x, y))
 
     def _interval(self, x, y) -> list:
         raise NotImplementedError
@@ -115,7 +119,7 @@ class Poset:
 
     # -- windows -----------------------------------------------------
 
-    def window_elements(self, bound, element_cap: int) -> list:
+    def window_elements(self, bound) -> list:
         raise NotImplementedError
 
     # -- Mobius facts: oracles and certificates, never the recursion ---
@@ -210,8 +214,16 @@ def _parse_int(text: str, family: str) -> int:
     return _canon_positive_int(value, family)
 
 
-def _interval_too_large() -> BoundTooLarge:
-    return BoundTooLarge(f"interval of more than {DEFAULT_ELEMENT_CAP} elements")
+def _check_cap(size: int, refusal: str) -> None:
+    """Raise ``BoundTooLarge(refusal)``, with ``{cap}`` replaced by the
+    cap, when ``size`` exceeds ``DEFAULT_ELEMENT_CAP``. The one check
+    behind every cap on windows, intervals, sort keys and ``lab`` work;
+    it reads the constant when it runs."""
+    if size > DEFAULT_ELEMENT_CAP:
+        raise BoundTooLarge(refusal.format(cap=DEFAULT_ELEMENT_CAP))
+
+
+_INTERVAL_REFUSAL = "interval of more than {cap} elements"
 
 
 def _divisor_count(factors: dict) -> int:
@@ -249,8 +261,7 @@ class _ChainProduct(Poset):
         size = 1
         for c, k in top:
             size *= k - lower.get(c, 0) + 1
-            if size > DEFAULT_ELEMENT_CAP:
-                raise _interval_too_large()
+            _check_cap(size, _INTERVAL_REFUSAL)
         choices = [range(lower.get(c, 0), k + 1) for c, k in top]
         out = [
             self._from_pairs(tuple((c, k) for (c, _), k in zip(top, combo) if k))
@@ -308,9 +319,8 @@ class _PositiveIntegers(_ChainProduct):
     def sort_key(self, x):
         return x
 
-    def window_elements(self, bound, element_cap: int) -> list:
-        bound = _check_bound(bound, element_cap)
-        return list(range(1, bound + 1))
+    def window_elements(self, bound) -> list:
+        return list(range(1, _check_bound(bound) + 1))
 
 
 class DivisibilityPoset(_PositiveIntegers):
@@ -334,18 +344,15 @@ class DivisibilityPoset(_PositiveIntegers):
 
     def _interval(self, x, y) -> list:
         factors = numtheory.prime_factors(y // x)
-        if _divisor_count(factors) > DEFAULT_ELEMENT_CAP:
-            raise _interval_too_large()
+        _check_cap(_divisor_count(factors), _INTERVAL_REFUSAL)
         return [x * d for d in numtheory.divisors_from_factors(factors)]
 
-    def divisor_window_elements(self, n: int, element_cap: int) -> list:
+    def divisor_window_elements(self, n: int) -> list:
         """The divisors of ``n``: a downward-closed set in this order,
-        refused before any is built when there are more than
-        ``element_cap``."""
+        refused before any is built when there are more than the cap."""
         factors = numtheory.prime_factors(_canon_positive_int(n, self.family))
         size = _divisor_count(factors)
-        if size > element_cap:
-            raise BoundTooLarge(f"window of {size} elements exceeds cap")
+        _check_cap(size, f"window of {size} elements exceeds cap")
         return numtheory.divisors_from_factors(factors)
 
     mobius_census = (
@@ -382,8 +389,7 @@ class ChainPoset(_PositiveIntegers):
         return x <= y
 
     def _interval(self, x, y) -> list:
-        if y - x >= DEFAULT_ELEMENT_CAP:
-            raise _interval_too_large()
+        _check_cap(y - x + 1, _INTERVAL_REFUSAL)
         return list(range(x, y + 1))
 
     mobius_census = (
@@ -442,9 +448,8 @@ class SubsetPoset(_ChainProduct):
         return set(x).issubset(y)
 
     def _interval(self, x, y) -> list:
-        # 2**gap elements; compared by bit length, without building 2**gap.
-        if len(y) - len(x) >= DEFAULT_ELEMENT_CAP.bit_length():
-            raise _interval_too_large()
+        # 2**gap elements, where y itself holds at least gap members.
+        _check_cap(1 << (len(y) - len(x)), _INTERVAL_REFUSAL)
         extra = sorted(set(y) - set(x))
         base = set(x)
         out = []
@@ -454,14 +459,15 @@ class SubsetPoset(_ChainProduct):
         out.sort(key=self.sort_key)
         return out
 
-    def window_elements(self, bound, element_cap: int) -> list:
+    def window_elements(self, bound) -> list:
         if not isinstance(bound, int) or bound < 0:
             raise InvalidInput(f"subsets window bound must be >= 0, got {bound!r}")
-        # Same test as 2**bound > element_cap, without building 2**bound.
-        if bound >= element_cap.bit_length():
-            raise BoundTooLarge(
-                f"subsets window over ground set of {bound} exceeds cap {element_cap}"
-            )
+        # 2**bound elements; a bound past the cap's bit length is refused
+        # as 2**(that length), without building 2**bound.
+        _check_cap(
+            1 << min(bound, DEFAULT_ELEMENT_CAP.bit_length()),
+            f"subsets window over ground set of {bound} exceeds cap {{cap}}",
+        )
         ground = range(1, bound + 1)
         out = []
         for size in range(bound + 1):
@@ -532,13 +538,13 @@ class MultisetPoset(_ChainProduct):
         """The integer image of canonical ``x``, without validating it
         again; refused when it has more than ``DEFAULT_ELEMENT_CAP``
         bits."""
-        # The image is at least 2**low_bits: refuse before building it.
-        low_bits = sum(k * (p.bit_length() - 1) for p, k in x)
-        if low_bits < DEFAULT_ELEMENT_CAP:
-            n = math.prod(p**k for p, k in x)
-            if n.bit_length() <= DEFAULT_ELEMENT_CAP:
-                return n
-        raise BoundTooLarge(f"multiset integer image of more than {DEFAULT_ELEMENT_CAP} bits")
+        refusal = "multiset integer image of more than {cap} bits"
+        # The image is at least 2**(sum of k * (bits(p) - 1)): refuse by
+        # that bound before building it.
+        _check_cap(1 + sum(k * (p.bit_length() - 1) for p, k in x), refusal)
+        n = math.prod(p**k for p, k in x)
+        _check_cap(n.bit_length(), refusal)
+        return n
 
     def _pairs(self, x) -> tuple:
         return x
@@ -549,9 +555,8 @@ class MultisetPoset(_ChainProduct):
     def _coordinates(self):
         return numtheory.primes()
 
-    def window_elements(self, bound, element_cap: int) -> list:
-        bound = _check_bound(bound, element_cap)
-        return [integer_to_multiset(n) for n in range(1, bound + 1)]
+    def window_elements(self, bound) -> list:
+        return [integer_to_multiset(n) for n in range(1, _check_bound(bound) + 1)]
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -654,7 +659,7 @@ class ExplicitPoset(Poset):
         up = self._up_sets
         return [z for z in self._elements if z in up[x] and y in up[z]]
 
-    def window_elements(self, bound, element_cap: int) -> list:
+    def window_elements(self, bound) -> list:
         return list(self._elements)
 
     def witness_candidates(self, y, avoid: set):
@@ -669,11 +674,10 @@ class ExplicitPoset(Poset):
         return (self.family, self._elements, self._covers)
 
 
-def _check_bound(bound, element_cap: int) -> int:
+def _check_bound(bound) -> int:
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise InvalidInput(f"window bound must be a positive integer, got {bound!r}")
-    if bound > element_cap:
-        raise BoundTooLarge(f"window of {bound} elements exceeds cap {element_cap}")
+    _check_cap(bound, f"window of {bound} elements exceeds cap {{cap}}")
     return bound
 
 
@@ -782,9 +786,10 @@ class Window:
         return f"{self.poset.family}[bound={self.bound}]"
 
 
-def enumerate_window(w: Window, *, element_cap: int = DEFAULT_ELEMENT_CAP) -> list:
-    """All window elements in canonical order. Downward-closed by
-    construction for every family."""
+def enumerate_window(w: Window) -> list:
+    """All window elements in canonical order, at most
+    ``DEFAULT_ELEMENT_CAP`` of them. Downward-closed by construction for
+    every family."""
     if w.divisor_closure:
-        return w.poset.divisor_window_elements(w.bound, element_cap)
-    return w.poset.window_elements(w.bound, element_cap)
+        return w.poset.divisor_window_elements(w.bound)
+    return w.poset.window_elements(w.bound)

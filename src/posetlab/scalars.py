@@ -123,9 +123,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
     def __bool__(self):
         return bool(self.real) or bool(self.imag)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetlab
+import posetlab.cli as cli
 import posetlab.numtheory as numtheory
 from helpers import skew_witness_stream
 from posetlab.cli import run
@@ -108,8 +109,11 @@ class TestClassicalMobius:
             # 1009**2 * (10**18 + 3) * (10**18 + 9): rho meets 1009 twice
             # before the two 19-digit primes would exhaust the budget.
             str(1009**2 * (10**18 + 3) * (10**18 + 9)),
+            # 1009 * ((10**18 + 3) * (10**18 + 9))**2: the square of a
+            # 38-digit semiprime is met once rho splits off 1009.
+            str(1009 * ((10**18 + 3) * (10**18 + 9)) ** 2),
         ],
-        ids=["9pq", "4300-nines", "square-cofactor", "cube-cofactor", "split-square"],
+        ids=["9pq", "4300-nines", "square-cofactor", "cube-cofactor", "split-square", "power-after-split"],
     )
     def test_square_found_before_splitting(self, capsys, n):
         assert invoke(capsys, "classical-mobius", "--n", n) == (0, "0\n", "")
@@ -252,6 +256,16 @@ class TestWitnessCommands:
         assert (status, out) == (2, "")
         assert "error: witness conclusion violated" in err
 
+    def test_verify_support_past_the_interval_cap(self, capsys, tmp_path):
+        # y = 1 is read off the support: the ideal of the other support
+        # element, with 2**24 divisors, is never built.
+        fn = tmp_path / "fn.json"
+        big = str(6 * int(_PRIMORIAL_23))
+        fn.write_text(json.dumps({"poset": "divisibility", "values": {"1": "1", big: "1"}}))
+        status, out, err = invoke(capsys, "verify", "--fn", str(fn), "--count", "2")
+        cert = "mu_yz=-1  disjoint=true  factorize=true  nonzero=true  predicted_fz=-1  observed_fz=-1"
+        assert (status, out, err) == (0, f"y = 1\nz=89  {cert}\nz=97  {cert}\n", "")
+
     def test_verify_insufficient_is_domain_error(self, capsys, tmp_path):
         fn = tmp_path / "chain.json"
         fn.write_text(json.dumps({"poset": "chain", "values": {"1": "1"}}))
@@ -393,6 +407,14 @@ class TestExplicitPosetFiles:
         status, out, _ = invoke(capsys, "transform", "--fn", str(fn), "--json")
         assert status == 0
         assert json.loads(out)["values"] == {"a": "1", "b": "1", "c": "1"}
+
+    @pytest.mark.parametrize("argv", [("transform", "--bound", "6"), ("verify", "--count", "1")])
+    def test_function_document_is_read_once(self, capsys, monkeypatch, point_mass_file, argv):
+        reads = []
+        load = cli._load_json_file
+        monkeypatch.setattr(cli, "_load_json_file", lambda path: reads.append(path) or load(path))
+        status, _, _ = invoke(capsys, *argv, "--fn", point_mass_file)
+        assert (status, reads) == (0, [point_mass_file])
 
     def test_missing_file_is_usage_error(self, capsys):
         status, _, _ = invoke(capsys, "mobius", "--poset-file", "/nope.json", "--x", "a", "--y", "a")

@@ -5,6 +5,7 @@ import itertools
 import pathlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 import posetlab
 import posetlab.lab as lab
-from helpers import random_explicit_poset, random_interval_function, skew_witness_stream, squarefree_upto
+import posetlab.posets as posets
+from helpers import (
+    random_explicit_poset,
+    random_interval_function,
+    random_support_function,
+    skew_witness_stream,
+    squarefree_upto,
+)
 from posetlab import (
     BoundTooLarge,
     ElementOutsideWindow,
@@ -40,6 +48,7 @@ from posetlab import (
     load_explicit_poset,
     materialize,
     mobius_function,
+    mobius_inversion,
     multiset_to_integer,
     support_census,
     verify_uncertainty_witnesses,
@@ -320,6 +329,59 @@ class TestVerifyUncertaintyWitnesses:
         with pytest.raises(WitnessConclusionViolated, match="vanishes"):
             verify_uncertainty_witnesses(DIV, FiniteSupportFunction(DIV, {1: 1}), 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
+        st.integers(0, 2**32),
+    )
+    def test_base_point_is_the_first_support_element(self, family, seed):
+        # The first nonzero of the inversion on the downward closure of
+        # the support, in canonical order, is the first support element.
+        rng = random.Random(seed)
+        if family == "explicit":
+            p = random_explicit_poset(rng, rng.randint(2, 9))
+            pool = p.elements()
+        else:
+            p = get_poset(family)
+            pool = enumerate_window(Window(p, 4 if family == "subsets" else 40))
+        g = random_support_function(rng, p, pool, max_support=4)
+        f = mobius_inversion(g)
+        closure = sorted({e for s in g.support() for e in p.ideal(s)}, key=p.sort_key)
+        y = g.support()[0]
+        assert next(e for e in closure if f(e)) == y
+        with mock.patch.object(lab, "witnesses", wraps=lab.witnesses) as spy:
+            try:
+                certs = verify_uncertainty_witnesses(p, g, 1, budget=20)
+            except InsufficientWitnesses as err:
+                certs = err.certificates
+        assert spy.call_args.args[1] == y
+        assert all(c.y == y for c in certs)
+
+
+def test_one_constant_caps_every_size(monkeypatch):
+    """Windows, divisor windows, intervals, multiset sort keys, pair-search
+    cells and conjecture pairs all read the cap when they check it."""
+    monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 10)
+    assert len(enumerate_window(Window(CHAIN, 10))) == 10
+    with pytest.raises(BoundTooLarge, match="^window of 11 elements exceeds cap 10$"):
+        enumerate_window(Window(CHAIN, 11))
+    with pytest.raises(BoundTooLarge, match="^subsets window over ground set of 4 exceeds cap 10$"):
+        enumerate_window(Window(SUBSETS, 4))
+    with pytest.raises(BoundTooLarge, match="^window of 12 elements exceeds cap$"):
+        enumerate_window(Window(DIV, 60, divisor_closure=True))
+    assert len(CHAIN.interval(1, 10)) == 10
+    for p, x, y in [(CHAIN, 1, 11), (DIV, 1, 60), (SUBSETS, (), (1, 2, 3, 4)), (MULTISETS, (), ((2, 11),))]:
+        with pytest.raises(BoundTooLarge, match="^interval of more than 10 elements$"):
+            p.interval(x, y)
+    with pytest.raises(BoundTooLarge, match="^multiset integer image of more than 10 bits$"):
+        MULTISETS.sort_key(((2, 10),))
+    with pytest.raises(BoundTooLarge, match="^pair-search matrix of 12 cells exceeds cap 10$"):
+        finite_support_pair_search(CHAIN, Window(CHAIN, 2), Window(CHAIN, 8))
+    with pytest.raises(BoundTooLarge, match="^inverse-pair check over 15 element pairs exceeds cap 10$"):
+        conjecture_experiment(
+            CHAIN, mobius_function(CHAIN), zeta_function(CHAIN), Window(CHAIN, 1), Window(CHAIN, 5), [1]
+        )
+
 
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so no check in the library may use one.
@@ -498,7 +560,7 @@ class TestPairSearch:
         with pytest.raises(WindowNotNested):
             finite_support_pair_search(CHAIN, Window(CHAIN, 6), Window(CHAIN, 5))
 
-    def test_matrix_cells_are_capped(self):
+    def test_matrix_cells_are_capped(self, monkeypatch):
         # Window 10 and shell 20 give a 10 x 10 matrix: 100 cells.
         calls = []
 
@@ -508,11 +570,13 @@ class TestPairSearch:
 
         beta = custom_function(CHAIN, rule)
         window, shell = Window(CHAIN, 10), Window(CHAIN, 20)
-        result = finite_support_pair_search(CHAIN, window, shell, beta=beta, element_cap=100)
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 100)
+        result = finite_support_pair_search(CHAIN, window, shell, beta=beta)
         assert result.nullspace_dimension == 9
         calls.clear()
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 99)
         with pytest.raises(BoundTooLarge, match="100 cells exceeds cap 99"):
-            finite_support_pair_search(CHAIN, window, shell, beta=beta, element_cap=99)
+            finite_support_pair_search(CHAIN, window, shell, beta=beta)
         assert calls == []
 
     def test_candidate_transform_vanishes_on_shell(self):
@@ -639,12 +703,14 @@ class TestConjectureExperiment:
                 [1],
             )
 
-    def test_inverse_check_pairs_are_capped(self):
+    def test_inverse_check_pairs_are_capped(self, monkeypatch):
         # A 13-element shell has 13 * 14 / 2 = 91 pairs to compare with delta.
         args = (CHAIN, mobius_function(CHAIN), zeta_function(CHAIN), Window(CHAIN, 5), Window(CHAIN, 13), [1])
-        assert conjecture_experiment(*args, element_cap=91).pair_search.nullspace_dimension == 4
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 91)
+        assert conjecture_experiment(*args).pair_search.nullspace_dimension == 4
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 90)
         with pytest.raises(BoundTooLarge, match="91 element pairs exceeds cap 90"):
-            conjecture_experiment(*args, element_cap=90)
+            conjecture_experiment(*args)
 
     def test_json_report_shape(self):
         report = conjecture_experiment(

@@ -152,11 +152,12 @@ class TestWindows:
         elements = enumerate_window(Window(MULTISETS, 10))
         assert [multiset_to_integer(m) for m in elements] == list(range(1, 11))
 
-    def test_bound_cap(self):
-        with pytest.raises(BoundTooLarge):
-            enumerate_window(Window(CHAIN, 2000), element_cap=1000)
+    def test_bound_cap(self, monkeypatch):
         with pytest.raises(BoundTooLarge):
             enumerate_window(Window(SUBSETS, 21))
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 1000)
+        with pytest.raises(BoundTooLarge, match="window of 2000 elements exceeds cap 1000"):
+            enumerate_window(Window(CHAIN, 2000))
 
     def test_subsets_cap_at_default(self):
         assert len(enumerate_window(Window(SUBSETS, 20))) == 1 << 20
@@ -166,13 +167,14 @@ class TestWindows:
             enumerate_window(Window(SUBSETS, 10**18))
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 8, 9, 255, 256, 1000])
-    def test_subsets_cap_is_two_to_the_bound(self, cap):
+    def test_subsets_cap_is_two_to_the_bound(self, cap, monkeypatch):
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", cap)
         for bound in range(12):
             if 1 << bound > cap:
-                with pytest.raises(BoundTooLarge):
-                    SUBSETS.window_elements(bound, cap)
+                with pytest.raises(BoundTooLarge, match=f"ground set of {bound} exceeds cap {cap}$"):
+                    SUBSETS.window_elements(bound)
             else:
-                assert len(SUBSETS.window_elements(bound, cap)) == 1 << bound
+                assert len(SUBSETS.window_elements(bound)) == 1 << bound
 
     def test_bad_bounds(self):
         with pytest.raises(InvalidInput):
@@ -466,17 +468,18 @@ class TestDivisorCaps:
         with pytest.raises(BoundTooLarge, match="interval of more than 1048576 elements"):
             ideal(DIV, 6 * self.PRIMORIAL_23)
 
-    def test_divisor_window_refused_before_building(self, no_divisor_lists):
+    def test_divisor_window_refused_before_building(self, no_divisor_lists, monkeypatch):
         window = Window(DIV, self.PRIMORIAL_23, divisor_closure=True)
         with pytest.raises(BoundTooLarge, match="window of 8388608 elements exceeds cap"):
             enumerate_window(window)
-        with pytest.raises(BoundTooLarge, match="window of 240 elements exceeds cap"):
-            enumerate_window(Window(DIV, 720720, divisor_closure=True), element_cap=239)
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 239)
+        with pytest.raises(BoundTooLarge, match="window of 240 elements exceeds cap$"):
+            enumerate_window(Window(DIV, 720720, divisor_closure=True))
 
     def test_boundaries(self, monkeypatch):
         window = Window(DIV, 720720, divisor_closure=True)
-        assert enumerate_window(window, element_cap=240) == numtheory.divisors(720720)
         monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 240)
+        assert enumerate_window(window) == numtheory.divisors(720720)
         assert interval(DIV, 7, 7 * 720720) == [7 * d for d in numtheory.divisors(720720)]
         with pytest.raises(BoundTooLarge, match="interval of more than 240 elements"):
             interval(DIV, 7, 7 * 2 * 720720)

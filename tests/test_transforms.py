@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetlab.posets as posets
 from helpers import exact_scalars, random_explicit_poset, random_support_function
 from posetlab import (
     BoundTooLarge,
@@ -322,10 +323,11 @@ class TestCoordinatewiseKernel:
         assert calls == enumerate_window(window)
         assert result == materialize(e, window)
 
-    def test_element_cap_reaches_window(self):
+    def test_element_cap_reaches_window(self, monkeypatch):
         e = mobius_inversion(FiniteSupportFunction(DIV, {1: 1}))
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 50)
         with pytest.raises(BoundTooLarge):
-            materialize(e, Window(DIV, 100), element_cap=50)
+            materialize(e, Window(DIV, 100))
 
 
 class TestFunctionDocuments:
