@@ -16,6 +16,7 @@ from .errors import DomainError, InvalidInput, UsageError
 from .functions import function_from_document, function_to_document, materialize, mobius_inversion, zeta_transform
 from .incidence import convolve, delta_function, mobius_function, mobius_value, zeta_function
 from .lab import (
+    DEFAULT_BUDGET,
     conjecture_experiment,
     finite_support_pair_search,
     support_census,
@@ -26,6 +27,7 @@ from .numtheory import classical_mobius
 from .posets import (
     Poset,
     Window,
+    _image_low_bits,
     get_poset,
     integer_to_multiset,
     load_explicit_poset,
@@ -103,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--avoid", default="", help="comma-joined element encodings to avoid")
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("verify", help="verify witness conclusions for an inversion pair")
     add_common(p)
     p.add_argument("--fn", required=True)
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("census", help="support census of an interval function row")
     add_common(p)
@@ -402,10 +404,10 @@ def _printable_integer_image(m) -> int:
     digits than Python will print."""
     # 0 means no limit; Python before 3.10.7 has neither limit nor getter.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # The image is at least 2**low_bits, and 2**(10*t/3) > 10**t, so a
-    # too-long image is refused here before any prime power is built.
-    low_bits = sum(k * (p.bit_length() - 1) for p, k in m)
-    if limit and 3 * low_bits >= 10 * limit:
+    # The image is at least 2**b for b = _image_low_bits(m), and
+    # 2**(10*t/3) > 10**t, so a too-long image is refused here before any
+    # prime power is built.
+    if limit and 3 * _image_low_bits(m) >= 10 * limit:
         raise InvalidInput(f"integer image has more than {limit} digits")
     n = multiset_to_integer(m)
     if limit and n >= 10**limit:

@@ -6,11 +6,11 @@ function
 
     y  |->  sum over x <= y of a(x, y) * f(x),
 
-which can have infinite support even when f does not, so transforms are
-returned as lazily evaluated ``EvaluableFunction`` rules and only turned
-back into finite data by :func:`materialize` over an explicit window.
-The zeta transform (cumulative sums over ideals) and Mobius inversion
-are the two named specialisations.
+which can have infinite support even when f does not, so a transform
+is an ``EvaluableFunction`` that keeps f and a, is evaluated one element
+at a time, and is only turned back into finite data by :func:`materialize`
+over an explicit window. The zeta transform (cumulative sums over
+ideals) and Mobius inversion are the two named specialisations.
 
 Evaluating a transform at one element y computes the defining sum
 above; this point rule is the reference oracle. On posets that are
@@ -19,7 +19,8 @@ the chain), :func:`materialize` computes transforms by zeta or by an
 inverse of zeta (Mobius) for a whole window at once instead: one pass
 per coordinate, as in Yates's algorithm and the fast zeta transform of
 Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). Every other
-transform, and every explicit poset, is evaluated point by point.
+transform, and every explicit poset, is evaluated point by point. Both
+ways do narrow arithmetic on f's values, wrapped once where they leave.
 """
 
 from __future__ import annotations
@@ -102,29 +103,29 @@ class FiniteSupportFunction:
 
 
 class EvaluableFunction:
-    """A point function given by a pure evaluation rule.
-
-    Used for transform results, whose support is in general infinite;
-    evaluation at any single element terminates because the defining
-    sums range over finite ideals.
+    """The transform of ``h`` by ``a``, built by :func:`alpha_transform`:
+    y |-> sum of a(x, y) * h(x) over support elements x <= y. Its support
+    is in general infinite, but evaluation at one element terminates
+    because the sum ranges over h's finite support. The point rule and
+    the kernel of :func:`materialize` read the same entries of ``h`` in
+    narrowest form (see :func:`posetlab.scalars.narrow`).
     """
 
-    def __init__(self, poset: Poset, rule):
-        self.poset = poset
-        self._rule = rule
-
-    def __call__(self, element) -> GaussianRational:
-        return self._rule(self.poset.canon(element))
-
-
-class _Transform(EvaluableFunction):
-    """The transform of ``h`` by ``a``, keeping both operands so that
-    :func:`materialize` can recognise a zeta or Mobius transform."""
-
-    def __init__(self, h: FiniteSupportFunction, a: IntervalFunction, rule):
-        super().__init__(h.poset, rule)
+    def __init__(self, h: FiniteSupportFunction, a: IntervalFunction):
+        self.poset = h.poset
         self.h = h
         self.a = a
+        self._entries = [(x, narrow(value)) for x, value in h.items()]
+
+    def __call__(self, element) -> GaussianRational:
+        p = self.poset
+        y = p.canon(element)
+        a = self.a._evaluate_canonical
+        total = 0
+        for x, value in self._entries:
+            if p._leq(x, y):
+                total += a(x, y) * value
+        return as_scalar(total)
 
 
 def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableFunction:
@@ -132,17 +133,7 @@ def alpha_transform(h: FiniteSupportFunction, a: IntervalFunction) -> EvaluableF
     y |-> sum of a(x, y) * h(x) over support elements x <= y."""
     if h.poset != a.poset:
         raise PosetMismatch("function and interval function live on different posets")
-    p = h.poset
-    entries = [(x, narrow(value)) for x, value in h.items()]
-
-    def rule(y):
-        total = 0
-        for x, value in entries:
-            if p._leq(x, y):
-                total += a._evaluate_canonical(x, y) * value
-        return as_scalar(total)
-
-    return _Transform(h, a, rule)
+    return EvaluableFunction(h, a)
 
 
 def zeta_transform(f: FiniteSupportFunction) -> EvaluableFunction:
@@ -164,7 +155,8 @@ def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
     A transform by zeta or by an inverse of zeta, on a poset with
     :meth:`~posetlab.posets.Poset.coordinate_steps`, is computed for the
     whole window coordinate by coordinate; it equals ``e(y)`` at every
-    window element. Anything else is evaluated at every window element.
+    window element. Anything else, including any object with only a
+    ``poset`` and a ``__call__``, is evaluated at every window element.
     Support elements outside the window never reach a window element,
     because windows are downward closed."""
     if e.poset != w.poset:
@@ -174,35 +166,27 @@ def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
 
 def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupportFunction:
     """:func:`materialize` on an enumerated window."""
-    if isinstance(e, _Transform):
-        sign = _zeta_power(e.a)
+    if isinstance(e, EvaluableFunction):
+        sign = e.a._zeta_power()
         steps = e.poset.coordinate_steps(elements) if sign else None
         if steps is not None:
-            values = _coordinatewise(e.h, sign, elements, steps)
-            return FiniteSupportFunction(e.poset, values.items())
+            values = _coordinatewise(e._entries, sign, elements, steps)
+            return FiniteSupportFunction(e.poset, ((y, v) for y, v in values.items() if v))
     return FiniteSupportFunction(e.poset, ((y, e(y)) for y in elements))
 
 
-def _zeta_power(a: IntervalFunction) -> int | None:
-    """1 for zeta, -1 for an inverse of zeta, None for anything else."""
-    if a.kind == "zeta":
-        return 1
-    if a.kind == "inverse" and a.inner.kind == "zeta":
-        return -1
-    return None
-
-
-def _coordinatewise(h: FiniteSupportFunction, sign: int, elements: list, steps) -> dict:
-    """Zeta (sign 1) or Mobius (sign -1) transform of ``h`` on a
-    downward-closed window of a product of chains.
+def _coordinatewise(entries: list, sign: int, elements: list, steps) -> dict:
+    """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
+    ``entries`` on a downward-closed window of a product of chains, in
+    narrowest form.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
     the product of their inverses, so each coordinate c gets one pass:
     a[y] += a[y stepped down in c] in ascending order for zeta, and
     a[y] -= a[y stepped down in c] in descending order for Mobius, which
     reads the neighbour before this pass changes it."""
-    values = dict.fromkeys(elements, ZERO)
-    for x, value in h.items():
+    values = dict.fromkeys(elements, 0)
+    for x, value in entries:
         if x in values:
             values[x] = value
     passes: dict = {}

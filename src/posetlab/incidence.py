@@ -70,6 +70,12 @@ class IntervalFunction:
         when x <= y fails."""
         return as_scalar(self._evaluate_canonical(*self.poset._comparable(x, y)))
 
+    def _zeta_power(self) -> int | None:
+        """1 for zeta, -1 for an inverse of zeta, None for anything else."""
+        if self.kind == "inverse":
+            return -1 if self.inner.kind == "zeta" else None
+        return 1 if self.kind == "zeta" else None
+
     def _evaluate_canonical(self, x, y):
         """The value on [x, y] for canonical x <= y, in narrowest form."""
         if self.kind == "zeta":

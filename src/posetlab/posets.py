@@ -67,7 +67,6 @@ class Poset:
     """
 
     family = "abstract"
-    is_total_order = False
 
     # -- encoding ----------------------------------------------------
 
@@ -377,7 +376,6 @@ class ChainPoset(_PositiveIntegers):
     One coordinate, in which n has height n - 1."""
 
     family = "chain"
-    is_total_order = True
 
     def _pairs(self, x) -> tuple:
         return ((0, x - 1),) if x > 1 else ()
@@ -460,7 +458,7 @@ class SubsetPoset(_ChainProduct):
         return out
 
     def window_elements(self, bound) -> list:
-        if not isinstance(bound, int) or bound < 0:
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
             raise InvalidInput(f"subsets window bound must be >= 0, got {bound!r}")
         # 2**bound elements; a bound past the cap's bit length is refused
         # as 2**(that length), without building 2**bound.
@@ -539,9 +537,7 @@ class MultisetPoset(_ChainProduct):
         again; refused when it has more than ``DEFAULT_ELEMENT_CAP``
         bits."""
         refusal = "multiset integer image of more than {cap} bits"
-        # The image is at least 2**(sum of k * (bits(p) - 1)): refuse by
-        # that bound before building it.
-        _check_cap(1 + sum(k * (p.bit_length() - 1) for p, k in x), refusal)
+        _check_cap(1 + _image_low_bits(x), refusal)
         n = math.prod(p**k for p, k in x)
         _check_cap(n.bit_length(), refusal)
         return n
@@ -738,12 +734,17 @@ def bottom(p: Poset):
 
 def multiset_to_integer(m) -> int:
     """Integer image of a prime-keyed multiset: the product of
-    prime**multiplicity. Order-embedding onto divisibility."""
-    m = _BUILTINS["multisets"].canon(m)
-    n = 1
-    for p, k in m:
-        n *= p**k
-    return n
+    prime**multiplicity. Order-embedding onto divisibility. Refused,
+    like the sort key, past ``DEFAULT_ELEMENT_CAP`` bits."""
+    multisets = _BUILTINS["multisets"]
+    return multisets.sort_key(multisets.canon(m))
+
+
+def _image_low_bits(m) -> int:
+    """Lower bound from the exponents alone: the integer image of
+    canonical ``m`` is at least 2**(sum of k * (bits(p) - 1)), so a
+    refusal by this bound builds no prime power."""
+    return sum(k * (p.bit_length() - 1) for p, k in m)
 
 
 def integer_to_multiset(n: int):

@@ -176,6 +176,11 @@ class TestWindows:
             else:
                 assert len(SUBSETS.window_elements(bound)) == 1 << bound
 
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_subsets_refuse_bool_bounds(self, bound):
+        with pytest.raises(InvalidInput, match=f"subsets window bound must be >= 0, got {bound}$"):
+            enumerate_window(Window(SUBSETS, bound))
+
     def test_bad_bounds(self):
         with pytest.raises(InvalidInput):
             enumerate_window(Window(CHAIN, 0))
@@ -538,6 +543,19 @@ class TestMultisetIsomorphism:
     def test_round_trip(self):
         for n in range(1, 2000):
             assert multiset_to_integer(integer_to_multiset(n)) == n
+
+    def test_integer_image_refused_past_the_cap(self, monkeypatch):
+        cap = DEFAULT_ELEMENT_CAP
+        assert multiset_to_integer({2: cap - 1}) == 1 << (cap - 1)
+        # Refused from the exponents alone, before the power is built.
+        for too_large in ({2: cap}, {3: 10**7}, {3: 3 * 10**7}, {2: 1, 5: 10**40}):
+            with pytest.raises(BoundTooLarge, match=f"image of more than {cap} bits"):
+                multiset_to_integer(too_large)
+        # Refused after an exact bit count: 3**31 has 50 bits, 3**32 has 51.
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 50)
+        assert multiset_to_integer({3: 31}) == 3**31
+        with pytest.raises(BoundTooLarge, match="image of more than 50 bits"):
+            multiset_to_integer({3: 32})
 
     def test_order_embedding(self):
         for n in range(1, 80):

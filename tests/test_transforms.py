@@ -323,6 +323,49 @@ class TestCoordinatewiseKernel:
         assert calls == enumerate_window(window)
         assert result == materialize(e, window)
 
+    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS)
+    def test_integer_coefficients_do_no_gaussian_addition(self, window, outside, monkeypatch):
+        p = window.poset
+        rng = random.Random(f"narrow-kernel-{window.label()}")
+        pool = enumerate_window(window) + outside
+        f = FiniteSupportFunction(p, {x: rng.randint(-9, 9) for x in rng.sample(pool, 6)})
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            real = getattr(GaussianRational, name)
+            monkeypatch.setattr(
+                GaussianRational, name,
+                lambda self, other, real=real, name=name: calls.append(name) or real(self, other),
+            )
+        g = materialize(zeta_transform(f), window)
+        back = materialize(mobius_inversion(g), window)
+        assert calls == []
+        monkeypatch.undo()
+        assert dict(back.items()) == point_values(mobius_inversion(g), window)
+        assert dict(g.items()) == point_values(zeta_transform(f), window)
+
+    @pytest.mark.parametrize("transform", [zeta_transform, mobius_inversion])
+    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS)
+    def test_wrapper_with_poset_and_call_takes_point_path(self, window, outside, transform):
+        rng = random.Random(f"wrapper-{window.label()}")
+        g = random_support_function(rng, window.poset, enumerate_window(window) + outside)
+        e = transform(g)
+        calls = []
+
+        class Wrapper:
+            """Only ``poset`` and ``__call__``, like a counting stand-in."""
+
+            def __init__(self, inner):
+                self.poset = inner.poset
+                self._inner = inner
+
+            def __call__(self, y):
+                calls.append(y)
+                return self._inner(y)
+
+        result = materialize(Wrapper(e), window)
+        assert calls == enumerate_window(window)
+        assert result == materialize(e, window)
+
     def test_element_cap_reaches_window(self, monkeypatch):
         e = mobius_inversion(FiniteSupportFunction(DIV, {1: 1}))
         monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 50)
