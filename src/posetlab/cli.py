@@ -239,25 +239,28 @@ def _cmd_mobius(args):
     x = p.parse_element(args.x)
     y = p.parse_element(args.y)
     value = mobius_value(p, x, y)
-    payload = {
-        "poset": label,
-        "x": p.format_element(x),
-        "y": p.format_element(y),
-        "mobius": str(value),
-    }
-    return payload, [str(value)]
+
+    def payload():
+        return {
+            "poset": label,
+            "x": p.format_element(x),
+            "y": p.format_element(y),
+            "mobius": str(value),
+        }
+
+    return payload, lambda: [str(value)]
 
 
 def _cmd_classical_mobius(args):
     value = classical_mobius(args.n)
-    return {"n": args.n, "mobius": value}, [str(value)]
+    return lambda: {"n": args.n, "mobius": value}, lambda: [str(value)]
 
 
 def _transform_command(args, transform):
     p, label, f = _resolve_function(args)
     window = _window_from_args(p, args.bound, args.divisors)
     result = materialize(transform(f), window)
-    return function_to_document(result, label), _function_lines(result, p)
+    return lambda: function_to_document(result, label), lambda: _function_lines(result, p)
 
 
 def _cmd_transform(args):
@@ -275,15 +278,18 @@ def _cmd_convolve(args):
     left = _INTERVAL_FUNCTIONS[args.left](p)
     right = _INTERVAL_FUNCTIONS[args.right](p)
     value = convolve(left, right).evaluate(x, y)
-    payload = {
-        "poset": label,
-        "left": args.left,
-        "right": args.right,
-        "x": p.format_element(x),
-        "y": p.format_element(y),
-        "value": str(value),
-    }
-    return payload, [str(value)]
+
+    def payload():
+        return {
+            "poset": label,
+            "left": args.left,
+            "right": args.right,
+            "x": p.format_element(x),
+            "y": p.format_element(y),
+            "value": str(value),
+        }
+
+    return payload, lambda: [str(value)]
 
 
 def _cmd_witness(args):
@@ -291,33 +297,40 @@ def _cmd_witness(args):
     y = p.parse_element(args.y)
     avoid = [p.parse_element(s) for s in _split_encodings(args.avoid)]
     certs = list(witnesses(p, y, avoid, args.count, args.budget))
-    payload = {
-        "poset": label,
-        "y": p.format_element(y),
-        "avoid_set": [p.format_element(s) for s in sorted({p.canon(s) for s in avoid}, key=p.sort_key)],
-        "requested": args.count,
-        "found": len(certs),
-        "certificates": [cert.to_json_dict(p) for cert in certs],
-    }
-    lines = _certificate_lines(certs, p)
-    lines.append(f"found {len(certs)} of {args.count} requested witnesses")
-    if len(certs) < args.count:
-        lines.append("budget exhausted; absence is not implied")
-    return payload, lines
+
+    def payload():
+        return {
+            "poset": label,
+            "y": p.format_element(y),
+            "avoid_set": [p.format_element(s) for s in sorted({p.canon(s) for s in avoid}, key=p.sort_key)],
+            "requested": args.count,
+            "found": len(certs),
+            "certificates": [cert.to_json_dict(p) for cert in certs],
+        }
+
+    def text():
+        lines = _certificate_lines(certs, p)
+        lines.append(f"found {len(certs)} of {args.count} requested witnesses")
+        if len(certs) < args.count:
+            lines.append("budget exhausted; absence is not implied")
+        return lines
+
+    return payload, text
 
 
 def _cmd_verify(args):
     p, label, g = _resolve_function(args)
     certs = verify_uncertainty_witnesses(p, g, args.count, args.budget)
-    payload = {
-        "poset": label,
-        "count": args.count,
-        "y": p.format_element(certs[0].y),
-        "certificates": [cert.to_json_dict(p) for cert in certs],
-    }
-    lines = [f"y = {p.format_element(certs[0].y)}"]
-    lines.extend(_certificate_lines(certs, p))
-    return payload, lines
+
+    def payload():
+        return {
+            "poset": label,
+            "count": args.count,
+            "y": p.format_element(certs[0].y),
+            "certificates": [cert.to_json_dict(p) for cert in certs],
+        }
+
+    return payload, lambda: [f"y = {p.format_element(certs[0].y)}", *_certificate_lines(certs, p)]
 
 
 def _cmd_census(args):
@@ -326,15 +339,16 @@ def _cmd_census(args):
     window = _window_from_args(p, args.bound, args.divisors)
     alpha = _INTERVAL_FUNCTIONS[args.alpha](p)
     census = support_census(p, alpha, x, window)
-    payload = census.to_json_dict(p)
-    payload["poset"] = label
-    lines = [
-        f"members: {','.join(p.format_element(m) for m in census.members)}",
-        f"count: {len(census.members)}",
-        f"verdict: {census.verdict}",
-        f"note: {census.certificate_note}",
-    ]
-    return payload, lines
+
+    def text():
+        return [
+            f"members: {','.join(p.format_element(m) for m in census.members)}",
+            f"count: {len(census.members)}",
+            f"verdict: {census.verdict}",
+            f"note: {census.certificate_note}",
+        ]
+
+    return lambda: {**census.to_json_dict(p), "poset": label}, text
 
 
 def _search_windows(args, p: Poset):
@@ -348,17 +362,19 @@ def _cmd_search(args):
     window, shell = _search_windows(args, p)
     beta = _INTERVAL_FUNCTIONS[args.beta](p)
     result = finite_support_pair_search(p, window, shell, beta=beta)
-    payload = result.to_json_dict(p)
-    payload["poset"] = label
-    lines = [f"nullspace dimension: {result.nullspace_dimension}"]
-    if result.candidate is None:
-        lines.append("no candidate pair at this truncation")
-    else:
-        f, g = result.candidate
-        lines.append("candidate f: " + "; ".join(_function_lines(f, p)))
-        lines.append("candidate g: " + "; ".join(_function_lines(g, p)))
-        lines.append(f"caveat: {result.caveat}")
-    return payload, lines
+
+    def text():
+        lines = [f"nullspace dimension: {result.nullspace_dimension}"]
+        if result.candidate is None:
+            lines.append("no candidate pair at this truncation")
+        else:
+            f, g = result.candidate
+            lines.append("candidate f: " + "; ".join(_function_lines(f, p)))
+            lines.append("candidate g: " + "; ".join(_function_lines(g, p)))
+            lines.append(f"caveat: {result.caveat}")
+        return lines
+
+    return lambda: {**result.to_json_dict(p), "poset": label}, text
 
 
 def _cmd_conjecture(args):
@@ -368,22 +384,24 @@ def _cmd_conjecture(args):
     beta = _INTERVAL_FUNCTIONS[args.beta](p)
     sample = [p.parse_element(s) for s in _split_encodings(args.sample)]
     report = conjecture_experiment(p, alpha, beta, window, shell, sample)
-    payload = report.to_json_dict()
-    payload["poset"] = label
-    lines = []
-    for x, census_a, census_b in report.censuses:
+
+    def text():
+        lines = []
+        for x, census_a, census_b in report.censuses:
+            lines.append(
+                f"x={p.format_element(x)}  alpha support {len(census_a.members)} "
+                f"[{census_a.verdict}]  beta support {len(census_b.members)} "
+                f"[{census_b.verdict}]"
+            )
+        lines.append(f"pair search nullspace dimension: {report.pair_search.nullspace_dimension}")
         lines.append(
-            f"x={p.format_element(x)}  alpha support {len(census_a.members)} "
-            f"[{census_a.verdict}]  beta support {len(census_b.members)} "
-            f"[{census_b.verdict}]"
+            "candidate pair found (verified only on shell)"
+            if report.pair_search.candidate
+            else "no candidate pair at this truncation"
         )
-    lines.append(f"pair search nullspace dimension: {report.pair_search.nullspace_dimension}")
-    lines.append(
-        "candidate pair found (verified only on shell)"
-        if report.pair_search.candidate
-        else "no candidate pair at this truncation"
-    )
-    return payload, lines
+        return lines
+
+    return lambda: {**report.to_json_dict(), "poset": label}, text
 
 
 def _cmd_isomap(args):
@@ -393,10 +411,10 @@ def _cmd_isomap(args):
     if args.n is not None:
         m = integer_to_multiset(args.n)
         enc = multisets.format_element(m)
-        return {"n": args.n, "multiset": enc}, [enc]
+        return lambda: {"n": args.n, "multiset": enc}, lambda: [enc]
     m = multisets.parse_element(args.m)
     n = _printable_integer_image(m)
-    return {"multiset": multisets.format_element(m), "n": n}, [str(n)]
+    return lambda: {"multiset": multisets.format_element(m), "n": n}, lambda: [str(n)]
 
 
 def _printable_integer_image(m) -> int:
@@ -431,11 +449,14 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse and dispatch; returns the process exit status."""
+    """Parse and dispatch; returns the process exit status. A handler
+    returns two zero-argument callables, the JSON payload and the text
+    lines, and only the chosen one is built."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         payload, lines = _HANDLERS[args.command](args)
+        output = payload() if args.json else lines()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -443,9 +464,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(output, indent=2))
     else:
-        for line in lines:
+        for line in output:
             print(line)
     return 0
 

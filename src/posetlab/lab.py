@@ -34,7 +34,6 @@ probes that property at desk scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -51,7 +50,7 @@ from .errors import (
 from .functions import FiniteSupportFunction, _materialize_elements, alpha_transform, materialize, mobius_inversion
 from .incidence import IntervalFunction, convolve, delta_function, mobius_function, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
-from .posets import INCONCLUSIVE, Poset, Window, _check_cap, enumerate_window
+from .posets import INCONCLUSIVE, Poset, Window, _check_cap, _Record, enumerate_window
 from .scalars import GaussianRational, as_scalar, narrow
 
 DEFAULT_BUDGET = 10_000
@@ -68,8 +67,7 @@ class WitnessConditions(NamedTuple):
         return self.disjoint and self.factorize and self.nonzero
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(_Record):
     """Record that ``z`` passed the witness conditions for ``(y, avoid_set)``.
 
     When produced while verifying a concrete inversion pair, the
@@ -78,15 +76,18 @@ class WitnessCertificate:
     bare witness streams.
     """
 
-    y: object
-    avoid_set: tuple
-    z: object
-    cond_disjoint: bool
-    cond_factorize: bool
-    cond_nonzero: bool
-    mu_yz: GaussianRational
-    predicted_fz: GaussianRational | None = None
-    observed_fz: GaussianRational | None = None
+    __slots__ = (
+        "y",
+        "avoid_set",
+        "z",
+        "cond_disjoint",
+        "cond_factorize",
+        "cond_nonzero",
+        "mu_yz",
+        "predicted_fz",
+        "observed_fz",
+    )
+    _defaults = {"predicted_fz": None, "observed_fz": None}
 
     @property
     def all_conditions(self) -> bool:
@@ -107,16 +108,10 @@ class WitnessCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SupportCensus:
+class SupportCensus(_Record):
     """Window-restricted support of an interval function's row at ``x``."""
 
-    x: object
-    function_name: str
-    window: Window
-    members: list
-    verdict: str
-    certificate_note: str
+    __slots__ = ("x", "function_name", "window", "members", "verdict", "certificate_note")
 
     def to_json_dict(self, p: Poset) -> dict:
         return {
@@ -130,8 +125,7 @@ class SupportCensus:
         }
 
 
-@dataclass(frozen=True)
-class PairSearchResult:
+class PairSearchResult(_Record):
     """Outcome of the finite-support pair search.
 
     ``unknowns`` lists the window elements indexing nullspace vectors;
@@ -140,13 +134,17 @@ class PairSearchResult:
     Vanishing of g beyond the shell is never checked, hence the caveat.
     """
 
-    window: Window
-    shell: Window
-    nullspace_dimension: int
-    unknowns: list
-    nullspace_basis: list = field(repr=False)
-    candidate: tuple[FiniteSupportFunction, FiniteSupportFunction] | None = None
-    caveat: str = "verified only on shell"
+    __slots__ = (
+        "window",
+        "shell",
+        "nullspace_dimension",
+        "unknowns",
+        "nullspace_basis",
+        "candidate",
+        "caveat",
+    )
+    _defaults = {"candidate": None, "caveat": "verified only on shell"}
+    _repr_hidden = ("nullspace_basis",)
 
     def vector_in_nullspace(self, f: FiniteSupportFunction) -> bool:
         """Whether a function supported in the window lies in the kernel."""
@@ -172,18 +170,11 @@ class PairSearchResult:
         }
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     """Necessary-condition censuses juxtaposed with a pair-search outcome
     for an inverse pair (a, b). Evidence only; no verdict is drawn."""
 
-    poset: Poset
-    alpha_name: str
-    beta_name: str
-    window: Window
-    shell: Window
-    censuses: list
-    pair_search: PairSearchResult
+    __slots__ = ("poset", "alpha_name", "beta_name", "window", "shell", "censuses", "pair_search")
 
     def to_json_dict(self) -> dict:
         p = self.poset
@@ -316,7 +307,7 @@ def verify_uncertainty_witnesses(
                 f"witness conclusion violated at {p.format_element(cert.z)}: "
                 f"observed {observed}, predicted {predicted}"
             )
-        certificates.append(replace(cert, predicted_fz=predicted, observed_fz=observed))
+        certificates.append(cert._replace(predicted_fz=predicted, observed_fz=observed))
     if len(certificates) < count:
         raise InsufficientWitnesses(certificates, count)
     return certificates

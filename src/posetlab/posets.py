@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import numtheory
 from .errors import (
@@ -755,11 +754,87 @@ def integer_to_multiset(n: int):
     return tuple(numtheory.prime_factors(n).items())
 
 
+# -- records ----------------------------------------------------------
+
+
+class _Record:
+    """Base of the library's small immutable result records.
+
+    A subclass lists its fields, in constructor order, as ``__slots__``
+    and gives defaults for trailing fields in ``_defaults``. A record is
+    built from positional or keyword arguments, equals only a record of
+    the same class with equal fields, hashes as the tuple of its fields
+    and is copied with changes by ``_replace``. ``_validate`` runs at
+    the end of construction; ``repr`` leaves out ``_repr_hidden``.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _repr_hidden = ()
+
+    def __init__(self, *args, **kwargs):
+        names, defaults = self.__slots__, self._defaults
+        call = f"{type(self).__qualname__}.__init__()"
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+            values[name] = value
+        if len(args) > len(names):
+            takes = f"from {len(names) - len(defaults) + 1} to " if defaults else ""
+            raise TypeError(
+                f"{call} takes {takes}{len(names) + 1} positional arguments but {len(args) + 1} were given"
+            )
+        missing = [repr(name) for name in names if name not in values and name not in defaults]
+        if missing:
+            listed = " and ".join(missing[-2:])
+            if len(missing) > 2:
+                listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
+            plural = "s" if len(missing) > 1 else ""
+            raise TypeError(f"{call} missing {len(missing)} required positional argument{plural}: {listed}")
+        for name in names:
+            object.__setattr__(self, name, values[name] if name in values else defaults[name])
+        self._validate()
+
+    def _validate(self):
+        """Check the fields; raise to refuse the record."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        """A new record with the named fields changed, validated like any."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._repr_hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which may set fields.
+        return type(self), self._values()
+
+
 # -- windows ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Record):
     """A finite downward-closed truncation of a poset.
 
     ``bound`` is family-specific: maximum integer for divisibility,
@@ -769,11 +844,10 @@ class Window:
     window is the divisor set of ``bound`` instead of the full range.
     """
 
-    poset: Poset
-    bound: int | None = None
-    divisor_closure: bool = False
+    __slots__ = ("poset", "bound", "divisor_closure")
+    _defaults = {"bound": None, "divisor_closure": False}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.divisor_closure and self.poset.family != "divisibility":
             raise InvalidInput("divisor-closure windows exist only for divisibility")
         if self.poset.family != "explicit" and self.bound is None:

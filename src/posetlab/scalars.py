@@ -26,10 +26,10 @@ from fractions import Fraction
 
 from .errors import InvalidInput
 
-_RATIONAL = r"[+-]?\d+(?:/\d+)?"
-_SIGNED_RATIONAL = r"[+-]\d+(?:/\d+)?"
-_FULL_RE = _re.compile(rf"^(?P<re>{_RATIONAL})(?:(?P<im>{_SIGNED_RATIONAL})i)?$")
-_IMAG_RE = _re.compile(rf"^(?P<im>{_RATIONAL})i$")
+# Sign, numerator digits and optional denominator digits of each part.
+_UNSIGNED = r"(\d+)(?:/(\d+))?"
+_FULL_RE = _re.compile(rf"^([+-]?){_UNSIGNED}(?:([+-]){_UNSIGNED}i)?$")
+_IMAG_RE = _re.compile(rf"^([+-]?){_UNSIGNED}i$")
 
 
 class GaussianRational:
@@ -55,12 +55,13 @@ class GaussianRational:
         match = _FULL_RE.match(compact)
         try:
             if match:
-                real = Fraction(match.group("re"))
-                imag = Fraction(match.group("im")) if match.group("im") else Fraction(0)
-                return cls(real, imag)
+                sign, num, den, im_sign, im_num, im_den = match.groups()
+                # The real part is read first, so its error is the one reported.
+                real = _parse_rational(sign, num, den)
+                return cls(real, _parse_rational(im_sign, im_num, im_den) if im_sign else 0)
             match = _IMAG_RE.match(compact)
             if match:
-                return cls(0, Fraction(match.group("im")))
+                return cls(0, _parse_rational(*match.groups()))
         except ZeroDivisionError:
             raise InvalidInput(f"zero denominator in scalar: {text!r}") from None
         except ValueError:
@@ -155,6 +156,16 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({str(self)!r})"
+
+
+def _parse_rational(sign: str, num: str, den: str | None):
+    """The rational ``sign num/den`` as an ``int``, or a ``Fraction`` when
+    there is a denominator, read as ``Fraction(text)`` reads it: digits
+    through ``int``, so with its digit limit and Unicode digits."""
+    value = int(num)
+    if sign == "-":
+        value = -value
+    return value if den is None else Fraction(value, int(den))
 
 
 def _format_fraction(value: Fraction) -> str:
