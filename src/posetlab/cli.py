@@ -53,10 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posetlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, poset=True):
-        if poset:
-            p.add_argument("--poset", help="built-in poset family name")
-            p.add_argument("--poset-file", help="path to an explicit-poset JSON document")
+    def add_common(p):
+        p.add_argument("--poset", help="built-in poset family name")
+        p.add_argument("--poset-file", help="path to an explicit-poset JSON document")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
 
     def add_window_flags(p, shell=False):
@@ -158,9 +157,9 @@ def _load_json_file(path: str) -> dict:
 
 def _resolve_poset(args) -> tuple[Poset, str]:
     """Resolve the poset and a label usable in emitted documents."""
-    if getattr(args, "poset_file", None):
+    if args.poset_file:
         return load_explicit_poset(_load_json_file(args.poset_file)), args.poset_file
-    if getattr(args, "poset", None):
+    if args.poset:
         return get_poset(args.poset), args.poset
     raise UsageError("a poset is required: pass --poset or --poset-file")
 

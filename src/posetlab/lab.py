@@ -48,7 +48,7 @@ from .errors import (
     ZeroFunction,
 )
 from .functions import FiniteSupportFunction, _materialize_elements, alpha_transform, materialize, mobius_inversion
-from .incidence import IntervalFunction, convolve, delta_function, mobius_function, zeta_function
+from .incidence import IntervalFunction, convolve, mobius_function, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
 from .posets import INCONCLUSIVE, Poset, Window, _check_cap, _Record, enumerate_window
 from .scalars import GaussianRational, as_scalar, narrow
@@ -77,17 +77,15 @@ class WitnessCertificate(_Record):
     """
 
     __slots__ = (
-        "y",
-        "avoid_set",
-        "z",
-        "cond_disjoint",
-        "cond_factorize",
-        "cond_nonzero",
-        "mu_yz",
-        "predicted_fz",
-        "observed_fz",
+        "y", "avoid_set", "z", "cond_disjoint", "cond_factorize", "cond_nonzero", "mu_yz",
+        "predicted_fz", "observed_fz",
     )
-    _defaults = {"predicted_fz": None, "observed_fz": None}
+
+    def __init__(
+        self, y, avoid_set, z, cond_disjoint, cond_factorize, cond_nonzero, mu_yz,
+        predicted_fz=None, observed_fz=None,
+    ):
+        self._fill(locals())
 
     @property
     def all_conditions(self) -> bool:
@@ -113,6 +111,9 @@ class SupportCensus(_Record):
 
     __slots__ = ("x", "function_name", "window", "members", "verdict", "certificate_note")
 
+    def __init__(self, x, function_name, window, members, verdict, certificate_note):
+        self._fill(locals())
+
     def to_json_dict(self, p: Poset) -> dict:
         return {
             "x": p.format_element(self.x),
@@ -134,17 +135,14 @@ class PairSearchResult(_Record):
     Vanishing of g beyond the shell is never checked, hence the caveat.
     """
 
-    __slots__ = (
-        "window",
-        "shell",
-        "nullspace_dimension",
-        "unknowns",
-        "nullspace_basis",
-        "candidate",
-        "caveat",
-    )
-    _defaults = {"candidate": None, "caveat": "verified only on shell"}
+    __slots__ = ("window", "shell", "nullspace_dimension", "unknowns", "nullspace_basis", "candidate", "caveat")
     _repr_hidden = ("nullspace_basis",)
+
+    def __init__(
+        self, window, shell, nullspace_dimension, unknowns, nullspace_basis,
+        candidate=None, caveat="verified only on shell",
+    ):
+        self._fill(locals())
 
     def vector_in_nullspace(self, f: FiniteSupportFunction) -> bool:
         """Whether a function supported in the window lies in the kernel."""
@@ -175,6 +173,9 @@ class ConjectureReport(_Record):
     for an inverse pair (a, b). Evidence only; no verdict is drawn."""
 
     __slots__ = ("poset", "alpha_name", "beta_name", "window", "shell", "censuses", "pair_search")
+
+    def __init__(self, poset, alpha_name, beta_name, window, shell, censuses, pair_search):
+        self._fill(locals())
 
     def to_json_dict(self) -> dict:
         p = self.poset
@@ -436,12 +437,11 @@ def conjecture_experiment(
     pairs = len(shell_elements) * (len(shell_elements) + 1) // 2
     _check_cap(pairs, f"inverse-pair check over {pairs} element pairs exceeds cap {{cap}}")
     product = convolve(a, b)
-    delta = delta_function(p)
     for i, x in enumerate(shell_elements):
         for y in shell_elements[i:]:
             if not p._leq(x, y):
                 continue
-            if product._evaluate_canonical(x, y) != delta._evaluate_canonical(x, y):
+            if product._evaluate_canonical(x, y) != (1 if x == y else 0):
                 raise NotInverses(
                     f"(a*b)({p.format_element(x)}, {p.format_element(y)}) != delta"
                 )

@@ -157,6 +157,11 @@ class Poset:
             dual = self._dual_view = _Dual(self)
         return dual
 
+    def __getstate__(self):
+        # Copies and pickles leave out the cached dual view (its order test
+        # is a closure) and the Mobius memo; the copy builds its own.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_dual_view", "_mobius")}
+
     def __repr__(self):
         return f"Poset({self.family})"
 
@@ -761,45 +766,19 @@ class _Record:
     """Base of the library's small immutable result records.
 
     A subclass lists its fields, in constructor order, as ``__slots__``
-    and gives defaults for trailing fields in ``_defaults``. A record is
-    built from positional or keyword arguments, equals only a record of
-    the same class with equal fields, hashes as the tuple of its fields
-    and is copied with changes by ``_replace``. ``_validate`` runs at
-    the end of construction; ``repr`` leaves out ``_repr_hidden``.
+    and writes an ``__init__`` with those parameters that calls
+    ``self._fill(locals())``. A record equals only a record of the same
+    class with equal fields, hashes as the tuple of its fields and is
+    copied with changes by ``_replace``; ``repr`` leaves out
+    ``_repr_hidden``.
     """
 
     __slots__ = ()
-    _defaults = {}
     _repr_hidden = ()
 
-    def __init__(self, *args, **kwargs):
-        names, defaults = self.__slots__, self._defaults
-        call = f"{type(self).__qualname__}.__init__()"
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{call} got multiple values for argument {name!r}")
-            values[name] = value
-        if len(args) > len(names):
-            takes = f"from {len(names) - len(defaults) + 1} to " if defaults else ""
-            raise TypeError(
-                f"{call} takes {takes}{len(names) + 1} positional arguments but {len(args) + 1} were given"
-            )
-        missing = [repr(name) for name in names if name not in values and name not in defaults]
-        if missing:
-            listed = " and ".join(missing[-2:])
-            if len(missing) > 2:
-                listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
-            plural = "s" if len(missing) > 1 else ""
-            raise TypeError(f"{call} missing {len(missing)} required positional argument{plural}: {listed}")
-        for name in names:
-            object.__setattr__(self, name, values[name] if name in values else defaults[name])
-        self._validate()
-
-    def _validate(self):
-        """Check the fields; raise to refuse the record."""
+    def _fill(self, arguments):
+        for name in self.__slots__:
+            object.__setattr__(self, name, arguments[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -845,13 +824,13 @@ class Window(_Record):
     """
 
     __slots__ = ("poset", "bound", "divisor_closure")
-    _defaults = {"bound": None, "divisor_closure": False}
 
-    def _validate(self):
-        if self.divisor_closure and self.poset.family != "divisibility":
+    def __init__(self, poset, bound=None, divisor_closure=False):
+        self._fill(locals())
+        if divisor_closure and poset.family != "divisibility":
             raise InvalidInput("divisor-closure windows exist only for divisibility")
-        if self.poset.family != "explicit" and self.bound is None:
-            raise InvalidInput(f"{self.poset.family} windows need a bound")
+        if poset.family != "explicit" and bound is None:
+            raise InvalidInput(f"{poset.family} windows need a bound")
 
     def label(self) -> str:
         if self.poset.family == "explicit":

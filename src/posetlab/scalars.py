@@ -31,6 +31,10 @@ _UNSIGNED = r"(\d+)(?:/(\d+))?"
 _FULL_RE = _re.compile(rf"^([+-]?){_UNSIGNED}(?:([+-]){_UNSIGNED}i)?$")
 _IMAG_RE = _re.compile(rf"^([+-]?){_UNSIGNED}i$")
 
+# Bound once: every scalar is built through it, and a global lookup is
+# cheaper than looking up ``object.__setattr__`` on each call.
+_set = object.__setattr__
+
 
 class GaussianRational:
     """Immutable exact scalar with rational real and imaginary parts.
@@ -45,8 +49,18 @@ class GaussianRational:
     def __init__(self, real=0, imag=0):
         if isinstance(real, float) or isinstance(imag, float):
             raise TypeError("floats are inexact; pass int or Fraction")
-        self.real = Fraction(real)
-        self.imag = Fraction(imag)
+        _set(self, "real", Fraction(real))
+        _set(self, "imag", Fraction(imag))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: scalars are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: scalars are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked setattr.
+        return GaussianRational, (self.real, self.imag)
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":

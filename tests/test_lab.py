@@ -703,6 +703,24 @@ class TestConjectureExperiment:
                 [1],
             )
 
+    def test_inverse_check_evaluates_no_delta_function(self, monkeypatch):
+        kinds = []
+        compute = IntervalFunction._compute
+
+        def spy(self, x, y):
+            kinds.append(self.kind)
+            return compute(self, x, y)
+
+        monkeypatch.setattr(IntervalFunction, "_compute", spy)
+        p = get_poset("chain")
+        conjecture_experiment(p, mobius_function(p), zeta_function(p), Window(p, 4), Window(p, 8), [1])
+        assert kinds and "delta" not in kinds
+        kinds.clear()
+        with pytest.raises(NotInverses) as info:
+            conjecture_experiment(p, zeta_function(p), zeta_function(p), Window(p, 4), Window(p, 8), [1])
+        assert str(info.value) == "(a*b)(1, 2) != delta"
+        assert "delta" not in kinds
+
     def test_inverse_check_pairs_are_capped(self, monkeypatch):
         # A 13-element shell has 13 * 14 / 2 = 91 pairs to compare with delta.
         args = (CHAIN, mobius_function(CHAIN), zeta_function(CHAIN), Window(CHAIN, 5), Window(CHAIN, 13), [1])

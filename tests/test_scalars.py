@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posetlab import GaussianRational, InvalidInput
-from posetlab.scalars import narrow
+from posetlab import FiniteSupportFunction, GaussianRational, InvalidInput, closed_form_mobius, get_poset
+from posetlab.scalars import MINUS_ONE, ONE, ZERO, narrow
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -115,6 +115,38 @@ class TestValueProtocol:
         assert not GaussianRational(1, 1).is_integer()
         with pytest.raises(ValueError):
             GaussianRational(1, 1).as_integer()
+
+
+class TestImmutability:
+    def test_parts_cannot_be_assigned_or_deleted(self):
+        value = GaussianRational(1, 2)
+        for name in ("real", "imag"):
+            with pytest.raises(AttributeError, match=f"cannot assign to '{name}'"):
+                setattr(value, name, Fraction(7))
+            with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert (value.real, value.imag) == (1, 2)
+
+    def test_shared_constants_stay_unchanged(self):
+        chain = get_poset("chain")
+        f = FiniteSupportFunction(chain, {1: 1})
+        missing = f[5]
+        assert missing is ZERO
+        with pytest.raises(AttributeError):
+            missing.real = Fraction(7)
+        with pytest.raises(AttributeError):
+            del missing.imag
+        assert ZERO == 0 and (ZERO.real, ZERO.imag) == (0, 0)
+        assert f[9] == 0
+        assert FiniteSupportFunction(get_poset("divisibility"), {2: 3})[5] == 0
+        mu = closed_form_mobius(chain, 1, 2)
+        with pytest.raises(AttributeError):
+            mu.real = Fraction(7)
+        assert closed_form_mobius(chain, 1, 2) == -1
+        assert closed_form_mobius(chain, 1, 5) == 0
+        assert (ONE, MINUS_ONE) == (1, -1)
 
 
 class TestNarrow:
