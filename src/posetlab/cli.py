@@ -185,11 +185,11 @@ def _resolve_function(args):
 def _window_from_args(p: Poset, bound, divisors, flag="--bound") -> Window:
     if divisors is not None:
         return Window(p, divisors, divisor_closure=True)
-    if p.family == "explicit":
-        return Window(p)
-    if bound is None:
-        raise UsageError(f"{flag} is required for {p.family} posets")
-    return Window(p, bound)
+    try:
+        return Window(p, bound)
+    except InvalidInput:
+        # Without divisor closure the only refusal is a missing bound.
+        raise UsageError(f"{flag} is required for {p.family} posets") from None
 
 
 def _split_encodings(text: str) -> list[str]:
@@ -238,28 +238,21 @@ def _cmd_mobius(args):
     x = p.parse_element(args.x)
     y = p.parse_element(args.y)
     value = mobius_value(p, x, y)
-
-    def payload():
-        return {
-            "poset": label,
-            "x": p.format_element(x),
-            "y": p.format_element(y),
-            "mobius": str(value),
-        }
-
-    return payload, lambda: [str(value)]
+    if args.json:
+        return {"poset": label, "x": p.format_element(x), "y": p.format_element(y), "mobius": str(value)}
+    return [str(value)]
 
 
 def _cmd_classical_mobius(args):
     value = classical_mobius(args.n)
-    return lambda: {"n": args.n, "mobius": value}, lambda: [str(value)]
+    return {"n": args.n, "mobius": value} if args.json else [str(value)]
 
 
 def _transform_command(args, transform):
     p, label, f = _resolve_function(args)
     window = _window_from_args(p, args.bound, args.divisors)
     result = materialize(transform(f), window)
-    return lambda: function_to_document(result, label), lambda: _function_lines(result, p)
+    return function_to_document(result, label) if args.json else _function_lines(result, p)
 
 
 def _cmd_transform(args):
@@ -277,8 +270,7 @@ def _cmd_convolve(args):
     left = _INTERVAL_FUNCTIONS[args.left](p)
     right = _INTERVAL_FUNCTIONS[args.right](p)
     value = convolve(left, right).evaluate(x, y)
-
-    def payload():
+    if args.json:
         return {
             "poset": label,
             "left": args.left,
@@ -287,8 +279,7 @@ def _cmd_convolve(args):
             "y": p.format_element(y),
             "value": str(value),
         }
-
-    return payload, lambda: [str(value)]
+    return [str(value)]
 
 
 def _cmd_witness(args):
@@ -296,8 +287,7 @@ def _cmd_witness(args):
     y = p.parse_element(args.y)
     avoid = [p.parse_element(s) for s in _split_encodings(args.avoid)]
     certs = list(witnesses(p, y, avoid, args.count, args.budget))
-
-    def payload():
+    if args.json:
         return {
             "poset": label,
             "y": p.format_element(y),
@@ -306,30 +296,25 @@ def _cmd_witness(args):
             "found": len(certs),
             "certificates": [cert.to_json_dict(p) for cert in certs],
         }
-
-    def text():
-        lines = _certificate_lines(certs, p)
-        lines.append(f"found {len(certs)} of {args.count} requested witnesses")
-        if len(certs) < args.count:
-            lines.append("budget exhausted; absence is not implied")
-        return lines
-
-    return payload, text
+    lines = _certificate_lines(certs, p)
+    lines.append(f"found {len(certs)} of {args.count} requested witnesses")
+    if len(certs) < args.count:
+        lines.append("budget exhausted; absence is not implied")
+    return lines
 
 
 def _cmd_verify(args):
     p, label, g = _resolve_function(args)
     certs = verify_uncertainty_witnesses(p, g, args.count, args.budget)
-
-    def payload():
+    y = p.format_element(certs[0].y)
+    if args.json:
         return {
             "poset": label,
             "count": args.count,
-            "y": p.format_element(certs[0].y),
+            "y": y,
             "certificates": [cert.to_json_dict(p) for cert in certs],
         }
-
-    return payload, lambda: [f"y = {p.format_element(certs[0].y)}", *_certificate_lines(certs, p)]
+    return [f"y = {y}", *_certificate_lines(certs, p)]
 
 
 def _cmd_census(args):
@@ -338,16 +323,14 @@ def _cmd_census(args):
     window = _window_from_args(p, args.bound, args.divisors)
     alpha = _INTERVAL_FUNCTIONS[args.alpha](p)
     census = support_census(p, alpha, x, window)
-
-    def text():
-        return [
-            f"members: {','.join(p.format_element(m) for m in census.members)}",
-            f"count: {len(census.members)}",
-            f"verdict: {census.verdict}",
-            f"note: {census.certificate_note}",
-        ]
-
-    return lambda: {**census.to_json_dict(p), "poset": label}, text
+    if args.json:
+        return {**census.to_json_dict(p), "poset": label}
+    return [
+        f"members: {','.join(p.format_element(m) for m in census.members)}",
+        f"count: {len(census.members)}",
+        f"verdict: {census.verdict}",
+        f"note: {census.certificate_note}",
+    ]
 
 
 def _search_windows(args, p: Poset):
@@ -361,19 +344,17 @@ def _cmd_search(args):
     window, shell = _search_windows(args, p)
     beta = _INTERVAL_FUNCTIONS[args.beta](p)
     result = finite_support_pair_search(p, window, shell, beta=beta)
-
-    def text():
-        lines = [f"nullspace dimension: {result.nullspace_dimension}"]
-        if result.candidate is None:
-            lines.append("no candidate pair at this truncation")
-        else:
-            f, g = result.candidate
-            lines.append("candidate f: " + "; ".join(_function_lines(f, p)))
-            lines.append("candidate g: " + "; ".join(_function_lines(g, p)))
-            lines.append(f"caveat: {result.caveat}")
-        return lines
-
-    return lambda: {**result.to_json_dict(p), "poset": label}, text
+    if args.json:
+        return {**result.to_json_dict(p), "poset": label}
+    lines = [f"nullspace dimension: {result.nullspace_dimension}"]
+    if result.candidate is None:
+        lines.append("no candidate pair at this truncation")
+    else:
+        f, g = result.candidate
+        lines.append("candidate f: " + "; ".join(_function_lines(f, p)))
+        lines.append("candidate g: " + "; ".join(_function_lines(g, p)))
+        lines.append(f"caveat: {result.caveat}")
+    return lines
 
 
 def _cmd_conjecture(args):
@@ -383,24 +364,21 @@ def _cmd_conjecture(args):
     beta = _INTERVAL_FUNCTIONS[args.beta](p)
     sample = [p.parse_element(s) for s in _split_encodings(args.sample)]
     report = conjecture_experiment(p, alpha, beta, window, shell, sample)
-
-    def text():
-        lines = []
-        for x, census_a, census_b in report.censuses:
-            lines.append(
-                f"x={p.format_element(x)}  alpha support {len(census_a.members)} "
-                f"[{census_a.verdict}]  beta support {len(census_b.members)} "
-                f"[{census_b.verdict}]"
-            )
-        lines.append(f"pair search nullspace dimension: {report.pair_search.nullspace_dimension}")
-        lines.append(
-            "candidate pair found (verified only on shell)"
-            if report.pair_search.candidate
-            else "no candidate pair at this truncation"
-        )
-        return lines
-
-    return lambda: {**report.to_json_dict(), "poset": label}, text
+    if args.json:
+        return {**report.to_json_dict(), "poset": label}
+    lines = [
+        f"x={p.format_element(x)}  alpha support {len(census_a.members)} "
+        f"[{census_a.verdict}]  beta support {len(census_b.members)} "
+        f"[{census_b.verdict}]"
+        for x, census_a, census_b in report.censuses
+    ]
+    lines.append(f"pair search nullspace dimension: {report.pair_search.nullspace_dimension}")
+    lines.append(
+        "candidate pair found (verified only on shell)"
+        if report.pair_search.candidate
+        else "no candidate pair at this truncation"
+    )
+    return lines
 
 
 def _cmd_isomap(args):
@@ -408,12 +386,11 @@ def _cmd_isomap(args):
         raise UsageError("pass exactly one of --n or --m")
     multisets = get_poset("multisets")
     if args.n is not None:
-        m = integer_to_multiset(args.n)
-        enc = multisets.format_element(m)
-        return lambda: {"n": args.n, "multiset": enc}, lambda: [enc]
+        enc = multisets.format_element(integer_to_multiset(args.n))
+        return {"n": args.n, "multiset": enc} if args.json else [enc]
     m = multisets.parse_element(args.m)
     n = _printable_integer_image(m)
-    return lambda: {"multiset": multisets.format_element(m), "n": n}, lambda: [str(n)]
+    return {"multiset": multisets.format_element(m), "n": n} if args.json else [str(n)]
 
 
 def _printable_integer_image(m) -> int:
@@ -449,13 +426,12 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit status. A handler
-    returns two zero-argument callables, the JSON payload and the text
-    lines, and only the chosen one is built."""
+    returns what is printed: the JSON payload under ``--json``, otherwise
+    the text lines."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, lines = _HANDLERS[args.command](args)
-        output = payload() if args.json else lines()
+        output = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,8 +39,10 @@ class FiniteSupportFunction:
     kept in canonical element order. Instances are immutable.
     """
 
+    __slots__ = ("poset", "_entries")
+
     def __init__(self, poset: Poset, entries=()):
-        self.poset = poset
+        object.__setattr__(self, "poset", poset)
         items = entries.items() if isinstance(entries, dict) else entries
         staged = {}
         for element, value in items:
@@ -52,7 +54,18 @@ class FiniteSupportFunction:
                 )
             if value:
                 staged[element] = value
-        self._entries = dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
+        ordered = dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
+        object.__setattr__(self, "_entries", ordered)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: functions are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: functions are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked setattr.
+        return FiniteSupportFunction, (self.poset, self._entries)
 
     def support(self) -> list:
         return list(self._entries)

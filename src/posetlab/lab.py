@@ -441,7 +441,8 @@ def conjecture_experiment(
         for y in shell_elements[i:]:
             if not p._leq(x, y):
                 continue
-            if product._evaluate_canonical(x, y) != (1 if x == y else 0):
+            # Computed, not memoised: no value of the product is read twice.
+            if product._compute(x, y) != (1 if x == y else 0):
                 raise NotInverses(
                     f"(a*b)({p.format_element(x)}, {p.format_element(y)}) != delta"
                 )

@@ -721,6 +721,18 @@ class TestConjectureExperiment:
         assert str(info.value) == "(a*b)(1, 2) != delta"
         assert "delta" not in kinds
 
+    def test_inverse_check_memoises_no_product_value(self, monkeypatch):
+        products = []
+
+        def capture(a, b):
+            products.append(convolve(a, b))
+            return products[-1]
+
+        monkeypatch.setattr(lab, "convolve", capture)
+        p = get_poset("chain")
+        conjecture_experiment(p, mobius_function(p), zeta_function(p), Window(p, 4), Window(p, 8), [1])
+        assert len(products) == 1 and products[0]._memo == {}
+
     def test_inverse_check_pairs_are_capped(self, monkeypatch):
         # A 13-element shell has 13 * 14 / 2 = 91 pairs to compare with delta.
         args = (CHAIN, mobius_function(CHAIN), zeta_function(CHAIN), Window(CHAIN, 5), Window(CHAIN, 13), [1])

@@ -1,5 +1,7 @@
 """Finite-support functions, transforms, inversion, materialisation."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -75,6 +77,24 @@ class TestFiniteSupportFunction:
     def test_add_requires_same_poset(self):
         with pytest.raises(PosetMismatch):
             FiniteSupportFunction(CHAIN, {1: 1}) + FiniteSupportFunction(DIV, {1: 1})
+
+    @pytest.mark.parametrize(("name", "value"), [("poset", DIV), ("_entries", {})])
+    def test_fields_cannot_be_assigned_or_deleted(self, name, value):
+        f = FiniteSupportFunction(CHAIN, {1: 1})
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        assert f.poset is CHAIN and f[1] == 1 and f.support() == [1]
+
+    def test_copy_and_pickle_round_trips(self):
+        f = FiniteSupportFunction(SUBSETS, {(2, 1): GaussianRational(1, -2), (): Fraction(1, 3)})
+        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(twin) is FiniteSupportFunction
+            assert twin == f and repr(twin) == repr(f)
+            assert twin.support() == [(), (1, 2)]
 
 
 class TestZetaTransform:
