@@ -20,7 +20,7 @@ inverse of zeta (Mobius) for a whole window at once instead: one pass
 per coordinate, as in Yates's algorithm and the fast zeta transform of
 Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). Every other
 transform, and every explicit poset, is evaluated point by point. Both
-ways do narrow arithmetic on f's values, wrapped once where they leave.
+ways do narrow arithmetic on f's stored values, which are narrow too.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ class FiniteSupportFunction:
 
     Zero values are pruned at construction and after every arithmetic
     operation, so the key set always equals the support. Entries are
-    kept in canonical element order. Instances are immutable.
+    kept in canonical element order and their values in narrowest form
+    (see :func:`posetlab.scalars.narrow`); ``f[x]`` and :meth:`items`
+    wrap them as ``GaussianRational``. Instances are immutable.
     """
 
     __slots__ = ("poset", "_entries")
@@ -47,7 +49,7 @@ class FiniteSupportFunction:
         staged = {}
         for element, value in items:
             element = poset.canon(element)
-            value = as_scalar(value)
+            value = narrow(value)
             if element in staged:
                 raise InvalidInput(
                     f"duplicate entry for {poset.format_element(element)}"
@@ -70,11 +72,12 @@ class FiniteSupportFunction:
     def support(self) -> list:
         return list(self._entries)
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list:
+        return [(element, as_scalar(value)) for element, value in self._entries.items()]
 
     def __getitem__(self, element) -> GaussianRational:
-        return self._entries.get(self.poset.canon(element), ZERO)
+        value = self._entries.get(self.poset.canon(element))
+        return ZERO if value is None else as_scalar(value)
 
     def __len__(self):
         return len(self._entries)
@@ -94,23 +97,23 @@ class FiniteSupportFunction:
             raise PosetMismatch("cannot add functions on different posets")
         merged = dict(self._entries)
         for element, value in other._entries.items():
-            merged[element] = merged.get(element, ZERO) + value
+            merged[element] = merged.get(element, 0) + value
         return FiniteSupportFunction(self.poset, merged)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, scalar):
+        scalar = narrow(scalar)
         return FiniteSupportFunction(
-            self.poset,
-            {element: value * as_scalar(scalar) for element, value in self._entries.items()},
+            self.poset, {element: value * scalar for element, value in self._entries.items()}
         )
 
     __rmul__ = __mul__
 
     def __repr__(self):
         pairs = ", ".join(
-            f"{self.poset.format_element(k)}: {v}" for k, v in self._entries.items()
+            f"{self.poset.format_element(k)}: {v}" for k, v in self.items()
         )
         return f"FiniteSupportFunction({self.poset.family}; {pairs})"
 
@@ -120,22 +123,21 @@ class EvaluableFunction:
     y |-> sum of a(x, y) * h(x) over support elements x <= y. Its support
     is in general infinite, but evaluation at one element terminates
     because the sum ranges over h's finite support. The point rule and
-    the kernel of :func:`materialize` read the same entries of ``h`` in
-    narrowest form (see :func:`posetlab.scalars.narrow`).
+    the kernel of :func:`materialize` both read ``h``'s stored narrow
+    values; no copy of them is kept here.
     """
 
     def __init__(self, h: FiniteSupportFunction, a: IntervalFunction):
         self.poset = h.poset
         self.h = h
         self.a = a
-        self._entries = [(x, narrow(value)) for x, value in h.items()]
 
     def __call__(self, element) -> GaussianRational:
         p = self.poset
         y = p.canon(element)
         a = self.a._evaluate_canonical
         total = 0
-        for x, value in self._entries:
+        for x, value in self.h._entries.items():
             if p._leq(x, y):
                 total += a(x, y) * value
         return as_scalar(total)
@@ -183,15 +185,17 @@ def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupport
         sign = e.a._zeta_power()
         steps = e.poset.coordinate_steps(elements) if sign else None
         if steps is not None:
-            values = _coordinatewise(e._entries, sign, elements, steps)
+            values = _coordinatewise(e.h._entries, sign, elements, steps)
+            # Only the support is handed on: canonising the zeros too
+            # costs several times the kernel itself on a sparse result.
             return FiniteSupportFunction(e.poset, ((y, v) for y, v in values.items() if v))
     return FiniteSupportFunction(e.poset, ((y, e(y)) for y in elements))
 
 
-def _coordinatewise(entries: list, sign: int, elements: list, steps) -> dict:
+def _coordinatewise(entries: dict, sign: int, elements: list, steps) -> dict:
     """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
-    ``entries`` on a downward-closed window of a product of chains, in
-    narrowest form.
+    ``entries`` (element -> value) on a downward-closed window of a
+    product of chains, in narrowest form, zeros included.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
     the product of their inverses, so each coordinate c gets one pass:
@@ -199,7 +203,7 @@ def _coordinatewise(entries: list, sign: int, elements: list, steps) -> dict:
     a[y] -= a[y stepped down in c] in descending order for Mobius, which
     reads the neighbour before this pass changes it."""
     values = dict.fromkeys(elements, 0)
-    for x, value in entries:
+    for x, value in entries.items():
         if x in values:
             values[x] = value
     passes: dict = {}

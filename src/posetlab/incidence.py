@@ -42,28 +42,18 @@ class IntervalFunction:
 
     Build instances through :func:`delta_function`, :func:`zeta_function`,
     :func:`mobius_function`, :func:`custom_function`, :func:`convolve`,
-    and :func:`invert`.
+    and :func:`invert`, which fix the ``name``. A convolution keeps its
+    factors as ``operands == (a, b)``, an inverse ``(a,)``; a custom
+    function keeps its ``rule``.
     """
 
-    def __init__(self, poset, kind, *, rule=None, name=None, left=None, right=None, inner=None):
+    def __init__(self, poset, kind, name, operands=(), rule=None):
         self.poset = poset
         self.kind = kind
+        self.name = name
+        self.operands = operands
         self._rule = rule
-        self._name = name
-        self.left = left
-        self.right = right
-        self.inner = inner
         self._memo: dict = {}
-
-    @property
-    def name(self) -> str:
-        if self._name:
-            return self._name
-        if self.kind == "convolution":
-            return f"({self.left.name}*{self.right.name})"
-        if self.kind == "inverse":
-            return f"inverse({self.inner.name})"
-        return self.kind
 
     def evaluate(self, x, y) -> GaussianRational:
         """The value on the interval [x, y]; raises ``NotComparable``
@@ -73,7 +63,7 @@ class IntervalFunction:
     def _zeta_power(self) -> int | None:
         """1 for zeta, -1 for an inverse of zeta, None for anything else."""
         if self.kind == "inverse":
-            return -1 if self.inner.kind == "zeta" else None
+            return -1 if self.operands[0].kind == "zeta" else None
         return 1 if self.kind == "zeta" else None
 
     def _evaluate_canonical(self, x, y):
@@ -110,7 +100,7 @@ class IntervalFunction:
         # to the row's support. Raises lazily on a zero diagonal.
         p = self.poset
         leq = p._leq
-        a = self.inner._evaluate_canonical
+        a = self.operands[0]._evaluate_canonical
         memo = self._memo
         nonzeros: list = []
         for z in p._interval(x, y):
@@ -134,7 +124,7 @@ class IntervalFunction:
 
     def _convolution(self, x, y):
         p = self.poset
-        left, right = self.left, self.right
+        left, right = self.operands
         # Fills a row-solved left factor's row over [x, y] in one walk,
         # so the loop below only reads its memo.
         left._evaluate_canonical(x, y)
@@ -166,12 +156,12 @@ def _divide(value, divisor):
 
 def delta_function(p: Poset) -> IntervalFunction:
     """The identity of the incidence algebra."""
-    return IntervalFunction(p, "delta")
+    return IntervalFunction(p, "delta", "delta")
 
 
 def zeta_function(p: Poset) -> IntervalFunction:
     """The constant-1 interval function."""
-    return IntervalFunction(p, "zeta")
+    return IntervalFunction(p, "zeta", "zeta")
 
 
 def mobius_function(p: Poset) -> IntervalFunction:
@@ -181,27 +171,27 @@ def mobius_function(p: Poset) -> IntervalFunction:
     other, so neither keeps the other alive."""
     fn = p.__dict__.get("_mobius")
     if fn is None:
-        fn = p._mobius = IntervalFunction(p, "inverse", inner=zeta_function(p), name="mobius")
+        fn = p._mobius = IntervalFunction(p, "inverse", "mobius", (zeta_function(p),))
     return fn
 
 
 def custom_function(p: Poset, rule, name: str | None = None) -> IntervalFunction:
     """Wrap an evaluation rule ``rule(x, y) -> scalar``; the rule must be
     pure and total on the intervals of ``p``."""
-    return IntervalFunction(p, "custom", rule=rule, name=name or "custom")
+    return IntervalFunction(p, "custom", name or "custom", rule=rule)
 
 
 def convolve(a: IntervalFunction, b: IntervalFunction) -> IntervalFunction:
     """The lazily evaluated convolution a * b."""
     if a.poset != b.poset:
         raise PosetMismatch(f"cannot convolve over {a.poset.family} and {b.poset.family}")
-    return IntervalFunction(a.poset, "convolution", left=a, right=b)
+    return IntervalFunction(a.poset, "convolution", f"({a.name}*{b.name})", (a, b))
 
 
 def invert(a: IntervalFunction) -> IntervalFunction:
     """The two-sided convolution inverse of ``a``, evaluated lazily;
     raises ``NotInvertible`` on the first zero diagonal entry met."""
-    return IntervalFunction(a.poset, "inverse", inner=a)
+    return IntervalFunction(a.poset, "inverse", f"inverse({a.name})", (a,))
 
 
 def evaluate(a: IntervalFunction, x, y) -> GaussianRational:

@@ -51,7 +51,7 @@ from .functions import FiniteSupportFunction, _materialize_elements, alpha_trans
 from .incidence import IntervalFunction, convolve, mobius_function, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
 from .posets import INCONCLUSIVE, Poset, Window, _check_cap, _Record, enumerate_window
-from .scalars import GaussianRational, as_scalar, narrow
+from .scalars import GaussianRational, as_scalar
 
 DEFAULT_BUDGET = 10_000
 
@@ -294,12 +294,11 @@ def verify_uncertainty_witnesses(
         )
 
     mu = mobius_function(p._dual())._evaluate_canonical
-    g_values = {x: narrow(value) for x, value in g.items()}
     certificates = []
     for cert in witnesses(p, base, g.support(), count, budget):
         predicted = cert.mu_yz * f_base
         total = 0
-        for x, g_x in g_values.items():
+        for x, g_x in g._entries.items():
             if p._leq(x, cert.z):
                 total += mu(cert.z, x) * g_x
         observed = as_scalar(total)

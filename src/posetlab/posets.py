@@ -455,10 +455,11 @@ class SubsetPoset(_ChainProduct):
         extra = sorted(set(y) - set(x))
         base = set(x)
         out = []
+        # By size, each size in lexicographic order: adding the same base
+        # to every combination keeps that order, so this is canonical.
         for size in range(len(extra) + 1):
             for combo in itertools.combinations(extra, size):
                 out.append(tuple(sorted(base.union(combo))))
-        out.sort(key=self.sort_key)
         return out
 
     def window_elements(self, bound) -> list:

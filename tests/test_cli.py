@@ -165,6 +165,15 @@ class TestTransforms:
         assert (status, out) == (1, "")
         assert "too many digits" in err
 
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+    def test_overlong_integer_result_is_refused(self, capsys, tmp_path, output):
+        # Each input has Python's largest printable digit count; their sum
+        # at 2 has one digit more.
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"poset": "chain", "values": {"1": "9" * 4300, "2": "9" * 4300}}))
+        status, out, err = invoke(capsys, "transform", "--fn", str(fn), "--bound", "2", *output)
+        assert (status, out, err) == (1, "", "error: scalar has too many digits to print\n")
+
     def test_bound_required_for_builtin(self, capsys, point_mass_file):
         assert invoke(capsys, "transform", "--fn", point_mass_file)[0] == 1
 

@@ -88,6 +88,28 @@ class TestEvaluate:
         assert a.evaluate(1, 5) == a.evaluate(1, 5)
 
 
+class TestConstruction:
+    def test_operands_and_fixed_names(self):
+        zeta, delta = zeta_function(DIV), delta_function(DIV)
+        g = custom_function(DIV, lambda x, y: 2, "g")
+        product = convolve(zeta, g)
+        inverse = invert(product)
+        assert inverse.name == "inverse((zeta*g))"
+        assert (product.operands, inverse.operands) == ((zeta, g), (product,))
+        assert (zeta.operands, g.operands, delta.operands) == ((), (), ())
+        unnamed = custom_function(DIV, lambda x, y: 1)
+        assert [f.name for f in (zeta, delta, mobius_function(DIV), unnamed)] == [
+            "zeta", "delta", "mobius", "custom"
+        ]
+        assert mobius_function(DIV).operands[0].kind == "zeta"
+        assert repr(inverse) == "IntervalFunction(inverse((zeta*g)) on divisibility)"
+        assert "name" not in vars(type(inverse))
+        for attribute in ("left", "right", "inner", "_name"):
+            assert not hasattr(inverse, attribute) and not hasattr(product, attribute)
+        identity = convolve(inverse, product)
+        assert [identity.evaluate(x, y) for x, y in ((1, 6), (2, 12), (3, 3))] == [0, 0, 1]
+
+
 class TestMobiusValue:
     @pytest.mark.parametrize(
         "poset,x",

@@ -324,6 +324,14 @@ class TestVerifyUncertaintyWitnesses:
         with pytest.raises(WitnessConclusionViolated, match="at 2: observed -1, predicted -2"):
             verify_uncertainty_witnesses(DIV, g, 1)
 
+    def test_reads_stored_values_of_g(self, monkeypatch):
+        # The check sums over g's stored narrow values; it builds no
+        # wrapped or narrowed copy of them.
+        g = FiniteSupportFunction(DIV, {1: 1, 6: Fraction(-2), 10: GaussianRational(0, 1)})
+        expected = verify_uncertainty_witnesses(DIV, g, 3)
+        monkeypatch.setattr(FiniteSupportFunction, "items", None)
+        assert verify_uncertainty_witnesses(DIV, g, 3) == expected
+
     def test_vanishing_inversion_raises(self, monkeypatch):
         monkeypatch.setattr(lab, "mobius_inversion", lambda g: lambda y: GaussianRational(0))
         with pytest.raises(WitnessConclusionViolated, match="vanishes"):

@@ -6,7 +6,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetlab.numtheory as numtheory
@@ -104,6 +104,22 @@ class TestInterval:
             interval(CHAIN, 5, 3)
         with pytest.raises(NotComparable):
             interval(DIV, 5, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(1, 12)), st.sets(st.integers(1, 12)))
+    # Bases whose members interleave with the added ones.
+    @example({1, 2, 3, 5, 7}, {2, 5})
+    @example({1, 3, 4, 6, 9, 12}, {1, 4, 9})
+    @example(set(range(1, 13)), {2, 4, 6, 8, 10, 12})
+    def test_subsets_interval_matches_sorted_filter(self, top, other):
+        base = top & other
+        members = sorted(top)
+        power_set = [
+            tuple(m for i, m in enumerate(members) if mask >> i & 1)
+            for mask in range(1 << len(members))
+        ]
+        expected = sorted((z for z in power_set if base <= set(z)), key=SUBSETS.sort_key)
+        assert interval(SUBSETS, tuple(base), tuple(top)) == expected
 
 
 class TestIdealAndBottom:

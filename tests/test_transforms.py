@@ -89,6 +89,35 @@ class TestFiniteSupportFunction:
             f.extra = 1
         assert f.poset is CHAIN and f[1] == 1 and f.support() == [1]
 
+    def test_values_are_stored_narrow_and_read_wrapped(self):
+        forms = [2, Fraction(2), Fraction(4, 2), GaussianRational(2)]
+        functions = [FiniteSupportFunction(DIV, {6: value, 1: Fraction(1, 2)}) for value in forms]
+        assert all(f == functions[0] for f in functions)
+        assert {repr(f) for f in functions} == {"FiniteSupportFunction(divisibility; 1: 1/2, 6: 2)"}
+        f = functions[0]
+        assert [type(v) for v in f._entries.values()] == [Fraction, int]
+        assert f.items() == [(1, GaussianRational(Fraction(1, 2))), (6, GaussianRational(2))]
+        assert all(type(v) is GaussianRational for _, v in f.items())
+        assert type(f[6]) is GaussianRational and f[6] == 2
+
+    def test_arithmetic_keeps_values_narrow(self):
+        i = GaussianRational(0, 1)
+        f = FiniteSupportFunction(CHAIN, {1: Fraction(1, 2), 2: 1 + i, 3: 4})
+        g = FiniteSupportFunction(CHAIN, {1: Fraction(1, 2), 2: 1 - i})
+        total = f + g
+        assert total._entries == {1: 1, 2: 2, 3: 4}
+        assert all(type(v) is int for v in total._entries.values())
+        assert (GaussianRational(Fraction(1, 2)) * f)._entries == {1: Fraction(1, 4), 2: (1 + i) / 2, 3: 2}
+        assert (i * f)[2] == i - 1
+
+    def test_non_scalar_values_and_factors_are_rejected(self):
+        with pytest.raises(InvalidInput, match="cannot interpret 1.5 as an exact scalar"):
+            FiniteSupportFunction(CHAIN, {1: 1.5})
+        with pytest.raises(InvalidInput, match="cannot interpret True"):
+            FiniteSupportFunction(CHAIN, {1: True})
+        with pytest.raises(InvalidInput, match="cannot interpret 0.5"):
+            FiniteSupportFunction(CHAIN, {1: 1}) * 0.5
+
     def test_copy_and_pickle_round_trips(self):
         f = FiniteSupportFunction(SUBSETS, {(2, 1): GaussianRational(1, -2), (): Fraction(1, 3)})
         for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
@@ -236,6 +265,37 @@ class TestMaterialize:
             assert value
         for y in enumerate_window(w):
             assert g(y) == stored[y]
+
+
+class TestStoredValuesReachTheKernel:
+    def test_integer_transform_builds_no_gaussian_until_read(self, monkeypatch):
+        f = FiniteSupportFunction(DIV, {1: 1, 6: -2, 35: 3})
+        built = []
+        real_init = GaussianRational.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        g = materialize(zeta_transform(f), Window(DIV, 200))
+        back = materialize(mobius_inversion(g), Window(DIV, 200))
+        assert built == [] and back == f
+        read = (g[6], g[70])
+        assert built == [(-1,), (4,)]
+        monkeypatch.undo()
+        assert read == (-1, 4)
+
+    def test_transform_keeps_no_copy_of_values(self, monkeypatch):
+        h = FiniteSupportFunction(SUBSETS, {(): 1, (1,): Fraction(-1, 2), (2, 3): GaussianRational(1, 1)})
+        expected_point = alpha_transform(h, mobius_function(SUBSETS))((1, 2, 3))
+        expected = materialize(mobius_inversion(h), Window(SUBSETS, 4))
+        e = alpha_transform(h, mobius_function(SUBSETS))
+        assert set(vars(e)) == {"poset", "h", "a"}
+        # Both the point rule and the kernel read h's stored values.
+        monkeypatch.setattr(FiniteSupportFunction, "items", None)
+        assert e((1, 2, 3)) == expected_point
+        assert materialize(e, Window(SUBSETS, 4))._entries == expected._entries
 
 
 def point_values(e, window) -> dict:
