@@ -28,23 +28,25 @@ from __future__ import annotations
 from .errors import InvalidInput, PosetMismatch
 from .incidence import IntervalFunction, mobius_function, zeta_function
 from .posets import Poset, Window, enumerate_window
-from .scalars import ZERO, GaussianRational, as_scalar, narrow
+from .scalars import ZERO, GaussianRational, _Immutable, _set, as_scalar, narrow
 
 
-class FiniteSupportFunction:
+class FiniteSupportFunction(_Immutable):
     """An exact map from finitely many elements to nonzero scalars.
 
     Zero values are pruned at construction and after every arithmetic
     operation, so the key set always equals the support. Entries are
     kept in canonical element order and their values in narrowest form
     (see :func:`posetlab.scalars.narrow`); ``f[x]`` and :meth:`items`
-    wrap them as ``GaussianRational``. Instances are immutable.
+    wrap them as ``GaussianRational``. Instances are immutable and, as
+    their entries are a dict, unhashable.
     """
 
     __slots__ = ("poset", "_entries")
+    __hash__ = None
 
     def __init__(self, poset: Poset, entries=()):
-        object.__setattr__(self, "poset", poset)
+        _set(self, "poset", poset)
         items = entries.items() if isinstance(entries, dict) else entries
         staged = {}
         for element, value in items:
@@ -57,17 +59,7 @@ class FiniteSupportFunction:
             if value:
                 staged[element] = value
         ordered = dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
-        object.__setattr__(self, "_entries", ordered)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: functions are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: functions are immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the blocked setattr.
-        return FiniteSupportFunction, (self.poset, self._entries)
+        _set(self, "_entries", ordered)
 
     def support(self) -> list:
         return list(self._entries)
@@ -84,11 +76,6 @@ class FiniteSupportFunction:
 
     def __bool__(self):
         return bool(self._entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteSupportFunction):
-            return NotImplemented
-        return self.poset == other.poset and self._entries == other._entries
 
     def __add__(self, other):
         if not isinstance(other, FiniteSupportFunction):

@@ -47,7 +47,14 @@ from .errors import (
     WitnessConclusionViolated,
     ZeroFunction,
 )
-from .functions import FiniteSupportFunction, _materialize_elements, alpha_transform, materialize, mobius_inversion
+from .functions import (
+    FiniteSupportFunction,
+    _materialize_elements,
+    alpha_transform,
+    function_to_document,
+    materialize,
+    mobius_inversion,
+)
 from .incidence import IntervalFunction, convolve, mobius_function, zeta_function
 from .linalg import in_span, nullspace, primitive_integer_vector
 from .posets import INCONCLUSIVE, Poset, Window, _check_cap, _Record, enumerate_window
@@ -154,10 +161,7 @@ class PairSearchResult(_Record):
         candidate = None
         if self.candidate is not None:
             f, g = self.candidate
-            candidate = {
-                "f": {fmt(k): str(v) for k, v in f.items()},
-                "g": {fmt(k): str(v) for k, v in g.items()},
-            }
+            candidate = {"f": function_to_document(f)["values"], "g": function_to_document(g)["values"]}
         return {
             "window": self.window.label(),
             "shell": self.shell.label(),

@@ -45,7 +45,7 @@ from .errors import (
     NotComparable,
     UnknownElementInCover,
 )
-from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, _Immutable, _set
 
 DEFAULT_ELEMENT_CAP = 1 << 20
 
@@ -763,15 +763,14 @@ def integer_to_multiset(n: int):
 # -- records ----------------------------------------------------------
 
 
-class _Record:
+class _Record(_Immutable):
     """Base of the library's small immutable result records.
 
     A subclass lists its fields, in constructor order, as ``__slots__``
     and writes an ``__init__`` with those parameters that calls
-    ``self._fill(locals())``. A record equals only a record of the same
-    class with equal fields, hashes as the tuple of its fields and is
-    copied with changes by ``_replace``; ``repr`` leaves out
-    ``_repr_hidden``.
+    ``self._fill(locals())``. Equality, hashing, copying and the refusal
+    to assign come from ``_Immutable``. A record is copied with changes
+    by ``_replace``; ``repr`` leaves out ``_repr_hidden``.
     """
 
     __slots__ = ()
@@ -779,36 +778,15 @@ class _Record:
 
     def _fill(self, arguments):
         for name in self.__slots__:
-            object.__setattr__(self, name, arguments[name])
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+            _set(self, name, arguments[name])
 
     def _replace(self, **changes):
         """A new record with the named fields changed, validated like any."""
         return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
     def __repr__(self):
         shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._repr_hidden)
         return f"{type(self).__qualname__}({', '.join(shown)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which may set fields.
-        return type(self), self._values()
 
 
 # -- windows ----------------------------------------------------------

@@ -36,7 +36,41 @@ _IMAG_RE = _re.compile(rf"^([+-]?){_UNSIGNED}i$")
 _set = object.__setattr__
 
 
-class GaussianRational:
+class _Immutable:
+    """Base of the library's immutable values: scalars, finite-support
+    functions and result records.
+
+    A subclass lists its fields as ``__slots__``, in constructor order,
+    and sets them in ``__init__`` through ``_set``. Fields cannot be
+    assigned or deleted afterwards; copy and pickle rebuild an instance
+    through ``__init__``. Two instances are equal when they are of the
+    same class with equal fields, and hash as the tuple of their fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class GaussianRational(_Immutable):
     """Immutable exact scalar with rational real and imaginary parts.
 
     Both parts are ``fractions.Fraction`` values, hence always in lowest
@@ -51,16 +85,6 @@ class GaussianRational:
             raise TypeError("floats are inexact; pass int or Fraction")
         _set(self, "real", Fraction(real))
         _set(self, "imag", Fraction(imag))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: scalars are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: scalars are immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the blocked setattr.
-        return GaussianRational, (self.real, self.imag)
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -184,9 +208,7 @@ def _parse_rational(sign: str, num: str, den: str | None):
 
 def _format_fraction(value: Fraction) -> str:
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     except ValueError:
         # Past Python's digit limit, as in parse: such text could not be read back.
         raise InvalidInput("scalar has too many digits to print") from None

@@ -16,6 +16,11 @@ FILES = {
     "bad.json": {"values": {"1": "i/2"}},
     "multi.json": {"poset": "multisets", "values": {"1": "1", "2^1*3^1": "-1"}},
     "explicit.json": {"values": {"a": "1", "b": "-1"}},
+    "list.json": [],
+    "no-covers.json": {"elements": ["a"]},
+    "object-elements.json": {"elements": {"a": 1}, "covers": []},
+    "integer-id.json": {"elements": [1], "covers": []},
+    "empty-id.json": {"elements": [""], "covers": []},
 }
 
 # (argv, exit status, stdout, stderr)
@@ -1082,6 +1087,37 @@ CASES = [
         1,
         "",
         "error: pass exactly one of --n or --m\n",
+    ),
+    # Malformed explicit poset documents.
+    (
+        ["mobius", "--poset-file", "list.json", "--x", "a", "--y", "a"],
+        1,
+        "",
+        "error: explicit poset document must be an object\n",
+    ),
+    (
+        ["mobius", "--poset-file", "no-covers.json", "--x", "a", "--y", "a"],
+        1,
+        "",
+        "error: explicit poset document lacks key 'covers'\n",
+    ),
+    (
+        ["mobius", "--poset-file", "object-elements.json", "--x", "a", "--y", "a", "--json"],
+        1,
+        "",
+        "error: 'elements' and 'covers' must be lists\n",
+    ),
+    (
+        ["mobius", "--poset-file", "integer-id.json", "--x", "a", "--y", "a"],
+        1,
+        "",
+        "error: element identifiers are nonempty strings, got 1\n",
+    ),
+    (
+        ["mobius", "--poset-file", "empty-id.json", "--x", "a", "--y", "a"],
+        1,
+        "",
+        "error: element identifiers are nonempty strings, got ''\n",
     ),
 ]
 

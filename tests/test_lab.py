@@ -30,6 +30,7 @@ from posetlab import (
     InsufficientWitnesses,
     NotInverses,
     NotStrictlyAbove,
+    PosetMismatch,
     Window,
     WindowNotNested,
     WitnessConclusionViolated,
@@ -782,3 +783,30 @@ class TestCertificateSerialisation:
             "predicted_fz": None,
             "observed_fz": None,
         }
+
+
+class TestPosetMismatch:
+    """Every lab entry point refuses arguments from another poset."""
+
+    def test_verify_function_on_another_poset(self):
+        g = FiniteSupportFunction(CHAIN, {1: 1})
+        with pytest.raises(PosetMismatch, match="function lives on a different poset"):
+            verify_uncertainty_witnesses(DIV, g, 1)
+
+    def test_census_window_on_another_poset(self):
+        with pytest.raises(PosetMismatch, match="census arguments live on different posets"):
+            support_census(DIV, mobius_function(DIV), 1, Window(CHAIN, 4))
+
+    def test_pair_search_window_on_another_poset(self):
+        with pytest.raises(PosetMismatch, match="windows live on a different poset"):
+            finite_support_pair_search(DIV, Window(DIV, 4), Window(CHAIN, 8))
+
+    def test_pair_search_beta_on_another_poset(self):
+        with pytest.raises(PosetMismatch, match="transform function lives on a different poset"):
+            finite_support_pair_search(DIV, Window(DIV, 4), Window(DIV, 8), beta=zeta_function(CHAIN))
+
+    def test_conjecture_functions_on_another_poset(self):
+        with pytest.raises(PosetMismatch, match="interval functions live on a different poset"):
+            conjecture_experiment(
+                DIV, mobius_function(DIV), zeta_function(CHAIN), Window(DIV, 4), Window(DIV, 8), [1]
+            )

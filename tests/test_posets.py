@@ -625,3 +625,13 @@ class TestEncodings:
     def test_parse_rejects(self, poset, text):
         with pytest.raises(InvalidElement):
             poset.parse_element(text)
+
+
+class TestMultisetCanonRejects:
+    def test_non_iterable_element(self):
+        with pytest.raises(InvalidElement, match=r"multisets elements are \(prime, mult\) maps, got 5"):
+            MULTISETS.canon(5)
+
+    def test_entry_that_is_not_a_pair(self):
+        with pytest.raises(InvalidElement, match=r"multisets entries are \(prime, mult\) pairs, got \(2,\)"):
+            MULTISETS.canon([(2,)])

@@ -121,9 +121,9 @@ class TestImmutability:
     def test_parts_cannot_be_assigned_or_deleted(self):
         value = GaussianRational(1, 2)
         for name in ("real", "imag"):
-            with pytest.raises(AttributeError, match=f"cannot assign to '{name}'"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(value, name, Fraction(7))
-            with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
                 delattr(value, name)
         with pytest.raises(AttributeError):
             value.other = 1

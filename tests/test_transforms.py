@@ -89,6 +89,15 @@ class TestFiniteSupportFunction:
             f.extra = 1
         assert f.poset is CHAIN and f[1] == 1 and f.support() == [1]
 
+    def test_equal_by_poset_and_values_and_unhashable(self):
+        f = FiniteSupportFunction(CHAIN, {1: 1, 2: Fraction(1, 2)})
+        assert f == FiniteSupportFunction(CHAIN, {2: Fraction(1, 2), 1: 1})
+        assert f != FiniteSupportFunction(DIV, {1: 1, 2: Fraction(1, 2)})
+        assert f != FiniteSupportFunction(CHAIN, {1: 1})
+        assert f != dict(f.items())
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(f)
+
     def test_values_are_stored_narrow_and_read_wrapped(self):
         forms = [2, Fraction(2), Fraction(4, 2), GaussianRational(2)]
         functions = [FiniteSupportFunction(DIV, {6: value, 1: Fraction(1, 2)}) for value in forms]
