@@ -33,6 +33,7 @@ from .posets import (
     load_explicit_poset,
     multiset_to_integer,
 )
+from .scalars import format_narrow
 
 _INTERVAL_FUNCTIONS = {
     "delta": delta_function,
@@ -49,9 +50,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only ``command``'s subparser, or with all of
+    them when ``command`` is None. Building a subparser costs argparse a
+    help formatter per argument, so a call builds only the one it runs."""
     parser = _Parser(prog="posetlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, summary):
+        return sub.add_parser(name, help=summary) if command in (None, name) else None
 
     def add_common(p):
         p.add_argument("--poset", help="built-in poset family name")
@@ -73,67 +80,67 @@ def build_parser() -> argparse.ArgumentParser:
                 help="divisibility only: use a divisor set as the shell",
             )
 
-    p = sub.add_parser("mobius", help="Mobius value on an interval")
-    add_common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    if p := add("mobius", "Mobius value on an interval"):
+        add_common(p)
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
 
-    p = sub.add_parser("classical-mobius", help="number-theoretic Mobius function")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    if p := add("classical-mobius", "number-theoretic Mobius function"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("transform", help="zeta transform of a function, materialised")
-    add_common(p)
-    p.add_argument("--fn", required=True, help="path to a function document")
-    add_window_flags(p)
+    if p := add("transform", "zeta transform of a function, materialised"):
+        add_common(p)
+        p.add_argument("--fn", required=True, help="path to a function document")
+        add_window_flags(p)
 
-    p = sub.add_parser("invert-transform", help="Mobius inversion of a function, materialised")
-    add_common(p)
-    p.add_argument("--fn", required=True)
-    add_window_flags(p)
+    if p := add("invert-transform", "Mobius inversion of a function, materialised"):
+        add_common(p)
+        p.add_argument("--fn", required=True)
+        add_window_flags(p)
 
-    p = sub.add_parser("convolve", help="evaluate a convolution at an interval")
-    add_common(p)
-    p.add_argument("--left", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
-    p.add_argument("--right", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    if p := add("convolve", "evaluate a convolution at an interval"):
+        add_common(p)
+        p.add_argument("--left", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
+        p.add_argument("--right", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
 
-    p = sub.add_parser("witness", help="stream witness certificates above y")
-    add_common(p)
-    p.add_argument("--y", required=True)
-    p.add_argument("--avoid", default="", help="comma-joined element encodings to avoid")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    if p := add("witness", "stream witness certificates above y"):
+        add_common(p)
+        p.add_argument("--y", required=True)
+        p.add_argument("--avoid", default="", help="comma-joined element encodings to avoid")
+        p.add_argument("--count", type=int, default=5)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("verify", help="verify witness conclusions for an inversion pair")
-    add_common(p)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    if p := add("verify", "verify witness conclusions for an inversion pair"):
+        add_common(p)
+        p.add_argument("--fn", required=True)
+        p.add_argument("--count", type=int, default=5)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("census", help="support census of an interval function row")
-    add_common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
-    add_window_flags(p)
+    if p := add("census", "support census of an interval function row"):
+        add_common(p)
+        p.add_argument("--x", required=True)
+        p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
+        add_window_flags(p)
 
-    p = sub.add_parser("search", help="finite-support pair search over window and shell")
-    add_common(p)
-    p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
-    add_window_flags(p, shell=True)
+    if p := add("search", "finite-support pair search over window and shell"):
+        add_common(p)
+        p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
+        add_window_flags(p, shell=True)
 
-    p = sub.add_parser("conjecture", help="censuses plus pair search for an inverse pair")
-    add_common(p)
-    p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
-    p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
-    p.add_argument("--sample", default="", help="comma-joined base-point encodings")
-    add_window_flags(p, shell=True)
+    if p := add("conjecture", "censuses plus pair search for an inverse pair"):
+        add_common(p)
+        p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
+        p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
+        p.add_argument("--sample", default="", help="comma-joined base-point encodings")
+        add_window_flags(p, shell=True)
 
-    p = sub.add_parser("isomap", help="multiset/integer isomorphism, either direction")
-    p.add_argument("--n", type=int, help="integer to send to a multiset")
-    p.add_argument("--m", help="multiset encoding to send to an integer")
-    p.add_argument("--json", action="store_true")
+    if p := add("isomap", "multiset/integer isomorphism, either direction"):
+        p.add_argument("--n", type=int, help="integer to send to a multiset")
+        p.add_argument("--m", help="multiset encoding to send to an integer")
+        p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -210,7 +217,7 @@ def _split_encodings(text: str) -> list[str]:
 
 
 def _function_lines(f, p: Poset) -> list[str]:
-    return [f"{p.format_element(k)} = {v}" for k, v in f.items()]
+    return [f"{p.format_element(k)} = {format_narrow(v)}" for k, v in f._entries.items()]
 
 
 def _certificate_lines(certs, p: Poset) -> list[str]:
@@ -425,10 +432,14 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse and dispatch; returns the process exit status. A handler
-    returns what is printed: the JSON payload under ``--json``, otherwise
-    the text lines."""
-    parser = build_parser()
+    """Parse ``argv`` (``sys.argv[1:]`` when None) and dispatch; returns
+    the process exit status. When ``argv`` starts with a subcommand, only
+    that subcommand's parser is built; anything else (no arguments,
+    ``-h``, an option first, an unknown word) gets the full parser, whose
+    help and errors list every subcommand. A handler returns what is
+    printed: the JSON payload under ``--json``, otherwise the text lines."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
         output = _HANDLERS[args.command](args)

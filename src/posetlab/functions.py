@@ -28,7 +28,7 @@ from __future__ import annotations
 from .errors import InvalidInput, PosetMismatch
 from .incidence import IntervalFunction, mobius_function, zeta_function
 from .posets import Poset, Window, enumerate_window
-from .scalars import ZERO, GaussianRational, _Immutable, _set, as_scalar, narrow
+from .scalars import ZERO, GaussianRational, _Immutable, _set, as_scalar, format_narrow, narrow, parse_narrow
 
 
 class FiniteSupportFunction(_Immutable):
@@ -215,23 +215,24 @@ def _coordinatewise(entries: dict, sign: int, elements: list, steps) -> dict:
 
 def function_to_document(f: FiniteSupportFunction, poset_label: str | None = None) -> dict:
     """Serialise to ``{"poset": ..., "values": {encoding: scalar}}`` with
-    entries in canonical element order."""
+    entries in canonical element order. The stored narrow values are
+    printed as they are, without wrapping them as ``GaussianRational``."""
+    fmt = f.poset.format_element
     return {
         "poset": poset_label or f.poset.family,
-        "values": {f.poset.format_element(k): str(v) for k, v in f.items()},
+        "values": {fmt(k): format_narrow(v) for k, v in f._entries.items()},
     }
 
 
 def function_from_document(doc: dict, poset: Poset) -> FiniteSupportFunction:
     """Parse a function document against a resolved poset. Zero values
-    are accepted and pruned."""
+    are accepted and pruned. Each value is read in its narrowest type,
+    so only a value with a nonzero imaginary part builds a
+    ``GaussianRational``."""
     if not isinstance(doc, dict) or "values" not in doc:
         raise InvalidInput("function document must be an object with a 'values' key")
     values = doc["values"]
     if not isinstance(values, dict):
         raise InvalidInput("'values' must map element encodings to scalars")
-    entries = []
-    for key, text in values.items():
-        element = poset.parse_element(key)
-        entries.append((element, GaussianRational.parse(str(text))))
+    entries = [(poset.parse_element(key), parse_narrow(str(text))) for key, text in values.items()]
     return FiniteSupportFunction(poset, entries)

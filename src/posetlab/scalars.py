@@ -17,6 +17,11 @@ wrapped back into ``GaussianRational`` where they leave the library.
 The text format is ``"p/q"`` or ``"p"`` for the real part with an optional
 ``"+r/s i"`` / ``"-r/s i"`` imaginary part, emitted without whitespace:
 ``1``, ``-2/3``, ``0+1i``, ``1/2-3/4i``. Parsing tolerates whitespace.
+The format has one reader, :func:`parse_narrow`, and one printer,
+:func:`format_narrow`, both on narrow values; ``GaussianRational.parse``
+and ``str`` go through them, and function documents are read and
+written with them directly, so an integer or rational document builds
+no ``GaussianRational``.
 """
 
 from __future__ import annotations
@@ -89,23 +94,7 @@ class GaussianRational(_Immutable):
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Parse the canonical scalar text format (whitespace tolerated)."""
-        compact = "".join(text.split())
-        match = _FULL_RE.match(compact)
-        try:
-            if match:
-                sign, num, den, im_sign, im_num, im_den = match.groups()
-                # The real part is read first, so its error is the one reported.
-                real = _parse_rational(sign, num, den)
-                return cls(real, _parse_rational(im_sign, im_num, im_den) if im_sign else 0)
-            match = _IMAG_RE.match(compact)
-            if match:
-                return cls(0, _parse_rational(*match.groups()))
-        except ZeroDivisionError:
-            raise InvalidInput(f"zero denominator in scalar: {text!r}") from None
-        except ValueError:
-            # Python refuses to convert integer strings past its digit limit.
-            raise InvalidInput(f"scalar has too many digits ({len(compact)} characters)") from None
-        raise InvalidInput(f"invalid scalar: {text!r}")
+        return as_scalar(parse_narrow(text))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -187,27 +176,59 @@ class GaussianRational(_Immutable):
         return self.real.numerator
 
     def __str__(self):
-        if not self.imag:
-            return _format_fraction(self.real)
-        sign = "+" if self.imag > 0 else "-"
-        return f"{_format_fraction(self.real)}{sign}{_format_fraction(abs(self.imag))}i"
+        return format_narrow(self)
 
     def __repr__(self):
         return f"GaussianRational({str(self)!r})"
 
 
+def parse_narrow(text: str):
+    """Parse the scalar text format (whitespace tolerated) into its
+    narrowest exact type (see :func:`narrow`): a ``GaussianRational`` is
+    built only for a nonzero imaginary part. ``GaussianRational.parse``
+    wraps the result."""
+    compact = "".join(text.split())
+    match = _FULL_RE.match(compact)
+    try:
+        if match:
+            sign, num, den, im_sign, im_num, im_den = match.groups()
+            # The real part is read first, so its error is the one reported.
+            real = _parse_rational(sign, num, den)
+            imag = _parse_rational(im_sign, im_num, im_den) if im_sign else 0
+            return GaussianRational(real, imag) if imag else real
+        match = _IMAG_RE.match(compact)
+        if match:
+            imag = _parse_rational(*match.groups())
+            return GaussianRational(0, imag) if imag else 0
+    except ZeroDivisionError:
+        raise InvalidInput(f"zero denominator in scalar: {text!r}") from None
+    except ValueError:
+        # Python refuses to convert integer strings past its digit limit.
+        raise InvalidInput(f"scalar has too many digits ({len(compact)} characters)") from None
+    raise InvalidInput(f"invalid scalar: {text!r}")
+
+
 def _parse_rational(sign: str, num: str, den: str | None):
-    """The rational ``sign num/den`` as an ``int``, or a ``Fraction`` when
-    there is a denominator, read as ``Fraction(text)`` reads it: digits
-    through ``int``, so with its digit limit and Unicode digits."""
+    """The rational ``sign num/den`` in its narrowest type, read as
+    ``Fraction(text)`` reads it: digits through ``int``, so with its
+    digit limit and Unicode digits."""
     value = int(num)
     if sign == "-":
         value = -value
-    return value if den is None else Fraction(value, int(den))
+    return value if den is None else narrow(Fraction(value, int(den)))
 
 
-def _format_fraction(value: Fraction) -> str:
+def format_narrow(value) -> str:
+    """The scalar text of an ``int``, ``Fraction`` or ``GaussianRational``,
+    the same for equal values of the three types, so a narrow value
+    prints without being wrapped. ``GaussianRational.__str__`` is this
+    printer."""
     try:
+        if type(value) is GaussianRational:
+            if value.imag:
+                sign = "+" if value.imag > 0 else "-"
+                return str(value.real) + sign + str(abs(value.imag)) + "i"
+            value = value.real
         return str(value)
     except ValueError:
         # Past Python's digit limit, as in parse: such text could not be read back.

@@ -8,10 +8,12 @@ reject the same texts, with the same values and the same messages.
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from posetlab import GaussianRational, InvalidInput
+from posetlab.scalars import as_scalar, format_narrow, narrow, parse_narrow
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 _REF_FULL = re.compile(rf"^(?P<re>{_RATIONAL})(?:(?P<im>[+-]\d+(?:/\d+)?)i)?$")
@@ -91,3 +93,108 @@ class TestParseMatchesFractionReference:
     @given(st.text("0123456789+-/i ١", max_size=12))
     def test_arbitrary_texts(self, text):
         assert parse_outcome(text) == reference_parse(text)
+
+
+# -- the narrow reader and printer -------------------------------------
+
+
+def typed(value):
+    """``value`` with its type, so that ``2`` and ``Fraction(2)`` differ."""
+    return value, type(value)
+
+
+def outcome(read, text):
+    try:
+        return typed(read(text))
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def reference_narrow(text):
+    """The reference parse, narrowed by hand, or its message."""
+    parsed = reference_parse(text)
+    if isinstance(parsed, str):
+        return parsed
+    real, imag = parsed
+    if imag:
+        return typed(GaussianRational(real, imag))
+    return typed(real.numerator if real.denominator == 1 else real)
+
+
+@st.composite
+def stray_i_texts(draw):
+    """A scalar text with one ``i`` put in anywhere."""
+    text = draw(scalar_texts())
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + "i" + text[at:]
+
+
+class TestNarrowParse:
+    @given(st.one_of(scalar_texts(), stray_i_texts(), st.text("0123456789+-/i ١", max_size=12)))
+    @example("4/2")
+    @example("0+0i")
+    @example("-0/3i")
+    @example("1/2+0/7i")
+    @example("1+2ii")
+    @example("i")
+    @example("1/0")
+    @example("1/0+" + "9" * 4400 + "i")
+    @example("9" * 4400 + "/0")
+    def test_matches_the_wide_parse_and_the_reference(self, text):
+        narrow_outcome = outcome(parse_narrow, text)
+        assert narrow_outcome == outcome(lambda t: narrow(GaussianRational.parse(t)), text)
+        assert narrow_outcome == reference_narrow(text)
+
+
+def reference_print(real: Fraction, imag: Fraction) -> str:
+    """The scalar text from numerator and denominator digits."""
+
+    def part(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    if not imag:
+        return part(real)
+    return part(real) + ("+" if imag > 0 else "-") + part(abs(imag)) + "i"
+
+
+def printed(fmt, value):
+    try:
+        return fmt(value)
+    except (InvalidInput, ValueError) as exc:
+        # Past Python's digit limit the library refuses with InvalidInput
+        # and the reference's str with ValueError.
+        return "too many digits" if "digits" in str(exc) else repr(exc)
+
+
+# A part (numerator, denominator, power) is numerator / denominator times
+# 10**power; powers of +-4300 pass Python's default limit of 4300 digits
+# for str(int). Values are built inside the test, because such a value
+# cannot be printed in a report either.
+_PARTS = st.tuples(st.integers(), st.integers(1, 10**6), st.sampled_from([0, 0, 0, 4300, -4300]))
+
+
+def part(spec) -> Fraction:
+    num, den, power = spec
+    return Fraction(num * 10 ** max(power, 0), den * 10 ** max(-power, 0))
+
+
+class TestNarrowPrinter:
+    @given(_PARTS, _PARTS, st.sampled_from(["narrow", "fraction", "gaussian"]))
+    @example((-7, 1, 4300), (0, 1, 0), "narrow")
+    @example((1, 1, -4300), (0, 1, 0), "fraction")
+    @example((1, 1, 0), (1, 1, 4300), "gaussian")
+    @example((0, 1, 0), (-3, 4, 0), "gaussian")
+    @example((6, 3, 0), (0, 1, 0), "fraction")
+    def test_matches_str_of_the_wrapped_value(self, real, imag, kind):
+        value = part(real)
+        if kind == "narrow":
+            value = narrow(value)
+        elif kind == "gaussian":
+            value = GaussianRational(value, part(imag))
+        wide = as_scalar(value)
+        expected = printed(lambda v: reference_print(v.real, v.imag), wide)
+        assert printed(format_narrow, value) == printed(str, wide) == expected
+        assert printed(format_narrow, narrow(value)) == expected
+        if expected == "too many digits":
+            with pytest.raises(InvalidInput, match="^scalar has too many digits to print$"):
+                format_narrow(value)

@@ -160,11 +160,11 @@ def _inside(directory):
 
 def _outcome(module, argv):
     """Exit status, or ``SystemExit`` code, stdout and stderr of
-    ``module.run(argv)``."""
+    ``module.run(argv)``; ``argv`` None reads ``sys.argv``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            status = module.run(list(argv))
+            status = module.run(None if argv is None else list(argv))
         except SystemExit as exc:
             status = ("SystemExit", exc.code)
     return status, out.getvalue(), err.getvalue()
@@ -193,3 +193,33 @@ def test_help_matches_the_seed(argv, monkeypatch):
     current, seed = _both(argv)
     assert current == seed
     assert current[0] == ("SystemExit", 0) and current[1]
+
+
+# Argvs that do not start with a subcommand: the CLI builds its full
+# parser for them, whose help and errors list every subcommand.
+FULL_PARSER_ARGVS = [
+    [],
+    ["--json"],
+    ["--json", "mobius", "--poset", "chain", "--x", "1", "--y", "2"],
+    ["frobnicate"],
+    ["Mobius"],
+    ["mob"],
+    ["--help"],
+    ["-h", "mobius"],
+    ["mobius", "isomap"],
+]
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_ARGVS, ids=repr)
+def test_full_parser_fallback_matches_the_seed(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    current, seed = _both(argv)
+    assert current == seed
+
+
+@pytest.mark.parametrize("argv", [[], ["mobius", "--poset", "chain", "--x", "1", "--y", "2"]], ids=repr)
+def test_run_reads_sys_argv_as_the_seed_does(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["posetlab", *argv])
+    current, seed = _both(None)
+    assert current == seed

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetlab.cli as cli
 import posetlab.posets as posets
 from helpers import exact_scalars, random_explicit_poset, random_support_function
 from posetlab import (
@@ -294,6 +295,28 @@ class TestStoredValuesReachTheKernel:
         assert built == [(-1,), (4,)]
         monkeypatch.undo()
         assert read == (-1, 4)
+
+    def test_documents_read_and_written_build_no_gaussian(self, monkeypatch):
+        integer = {"poset": "divisibility", "values": {"6": "-2", "1": " 1 ", "35": "0", "12": "8/4"}}
+        rational = {"poset": "multisets", "values": {"2^2*3": "-7/3", "1": "1/2", "5": "0/9"}}
+        built = []
+        real_init = GaussianRational.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        read = [function_from_document(doc, get_poset(doc["poset"])) for doc in (integer, rational)]
+        written = [function_to_document(f) for f in read]
+        lines = [cli._function_lines(f, f.poset) for f in read]
+        assert built == []
+        monkeypatch.undo()
+        assert [list(doc["values"].items()) for doc in written] == [
+            [("1", "1"), ("6", "-2"), ("12", "2")],
+            [("1", "1/2"), ("2^2*3", "-7/3")],
+        ]
+        assert lines == [["1 = 1", "6 = -2", "12 = 2"], ["1 = 1/2", "2^2*3 = -7/3"]]
 
     def test_transform_keeps_no_copy_of_values(self, monkeypatch):
         h = FiniteSupportFunction(SUBSETS, {(): 1, (1,): Fraction(-1, 2), (2, 3): GaussianRational(1, 1)})
