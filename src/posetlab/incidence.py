@@ -17,6 +17,15 @@ where this is the defining recursion
 columns: on the dual poset ``p._dual()``, mu_dual(z, x) = mu(x, z), so
 the dual's row at z is the column x -> mu(x, z).
 
+A row walks its interval's grid (``Poset._grid``, a mixed-radix listing
+that is a linear extension) where the poset has one, and canonical
+order elsewhere. At each z the sum runs over the row's nonzero entries
+so far, each tested with ``_leq``, unless the interval is Boolean (every
+radix 2, as on subsets and squarefree divisibility) and the down-set of
+z is no larger: then it reads the down-set, the submasks of z's index,
+with no order test. A Mobius row over n atoms then sums about 3**n
+terms in all, where the scan made about 4**n / 2 order tests.
+
 Values are computed and memoised in their narrowest exact type (see
 :func:`posetlab.scalars.narrow`), so a Mobius row is plain ``int``
 arithmetic; :meth:`IntervalFunction.evaluate` and the other public
@@ -94,32 +103,63 @@ class IntervalFunction:
     def _inverse_row(self, x, y):
         # Triangular solve for b with (b * a)(x, .) = delta, filling the
         # memo for the whole row: b(x, z) a(z, z) = delta(x, z) minus the
-        # sum of b(x, w) a(w, z) over x <= w < z. Canonical interval order
-        # is a linear extension, so each value only needs earlier ones;
-        # tracking the nonzero entries keeps the inner sum proportional
-        # to the row's support. Raises lazily on a zero diagonal.
+        # sum of b(x, w) a(w, z) over x <= w < z. The walk follows a
+        # linear extension, the grid or canonical order, so each value
+        # only needs earlier ones; ``values`` keeps the row by walk index.
+        # On a Boolean grid the index of z is a bit mask, and its proper
+        # submasks index the rest of z's down-set: when the down-set, of
+        # 2**popcount elements, is no larger than the nonzero entries so
+        # far, the sum reads it with no order test. Otherwise each
+        # nonzero entry is tested with ``_leq``. Mixed radices always
+        # scan: listing their down-sets costs more in Python than the
+        # scan saves. Raises on the first zero diagonal in canonical order.
         p = self.poset
         leq = p._leq
-        a = self.operands[0]._evaluate_canonical
+        operand = self.operands[0]
+        a = _zeta if operand.kind == "zeta" else operand._evaluate_canonical
         memo = self._memo
+        grid = p._grid(x, y)
+        if grid is None:
+            elements, binary = p._interval(x, y), False
+        else:
+            elements, radices = grid
+            binary = radices.count(2) == len(radices)
+        values = [0] * len(elements)
         nonzeros: list = []
-        for z in p._interval(x, y):
-            cached = memo.get((x, z))
-            if cached is not None:
-                if cached:
-                    nonzeros.append((z, cached))
-                continue
-            diagonal = a(z, z)
-            if not diagonal:
-                raise NotInvertible(z)
-            total = 1 if z == x else 0
-            for w, b_w in nonzeros:
-                if leq(w, z):
-                    total -= b_w * a(w, z)
-            value = _divide(total, diagonal)
-            memo[(x, z)] = value
-            if value:
-                nonzeros.append((z, value))
+        try:
+            for i, z in enumerate(elements):
+                cached = memo.get((x, z))
+                if cached is not None:
+                    if cached:
+                        values[i] = cached
+                        nonzeros.append((z, cached))
+                    continue
+                diagonal = a(z, z)
+                if not diagonal:
+                    raise NotInvertible(z)
+                total = 1 if z == x else 0
+                if binary and 1 << i.bit_count() <= len(nonzeros):
+                    s = i
+                    while s:
+                        s = (s - 1) & i
+                        b_w = values[s]
+                        if b_w:
+                            total -= b_w * a(elements[s], z)
+                else:
+                    for w, b_w in nonzeros:
+                        if leq(w, z):
+                            total -= b_w * a(w, z)
+                value = _divide(total, diagonal)
+                memo[(x, z)] = value
+                if value:
+                    values[i] = value
+                    nonzeros.append((z, value))
+        except NotInvertible:
+            # A walk in canonical order meets the first zero diagonal there.
+            for z in p._interval(x, y):
+                if (x, z) not in memo and not a(z, z):
+                    raise NotInvertible(z) from None
+            raise
         return memo[(x, y)]
 
     def _convolution(self, x, y):
@@ -139,6 +179,13 @@ class IntervalFunction:
 
     def __repr__(self):
         return f"IntervalFunction({self.name} on {self.poset.family})"
+
+
+def _zeta(x, y):
+    """zeta's value, 1, on every interval, read without the method call
+    and kind test of ``IntervalFunction._evaluate_canonical``; a Mobius
+    row reads it once per term."""
+    return 1
 
 
 def _divide(value, divisor):

@@ -275,6 +275,16 @@ def divisors(n: int) -> list[int]:
 def divisors_from_factors(factors: dict[int, int]) -> list[int]:
     """All positive divisors of the n with factorisation ``factors``,
     ascending."""
+    divs = divisor_grid(factors)
+    divs.sort()
+    return divs
+
+
+def divisor_grid(factors: dict[int, int]) -> list[int]:
+    """All positive divisors of the n with factorisation ``factors`` in
+    mixed-radix order: the divisor with exponent e_i of the i-th prime
+    sits at index sum of e_i * (k_1 + 1) * ... * (k_{i-1} + 1), so the
+    first prime's exponent varies fastest."""
     divs = [1]
     for p, k in factors.items():
         power = 1
@@ -283,7 +293,6 @@ def divisors_from_factors(factors: dict[int, int]) -> list[int]:
             power *= p
             step.extend(d * power for d in divs)
         divs.extend(step)
-    divs.sort()
     return divs
 
 

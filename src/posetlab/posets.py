@@ -24,7 +24,10 @@ one chain per prime (divisibility, multisets), one 2-chain per ground
 element (subsets), or a single chain. Their shared base derives the
 closed-form Mobius function (Rota's product theorem), the coordinate
 steps of whole-window transforms and witness candidates from each
-family's ``(coordinate, height)`` pairs.
+family's ``(coordinate, height)`` pairs. Divisibility, subsets and
+multisets list an interval as a grid, in mixed-radix order
+(``Poset._grid``); the canonical interval is that grid sorted, and the
+Mobius solver reads down-sets off it by index arithmetic.
 """
 
 from __future__ import annotations
@@ -111,6 +114,19 @@ class Poset:
     def _interval(self, x, y) -> list:
         raise NotImplementedError
 
+    def _grid(self, x, y):
+        """``(elements, radices)`` for canonical x <= y where [x, y] is a
+        product of chains, one per coordinate in which x and y differ,
+        the c-th of ``radices[c]`` elements. ``elements`` lists the
+        interval in mixed-radix order, first coordinate fastest: the
+        element d_c steps above x in each coordinate c sits at index
+        sum of d_c * radices[0] * ... * radices[c - 1]. That order is a
+        linear extension, and an element's down-set in [x, y] is the
+        indices whose digits are all at most its own. Refuses what
+        ``_interval(x, y)`` refuses, with the same message. None where
+        [x, y] has no such structure, or is always a single chain."""
+        return None
+
     def ideal(self, x) -> list:
         """Principal order ideal: all y <= x, in canonical order."""
         return self._interval(self.bottom(), self.canon(x))
@@ -178,7 +194,7 @@ class Poset:
 class _Dual(Poset):
     """The dual of ``base``: the same elements in the same encoding, the
     order reversed. It has no bottom, windows or census and serves the
-    solver, which reads only ``_leq`` and ``_interval``. Since
+    solver, which reads only ``_leq``, ``_interval`` and ``_grid``. Since
     mu_dual(y, x) = mu(x, y) (Rota), a row of the dual's Mobius function
     is a column of the base's."""
 
@@ -193,6 +209,14 @@ class _Dual(Poset):
     def _interval(self, x, y) -> list:
         # Reversed canonical order is a linear extension of the dual order.
         return self._base._interval(y, x)[::-1]
+
+    def _grid(self, x, y):
+        # Complementing every digit reverses the index, so the reversed
+        # list is a grid of the dual order with the same radices.
+        grid = self._base._grid(y, x)
+        if grid is None:
+            return None
+        return grid[0][::-1], grid[1]
 
     def __repr__(self):
         return f"Poset(dual of {self.family})"
@@ -259,19 +283,28 @@ class _ChainProduct(Poset):
         return self._from_pairs(())
 
     def _interval(self, x, y) -> list:
+        elements = self._grid(x, y)[0]
+        elements.sort(key=self.sort_key)
+        return elements
+
+    def _grid(self, x, y):
         lower = dict(self._pairs(x))
         top = self._pairs(y)
         size = 1
         for c, k in top:
             size *= k - lower.get(c, 0) + 1
             _check_cap(size, _INTERVAL_REFUSAL)
+        # y's sort key is the interval's largest, so this refuses exactly
+        # what sorting the interval would.
+        self.sort_key(y)
         choices = [range(lower.get(c, 0), k + 1) for c, k in top]
-        out = [
-            self._from_pairs(tuple((c, k) for (c, _), k in zip(top, combo) if k))
-            for combo in itertools.product(*choices)
+        # product() varies its last argument fastest, so it walks the
+        # coordinates in reverse.
+        elements = [
+            self._from_pairs(tuple((c, k) for (c, _), k in zip(top, reversed(combo)) if k))
+            for combo in itertools.product(*reversed(choices))
         ]
-        out.sort(key=self.sort_key)
-        return out
+        return elements, [len(r) for r in choices if len(r) > 1]
 
     def _closed_form_mobius(self, x, y) -> GaussianRational:
         """Rota's product theorem: the product over coordinates of the
@@ -346,9 +379,20 @@ class DivisibilityPoset(_PositiveIntegers):
         return y % x == 0
 
     def _interval(self, x, y) -> list:
+        # Integers are their own sort keys; a key function would add
+        # 30-40% on a few hundred divisors.
+        elements = self._grid(x, y)[0]
+        elements.sort()
+        return elements
+
+    def _grid(self, x, y):
         factors = numtheory.prime_factors(y // x)
-        _check_cap(_divisor_count(factors), _INTERVAL_REFUSAL)
-        return [x * d for d in numtheory.divisors_from_factors(factors)]
+        radices = [k + 1 for k in factors.values()]
+        _check_cap(math.prod(radices), _INTERVAL_REFUSAL)
+        elements = numtheory.divisor_grid(factors)
+        if x != 1:
+            elements = [x * d for d in elements]
+        return elements, radices
 
     def divisor_window_elements(self, n: int) -> list:
         """The divisors of ``n``: a downward-closed set in this order,
@@ -393,6 +437,9 @@ class ChainPoset(_PositiveIntegers):
     def _interval(self, x, y) -> list:
         _check_cap(y - x + 1, _INTERVAL_REFUSAL)
         return list(range(x, y + 1))
+
+    def _grid(self, x, y):
+        return None
 
     mobius_census = (
         FINITE_CERTIFIED,
@@ -449,18 +496,27 @@ class SubsetPoset(_ChainProduct):
     def _leq(self, x, y) -> bool:
         return set(x).issubset(y)
 
-    def _interval(self, x, y) -> list:
+    def _grid(self, x, y):
         # 2**gap elements, where y itself holds at least gap members.
         _check_cap(1 << (len(y) - len(x)), _INTERVAL_REFUSAL)
-        extra = sorted(set(y) - set(x))
-        base = set(x)
-        out = []
-        # By size, each size in lexicographic order: adding the same base
-        # to every combination keeps that order, so this is canonical.
-        for size in range(len(extra) + 1):
-            for combo in itertools.combinations(extra, size):
-                out.append(tuple(sorted(base.union(combo))))
-        return out
+        elements = [x]
+        for member in y:
+            if member not in x:
+                # z + (member,) is sorted unless a member of x is larger.
+                if x and x[-1] > member:
+                    elements += [tuple(sorted(z + (member,))) for z in elements]
+                else:
+                    elements += [z + (member,) for z in elements]
+        return elements, [2] * (len(y) - len(x))
+
+    def _interval(self, x, y) -> list:
+        # Sorted lexicographically, then stably by size: canonical order
+        # in 0.6-0.8 of the time one sort by the ``sort_key`` tuples
+        # takes (3 to 12 atoms).
+        elements = self._grid(x, y)[0]
+        elements.sort()
+        elements.sort(key=len)
+        return elements
 
     def window_elements(self, bound) -> list:
         if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:

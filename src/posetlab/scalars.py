@@ -179,7 +179,15 @@ class GaussianRational(_Immutable):
         return format_narrow(self)
 
     def __repr__(self):
-        return f"GaussianRational({str(self)!r})"
+        try:
+            return f"GaussianRational({str(self)!r})"
+        except InvalidInput:
+            # Past the digit limit of ``str``: the sizes of the parts.
+            return f"GaussianRational(<real {_bit_lengths(self.real)}, imag {_bit_lengths(self.imag)}>)"
+
+
+def _bit_lengths(part: Fraction) -> str:
+    return f"{part.numerator.bit_length()}/{part.denominator.bit_length()} bits"
 
 
 def parse_narrow(text: str):

@@ -55,6 +55,13 @@ class TestTextFormat:
     def test_emit_parse_round_trip(self, value):
         assert GaussianRational.parse(str(value)) == value
 
+    def test_repr_names_bit_lengths_past_digit_limit(self):
+        assert repr(GaussianRational(Fraction(2, 3), 1)) == "GaussianRational('2/3+1i')"
+        assert repr(GaussianRational(10**4300)) == "GaussianRational(<real 14285/1 bits, imag 0/1 bits>)"
+        assert repr(GaussianRational(1, Fraction(-1, 2**20000))) == (
+            "GaussianRational(<real 1/1 bits, imag 1/20001 bits>)"
+        )
+
 
 class TestArithmetic:
     @given(scalars, scalars)

@@ -21,7 +21,8 @@ that changed it:
   added since the seed: line 29, one element cap for every size.
 
 Subsets shells have at most 6 ground elements: the seed's ``conjecture``
-check on larger ones takes seconds per call.
+check on larger ones takes seconds per call. A few fixed argvs cover
+subsets rows and columns of seven and eight atoms.
 """
 
 import contextlib
@@ -193,6 +194,27 @@ def test_help_matches_the_seed(argv, monkeypatch):
     current, seed = _both(argv)
     assert current == seed
     assert current[0] == ("SystemExit", 0) and current[1]
+
+
+# Subsets rows larger than the generator's six atoms: rows and columns
+# over Boolean intervals of seven and eight atoms, where the row solver
+# sums over down-sets.
+LARGER_SUBSETS = [
+    (["mobius", "--poset", "subsets", "--x", "{}", "--y", "{1,2,3,4,5,6,7,8}"], None),
+    (["mobius", "--poset", "subsets", "--x", "{2}", "--y", "{1,2,3,4,5,6,7,8}", "--json"], None),
+    (["witness", "--poset", "subsets", "--y", "{1,2,3,4,5,6,7}", "--count", "3"], None),
+    (
+        ["verify", "--fn", "fn.json", "--count", "2"],
+        {"poset": "subsets", "values": {"{1,2,3,4,5,6}": "2", "{1,2,3,4,5,6,7}": "-1/3", "{1,2,3,4,5,6,8}": "1-1/2i"}},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, document", LARGER_SUBSETS, ids=repr)
+def test_larger_subsets_rows_match_the_seed(argv, document):
+    current, seed = _both(argv, document)
+    assert current == seed
+    assert current[0] == 0
 
 
 # Argvs that do not start with a subcommand: the CLI builds its full
