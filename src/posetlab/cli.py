@@ -8,9 +8,9 @@ error, 2 mathematical domain error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, InvalidInput, UsageError
 from .functions import function_from_document, function_to_document, materialize, mobius_inversion, zeta_transform
@@ -42,107 +42,132 @@ _INTERVAL_FUNCTIONS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argparse parser that reports usage problems as ``UsageError`` so
-    the CLI can exit with status 1 instead of argparse's default 2."""
+# The CLI grammar: each subcommand's summary and options, in help order.
+# An option is (type, default, help): the type is int, str, bool for a
+# ``store_true`` flag, or a tuple of choices; the default _REQUIRED marks
+# a required option.
+_REQUIRED = object()
+_CHOICES = tuple(sorted(_INTERVAL_FUNCTIONS))
+_JSON = {"--json": (bool, False, None)}
+_POSET = {
+    "--poset": (str, None, "built-in poset family name"),
+    "--poset-file": (str, None, "path to an explicit-poset JSON document"),
+    "--json": (bool, False, "emit a JSON document"),
+}
+_WINDOW = {
+    "--bound": (int, None, "window bound (family-specific)"),
+    "--divisors": (int, None, "divisibility only: use the divisors of this integer as the window"),
+}
+_SHELL = {
+    **_WINDOW,
+    "--shell-bound": (int, None, "shell window bound"),
+    "--shell-divisors": (int, None, "divisibility only: use a divisor set as the shell"),
+}
+_X = {"--x": (str, _REQUIRED, None)}
+_Y = {"--y": (str, _REQUIRED, None)}
+_FN = {"--fn": (str, _REQUIRED, None)}
+_COUNTS = {"--count": (int, 5, None), "--budget": (int, DEFAULT_BUDGET, None)}
+_ALPHA = {"--alpha": (_CHOICES, "mobius", None)}
+_BETA = {"--beta": (_CHOICES, "zeta", None)}
+_COMMANDS = {
+    "mobius": ("Mobius value on an interval", {**_POSET, **_X, **_Y}),
+    "classical-mobius": ("number-theoretic Mobius function", {"--n": (int, _REQUIRED, None), **_JSON}),
+    "transform": (
+        "zeta transform of a function, materialised",
+        {**_POSET, "--fn": (str, _REQUIRED, "path to a function document"), **_WINDOW},
+    ),
+    "invert-transform": ("Mobius inversion of a function, materialised", {**_POSET, **_FN, **_WINDOW}),
+    "convolve": (
+        "evaluate a convolution at an interval",
+        {**_POSET, "--left": (_CHOICES, _REQUIRED, None), "--right": (_CHOICES, _REQUIRED, None), **_X, **_Y},
+    ),
+    "witness": (
+        "stream witness certificates above y",
+        {**_POSET, **_Y, "--avoid": (str, "", "comma-joined element encodings to avoid"), **_COUNTS},
+    ),
+    "verify": ("verify witness conclusions for an inversion pair", {**_POSET, **_FN, **_COUNTS}),
+    "census": ("support census of an interval function row", {**_POSET, **_X, **_ALPHA, **_WINDOW}),
+    "search": ("finite-support pair search over window and shell", {**_POSET, **_BETA, **_SHELL}),
+    "conjecture": (
+        "censuses plus pair search for an inverse pair",
+        {**_POSET, **_ALPHA, **_BETA, "--sample": (str, "", "comma-joined base-point encodings"), **_SHELL},
+    ),
+    "isomap": (
+        "multiset/integer isomorphism, either direction",
+        {
+            "--n": (int, None, "integer to send to a multiset"),
+            "--m": (str, None, "multiset encoding to send to an integer"),
+            **_JSON,
+        },
+    ),
+}
 
-    def error(self, message):
-        raise UsageError(message)
 
+def build_parser(command: str | None = None):
+    """The CLI's argparse parser, generated from ``_COMMANDS``, with only
+    ``command``'s subparser, or with all of them when ``command`` is None.
+    Building a subparser costs argparse a help formatter per argument, so
+    a call builds only the one it runs."""
+    import argparse
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser, with only ``command``'s subparser, or with all of
-    them when ``command`` is None. Building a subparser costs argparse a
-    help formatter per argument, so a call builds only the one it runs."""
+    class _Parser(argparse.ArgumentParser):
+        """Reports usage problems as ``UsageError`` so the CLI can exit
+        with status 1 instead of argparse's default 2."""
+
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="posetlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, summary):
-        return sub.add_parser(name, help=summary) if command in (None, name) else None
-
-    def add_common(p):
-        p.add_argument("--poset", help="built-in poset family name")
-        p.add_argument("--poset-file", help="path to an explicit-poset JSON document")
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-
-    def add_window_flags(p, shell=False):
-        p.add_argument("--bound", type=int, help="window bound (family-specific)")
-        p.add_argument(
-            "--divisors",
-            type=int,
-            help="divisibility only: use the divisors of this integer as the window",
-        )
-        if shell:
-            p.add_argument("--shell-bound", type=int, help="shell window bound")
+    for name, (summary, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        for flag, (kind, default, text) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+                continue
             p.add_argument(
-                "--shell-divisors",
-                type=int,
-                help="divisibility only: use a divisor set as the shell",
+                flag,
+                type=int if kind is int else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                required=default is _REQUIRED,
+                default=None if default is _REQUIRED else default,
+                help=text,
             )
-
-    if p := add("mobius", "Mobius value on an interval"):
-        add_common(p)
-        p.add_argument("--x", required=True)
-        p.add_argument("--y", required=True)
-
-    if p := add("classical-mobius", "number-theoretic Mobius function"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-
-    if p := add("transform", "zeta transform of a function, materialised"):
-        add_common(p)
-        p.add_argument("--fn", required=True, help="path to a function document")
-        add_window_flags(p)
-
-    if p := add("invert-transform", "Mobius inversion of a function, materialised"):
-        add_common(p)
-        p.add_argument("--fn", required=True)
-        add_window_flags(p)
-
-    if p := add("convolve", "evaluate a convolution at an interval"):
-        add_common(p)
-        p.add_argument("--left", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
-        p.add_argument("--right", required=True, choices=sorted(_INTERVAL_FUNCTIONS))
-        p.add_argument("--x", required=True)
-        p.add_argument("--y", required=True)
-
-    if p := add("witness", "stream witness certificates above y"):
-        add_common(p)
-        p.add_argument("--y", required=True)
-        p.add_argument("--avoid", default="", help="comma-joined element encodings to avoid")
-        p.add_argument("--count", type=int, default=5)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    if p := add("verify", "verify witness conclusions for an inversion pair"):
-        add_common(p)
-        p.add_argument("--fn", required=True)
-        p.add_argument("--count", type=int, default=5)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    if p := add("census", "support census of an interval function row"):
-        add_common(p)
-        p.add_argument("--x", required=True)
-        p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
-        add_window_flags(p)
-
-    if p := add("search", "finite-support pair search over window and shell"):
-        add_common(p)
-        p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
-        add_window_flags(p, shell=True)
-
-    if p := add("conjecture", "censuses plus pair search for an inverse pair"):
-        add_common(p)
-        p.add_argument("--alpha", default="mobius", choices=sorted(_INTERVAL_FUNCTIONS))
-        p.add_argument("--beta", default="zeta", choices=sorted(_INTERVAL_FUNCTIONS))
-        p.add_argument("--sample", default="", help="comma-joined base-point encodings")
-        add_window_flags(p, shell=True)
-
-    if p := add("isomap", "multiset/integer isomorphism, either direction"):
-        p.add_argument("--n", type=int, help="integer to send to a multiset")
-        p.add_argument("--m", help="multiset encoding to send to an integer")
-        p.add_argument("--json", action="store_true")
-
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse returns for a well-formed call, read straight from
+    ``_COMMANDS``, or None for anything else. Well-formed is a strict
+    subset of what argparse accepts: the exact subcommand, then exact
+    ``--name value`` pairs and flags, each at most once, with no value
+    starting with ``-``, every int and choice valid and every required
+    option present."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in options or flag in given:
+            return None
+        kind = options[flag][0]
+        if kind is bool:
+            given[flag] = True
+            continue
+        text = next(words, "-")  # a missing value reads as "-", declined
+        if text.startswith("-") or isinstance(kind, tuple) and text not in kind:
+            return None
+        try:
+            given[flag] = int(text) if kind is int else text
+        except ValueError:
+            return None
+    if any(default is _REQUIRED and flag not in given for flag, (_, default, _) in options.items()):
+        return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, default) for flag, (_, default, _) in options.items()}
+    return SimpleNamespace(command=argv[0], **values)
 
 
 # -- argument resolution helpers ---------------------------------------
@@ -433,15 +458,18 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (``sys.argv[1:]`` when None) and dispatch; returns
-    the process exit status. When ``argv`` starts with a subcommand, only
-    that subcommand's parser is built; anything else (no arguments,
-    ``-h``, an option first, an unknown word) gets the full parser, whose
-    help and errors list every subcommand. A handler returns what is
-    printed: the JSON payload under ``--json``, otherwise the text lines."""
+    the process exit status. A well-formed call is read from the option
+    table and builds no parser. Anything else goes to argparse: when
+    ``argv`` starts with a subcommand, only that subcommand's parser is
+    built; otherwise (no arguments, ``-h``, an option first, an unknown
+    word) the full parser, whose help and errors list every subcommand.
+    A handler returns what is printed: the JSON payload under ``--json``,
+    otherwise the text lines."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         output = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

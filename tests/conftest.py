@@ -1,0 +1,11 @@
+"""Hypothesis profiles for the test suite.
+
+``ci`` raises the example count; CI selects it with
+``--hypothesis-profile=ci`` for the CLI table reader's equivalence with
+argparse, whose handling of ``--`` and of dash-prefixed values differs
+between Python versions.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=3000)

@@ -2,7 +2,9 @@
 
 Every CLI call is a fresh process, so whatever ``import posetlab.cli``
 loads is paid on each one. The heavy standard-library modules below
-(``dataclasses`` pulls in the rest) must stay out of that import.
+(``dataclasses`` pulls in the rest) must stay out of that import, and
+argparse, with the gettext and locale modules its first message loads,
+out of a well-formed call.
 """
 
 import os
@@ -12,6 +14,7 @@ import sys
 import posetlab
 
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis"}
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 PUBLIC_NAMES = [
     "BoundTooLarge", "ChainPoset", "ConjectureReport", "CyclicCovers", "DivisibilityPoset",
@@ -33,11 +36,12 @@ PUBLIC_NAMES = [
 
 
 def loaded_modules(statement: str) -> set:
-    """The names in ``sys.modules`` after ``statement`` in a fresh interpreter."""
+    """The names in ``sys.modules`` after ``statement`` in a fresh
+    interpreter, read from the last line it prints."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlab.__file__)))
     code = f"{statement}\nimport sys\nprint(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    return set(out.stdout.split())
+    return set(out.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_leaves_out_heavy_modules():
@@ -45,6 +49,12 @@ def test_cli_import_leaves_out_heavy_modules():
     added = loaded_modules("import posetlab.cli") - bare
     assert "posetlab.cli" in added
     assert not added & HEAVY_MODULES
+
+
+def test_a_well_formed_call_loads_no_argparse():
+    loaded = loaded_modules("import posetlab.cli\nposetlab.cli.run(['classical-mobius', '--n', '6'])")
+    assert "posetlab.cli" in loaded
+    assert not loaded & PARSER_MODULES
 
 
 def test_public_names_are_pinned_and_resolve():
