@@ -18,12 +18,17 @@ downsets of a product of chains (divisibility, multisets, subsets and
 the chain), :func:`materialize` computes transforms by zeta or by an
 inverse of zeta (Mobius) for a whole window at once instead: one pass
 per coordinate, as in Yates's algorithm and the fast zeta transform of
-Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). Every other
-transform, and every explicit poset, is evaluated point by point. Both
-ways do narrow arithmetic on f's stored values, which are narrow too.
+Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). The passes run
+over window positions on integer numerators over a common denominator
+of f's stored values, and their result is stored as it comes, already
+canonical and narrow. Every other transform, and every explicit poset,
+is evaluated point by point, in narrow arithmetic on f's stored values.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .errors import InvalidInput, PosetMismatch
 from .incidence import IntervalFunction, mobius_function, zeta_function
@@ -48,18 +53,17 @@ class FiniteSupportFunction(_Immutable):
     def __init__(self, poset: Poset, entries=()):
         _set(self, "poset", poset)
         items = entries.items() if isinstance(entries, dict) else entries
-        staged = {}
-        for element, value in items:
-            element = poset.canon(element)
-            value = narrow(value)
-            if element in staged:
-                raise InvalidInput(
-                    f"duplicate entry for {poset.format_element(element)}"
-                )
-            if value:
-                staged[element] = value
-        ordered = dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
-        _set(self, "_entries", ordered)
+        _set(self, "_entries", _ordered(poset, ((poset.canon(x), narrow(v)) for x, v in items)))
+
+    @classmethod
+    def _canonical(cls, poset: Poset, entries: dict) -> "FiniteSupportFunction":
+        """The function storing ``entries`` as given: canonical elements
+        in canonical order mapped to nonzero narrow values, as the
+        constructor would store them."""
+        f = object.__new__(cls)
+        _set(f, "poset", poset)
+        _set(f, "_entries", entries)
+        return f
 
     def support(self) -> list:
         return list(self._entries)
@@ -103,6 +107,19 @@ class FiniteSupportFunction(_Immutable):
             f"{self.poset.format_element(k)}: {v}" for k, v in self.items()
         )
         return f"FiniteSupportFunction({self.poset.family}; {pairs})"
+
+
+def _ordered(poset: Poset, pairs) -> dict:
+    """Stored entries from canonical ``(element, narrow value)`` pairs:
+    a repeated element is refused, zeros are dropped and the rest is put
+    in canonical order."""
+    staged = {}
+    for element, value in pairs:
+        if element in staged:
+            raise InvalidInput(f"duplicate entry for {poset.format_element(element)}")
+        if value:
+            staged[element] = value
+    return dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
 
 
 class EvaluableFunction:
@@ -155,7 +172,7 @@ def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
     values.
 
     A transform by zeta or by an inverse of zeta, on a poset with
-    :meth:`~posetlab.posets.Poset.coordinate_steps`, is computed for the
+    :meth:`~posetlab.posets.Poset.coordinate_passes`, is computed for the
     whole window coordinate by coordinate; it equals ``e(y)`` at every
     window element. Anything else, including any object with only a
     ``poset`` and a ``__call__``, is evaluated at every window element.
@@ -170,44 +187,55 @@ def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupport
     """:func:`materialize` on an enumerated window."""
     if isinstance(e, EvaluableFunction):
         sign = e.a._zeta_power()
-        steps = e.poset.coordinate_steps(elements) if sign else None
-        if steps is not None:
-            values = _coordinatewise(e.h._entries, sign, elements, steps)
-            # Only the support is handed on: canonising the zeros too
-            # costs several times the kernel itself on a sparse result.
-            return FiniteSupportFunction(e.poset, ((y, v) for y, v in values.items() if v))
+        passes = e.poset.coordinate_passes(elements) if sign else None
+        if passes is not None:
+            values = _coordinatewise(e.h._entries, sign, elements, passes)
+            return FiniteSupportFunction._canonical(e.poset, values)
     return FiniteSupportFunction(e.poset, ((y, e(y)) for y in elements))
 
 
-def _coordinatewise(entries: dict, sign: int, elements: list, steps) -> dict:
+def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
-    ``entries`` (element -> value) on a downward-closed window of a
-    product of chains, in narrowest form, zeros included.
+    ``entries`` (element -> value) on the window ``elements``, whose
+    ``passes`` are its :meth:`~posetlab.posets.Poset.coordinate_passes`:
+    the nonzero values, narrow, in window order.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
-    the product of their inverses, so each coordinate c gets one pass:
-    a[y] += a[y stepped down in c] in ascending order for zeta, and
-    a[y] -= a[y stepped down in c] in descending order for Mobius, which
-    reads the neighbour before this pass changes it."""
-    values = dict.fromkeys(elements, 0)
-    for x, value in entries.items():
-        if x in values:
-            values[x] = value
-    passes: dict = {}
-    for c, y, z in steps:
-        passes.setdefault(c, []).append((y, z))
-    for pairs in passes.values():
-        if sign > 0:
-            for y, z in pairs:
-                below = values[z]
-                if below:
-                    values[y] = values[y] + below
-        else:
-            for y, z in reversed(pairs):
-                below = values[z]
-                if below:
-                    values[y] = values[y] - below
-    return values
+    the product of their inverses, so each coordinate gets one pass:
+    a[t] += a[s] over ascending targets t for zeta, and a[t] -= a[s] over
+    descending ones for Mobius, which reads a[s] before this pass changes
+    it. The coefficients are 1 and -1, so the passes run on the values
+    scaled by the lcm of their denominators, as integers: one list for
+    real parts, and one for imaginary parts only when one is nonzero."""
+    position = dict(zip(elements, range(len(elements))))
+    # Support outside the window reaches no window element.
+    placed = [(position[x], v) for x, v in entries.items() if x in position]
+    real = [(i, v.real if type(v) is GaussianRational else v) for i, v in placed]
+    imag = [(i, v.imag) for i, v in placed if type(v) is GaussianRational]
+    scale = math.lcm(*{part.denominator for _, part in real + imag})
+    numerators = []
+    for parts in (real, imag) if imag else (real,):
+        values = [0] * len(elements)
+        for i, part in parts:
+            values[i] = part.numerator * (scale // part.denominator)
+        for targets, sources in passes:
+            if sign > 0:
+                for t, s in zip(targets, sources):
+                    values[t] += values[s]
+            else:
+                for t, s in zip(reversed(targets), reversed(sources)):
+                    values[t] -= values[s]
+        numerators.append(values)
+    if not imag:
+        return {elements[i]: _unscale(scale, n) for i, n in enumerate(numerators[0]) if n}
+    return {elements[i]: _unscale(scale, re, im) for i, (re, im) in enumerate(zip(*numerators)) if re or im}
+
+
+def _unscale(scale: int, real: int, imag: int = 0):
+    """``(real + imag i) / scale`` in its narrowest type."""
+    if imag:
+        return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
+    return Fraction(real, scale) if real % scale else real // scale
 
 
 # -- function documents ------------------------------------------------
@@ -234,5 +262,6 @@ def function_from_document(doc: dict, poset: Poset) -> FiniteSupportFunction:
     values = doc["values"]
     if not isinstance(values, dict):
         raise InvalidInput("'values' must map element encodings to scalars")
+    # Parsed elements are canonical and parsed values narrow already.
     entries = [(poset.parse_element(key), parse_narrow(str(text))) for key, text in values.items()]
-    return FiniteSupportFunction(poset, entries)
+    return FiniteSupportFunction._canonical(poset, _ordered(poset, entries))

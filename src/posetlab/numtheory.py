@@ -296,26 +296,6 @@ def divisor_grid(factors: dict[int, int]) -> list[int]:
     return divs
 
 
-def smallest_prime_factors(elements: list[int]) -> dict[int, int]:
-    """The smallest prime factor of every n > 1 in ``elements``, an
-    ascending list closed under taking divisors (a range 1..N or a
-    divisor set), by one sieve over the list itself."""
-    members = set(elements)
-    largest = elements[-1] if elements else 0
-    smallest: dict[int, int] = {}
-    for q in elements:
-        if q == 1 or q in smallest:
-            continue
-        # q is prime: no smaller prime marked it, and its divisors are listed.
-        for d in elements:
-            n = q * d
-            if n > largest:
-                break
-            if n in members and n not in smallest:
-                smallest[n] = q
-    return smallest
-
-
 def classical_mobius(n: int) -> int:
     """The number-theoretic Mobius function: 0 when a square divides n,
     otherwise (-1) to the number of distinct prime factors. A square

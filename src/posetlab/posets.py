@@ -22,12 +22,13 @@ columns.
 The built-in families are downward-closed parts of a product of chains:
 one chain per prime (divisibility, multisets), one 2-chain per ground
 element (subsets), or a single chain. Their shared base derives the
-closed-form Mobius function (Rota's product theorem), the coordinate
-steps of whole-window transforms and witness candidates from each
-family's ``(coordinate, height)`` pairs. Divisibility, subsets and
-multisets list an interval as a grid, in mixed-radix order
-(``Poset._grid``); the canonical interval is that grid sorted, and the
-Mobius solver reads down-sets off it by index arithmetic.
+closed-form Mobius function (Rota's product theorem) and witness
+candidates from each family's ``(coordinate, height)`` pairs; each
+family states its own passes of whole-window transforms over window
+positions. Divisibility, subsets and multisets list an interval as a
+grid, in mixed-radix order (``Poset._grid``); the canonical interval is
+that grid sorted, and the Mobius solver reads down-sets off it by index
+arithmetic.
 """
 
 from __future__ import annotations
@@ -154,12 +155,12 @@ class Poset:
 
     # -- product-of-chains structure -----------------------------------
 
-    def coordinate_steps(self, elements):
-        """``(c, y, z)`` for every element y of a canonically ordered,
-        downward-closed ``elements`` list and every lower cover z of y,
-        where z is y stepped down one in coordinate c. Families that are
-        downsets of a product of chains yield these in element order;
-        the others return None."""
+    def coordinate_passes(self, elements):
+        """One ``(targets, sources)`` pair of position sequences per
+        coordinate of a window ``elements``, listed as by
+        ``enumerate_window``: ``elements[s]`` is ``elements[t]`` one
+        lower in that coordinate, for each t of the ascending ``targets``
+        and the s beside it. None on other posets and other lists."""
         return None
 
     # -- dual ---------------------------------------------------------
@@ -320,14 +321,6 @@ class _ChainProduct(Poset):
                 sign = -sign
         return ONE if sign > 0 else MINUS_ONE
 
-    def coordinate_steps(self, elements):
-        """y one lower in each coordinate where it has positive height."""
-        for y in elements:
-            pairs = self._pairs(y)
-            for i, (c, k) in enumerate(pairs):
-                lower = ((c, k - 1),) if k > 1 else ()
-                yield c, y, self._from_pairs(pairs[:i] + lower + pairs[i + 1:])
-
     def witness_candidates(self, y, avoid: set):
         """y raised to height 1 in each coordinate, ascending, whose atom
         lies below neither y nor any avoided element: z = y*q over fresh
@@ -361,7 +354,7 @@ class _PositiveIntegers(_ChainProduct):
 
 class DivisibilityPoset(_PositiveIntegers):
     """Positive integers ordered by divisibility; bottom element 1. The
-    coordinates are the primes, but order tests, intervals and steps
+    coordinates are the primes, but order tests, intervals and passes
     use divisibility itself."""
 
     family = "divisibility"
@@ -407,16 +400,14 @@ class DivisibilityPoset(_PositiveIntegers):
         "squarefree multiples x*q over fresh primes never vanish",
     )
 
-    def coordinate_steps(self, elements):
-        """One chain per prime: y // q for each prime q dividing y."""
-        smallest = numtheory.smallest_prime_factors(elements)
-        for y in elements:
-            n = y
-            while n > 1:
-                q = smallest[n]
-                yield q, y, y // q
-                while n % q == 0:
-                    n //= q
+    def coordinate_passes(self, elements):
+        """A range window by position arithmetic; a divisor window, told
+        apart by its size, by one pass per prime of its bound."""
+        size = len(elements)
+        if not size or elements[-1] == size:
+            return _range_passes(size)
+        factors = numtheory.prime_factors(elements[-1])
+        return _divisor_passes(elements, factors) if size == _divisor_count(factors) else None
 
 
 class ChainPoset(_PositiveIntegers):
@@ -440,6 +431,11 @@ class ChainPoset(_PositiveIntegers):
 
     def _grid(self, x, y):
         return None
+
+    def coordinate_passes(self, elements):
+        """A window 1..N is one chain: n - 1 below n."""
+        size = len(elements)
+        return [(range(1, size), range(size - 1))] if size > 1 else []
 
     mobius_census = (
         FINITE_CERTIFIED,
@@ -533,6 +529,16 @@ class SubsetPoset(_ChainProduct):
             out.extend(itertools.combinations(ground, size))
         return out
 
+    def coordinate_passes(self, elements):
+        """The subsets of {1..n} as the divisors of the product of the
+        first n primes: member g of a subset is the g-th prime of its
+        image, and each ground element gets one pass."""
+        top = elements[-1] if elements else ()
+        if top != tuple(range(1, len(top) + 1)) or len(elements) != 1 << len(top):
+            return None
+        primes = list(itertools.islice(numtheory.primes(), len(top)))
+        return _divisor_passes([math.prod(primes[g - 1] for g in x) for x in elements], primes)
+
     mobius_census = (
         INFINITE_CERTIFIED,
         "closed form takes only the values +1 and -1",
@@ -614,6 +620,12 @@ class MultisetPoset(_ChainProduct):
 
     def window_elements(self, bound) -> list:
         return [integer_to_multiset(n) for n in range(1, _check_bound(bound) + 1)]
+
+    def coordinate_passes(self, elements):
+        """A window of images 1..N holds image y at position y - 1, so
+        its passes are those of divisibility on 1..N."""
+        size = len(elements)
+        return _range_passes(size) if not size or self.sort_key(elements[-1]) == size else None
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -729,6 +741,24 @@ class ExplicitPoset(Poset):
 
     def _key(self):
         return (self.family, self._elements, self._covers)
+
+
+def _range_passes(size: int) -> list:
+    """Divisibility's passes on 1..size: for each prime q, y // q sits
+    at position y // q - 1 for the multiple y of q at position y - 1."""
+    return [(range(q - 1, size, q), range(size // q)) for q in numtheory._sieve(size + 1)]
+
+
+def _divisor_passes(images: list, primes) -> list:
+    """Divisibility's passes on a window whose elements have the integer
+    ``images``, closed under taking divisors: for each of the ``primes``,
+    the multiples y of q and the positions of y // q."""
+    position = {y: i for i, y in enumerate(images)}
+    passes = []
+    for q in primes:
+        targets = [i for i, y in enumerate(images) if y % q == 0]
+        passes.append((targets, [position[images[t] // q] for t in targets]))
+    return passes
 
 
 def _check_bound(bound) -> int:

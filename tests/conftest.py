@@ -3,7 +3,8 @@
 ``ci`` raises the example count; CI selects it with
 ``--hypothesis-profile=ci`` for the CLI table reader's equivalence with
 argparse, whose handling of ``--`` and of dash-prefixed values differs
-between Python versions.
+between Python versions, and for the whole-window kernel against the
+point rule, the correctness gate for the kernel's integer arithmetic.
 """
 
 from hypothesis import settings

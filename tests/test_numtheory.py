@@ -20,7 +20,6 @@ from posetlab.numtheory import (
     is_prime,
     prime_factors,
     primes,
-    smallest_prime_factors,
 )
 
 
@@ -58,16 +57,6 @@ def test_divisors_examples():
 def test_divisors_against_scan():
     for n in range(1, 200):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-
-
-@pytest.mark.parametrize(
-    "elements",
-    [list(range(1, 400)), divisors(720720), divisors(2**10), [1], []],
-    ids=["range", "divisors-720720", "divisors-1024", "one", "empty"],
-)
-def test_smallest_prime_factors_against_factorisation(elements):
-    expected = {n: min(prime_factors(n)) for n in elements if n > 1}
-    assert smallest_prime_factors(elements) == expected
 
 
 # -- the factoriser against trial division ----------------------------------

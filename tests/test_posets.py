@@ -392,40 +392,71 @@ class TestDual:
         assert alive() is None
 
 
-class TestCoordinateSteps:
-    @pytest.mark.parametrize(
-        "window",
-        [
-            Window(DIV, 120),
-            Window(DIV, 720720, divisor_closure=True),
-            Window(CHAIN, 30),
-            Window(SUBSETS, 5),
-            Window(MULTISETS, 120),
-        ],
-        ids=lambda w: w.label(),
-    )
-    def test_steps_are_the_lower_covers(self, window):
+PASS_WINDOWS = [
+    Window(DIV, 60),
+    Window(DIV, 720720, divisor_closure=True),
+    Window(CHAIN, 30),
+    Window(SUBSETS, 5),
+    Window(MULTISETS, 120),
+    Window(DIV, 1),
+    Window(CHAIN, 1),
+    Window(MULTISETS, 1),
+    Window(SUBSETS, 0),
+    Window(DIV, 1, divisor_closure=True),
+    Window(DIV, 2, divisor_closure=True),
+    Window(DIV, 3**5, divisor_closure=True),
+]
+
+
+def lower_covers(p, y) -> set:
+    """The elements directly below y, by brute force over its ideal."""
+    below = [z for z in ideal(p, y) if z != y]
+    return {z for z in below if not any(leq(p, z, w) and w != z for w in below)}
+
+
+def step_coordinate(p, y, z):
+    """The one coordinate in which the lower cover z of y is lower."""
+    high, low = dict(p._pairs(y)), dict(p._pairs(z))
+    (c,) = [c for c in high if high[c] != low.get(c, 0)]
+    return c
+
+
+class TestCoordinatePasses:
+    @pytest.mark.parametrize("window", PASS_WINDOWS, ids=lambda w: w.label())
+    def test_passes_are_the_lower_covers(self, window):
         p = window.poset
         elements = enumerate_window(window)
-        steps = {}
-        for c, y, z in p.coordinate_steps(elements):
-            steps.setdefault(y, []).append((c, z))
-        for y in elements:
-            below = [z for z in ideal(p, y) if z != y]
-            covers = {z for z in below if not any(leq(p, z, w) and w != z for w in below)}
-            tagged = steps.get(y, [])
-            assert {z for _, z in tagged} == covers
-            # One step per coordinate.
-            assert len({c for c, _ in tagged}) == len(tagged)
+        pairs = []
+        coordinates = []
+        for targets, sources in p.coordinate_passes(elements):
+            targets, sources = list(targets), list(sources)
+            assert targets and len(targets) == len(sources)
+            assert targets == sorted(set(targets))
+            steps = [(elements[t], elements[s]) for t, s in zip(targets, sources)]
+            # Every step of a pass lowers the same coordinate.
+            (c,) = {step_coordinate(p, y, z) for y, z in steps}
+            coordinates.append(c)
+            pairs += steps
+        assert len(set(coordinates)) == len(coordinates)
+        expected = [(y, z) for y in elements for z in lower_covers(p, y)]
+        assert sorted(pairs, key=repr) == sorted(expected, key=repr)
 
-    def test_steps_arrive_in_element_order(self):
-        elements = enumerate_window(Window(SUBSETS, 4))
-        order = [y for _, y, _ in SUBSETS.coordinate_steps(elements)]
-        assert order == sorted(order, key=SUBSETS.sort_key)
+    @pytest.mark.parametrize(
+        "poset,elements",
+        [
+            (DIV, [1, 2, 3, 5]),
+            (DIV, [1, 2, 3, 4, 6]),
+            (SUBSETS, [(), (1,), (2,)]),
+            (SUBSETS, [(), (2,)]),
+            (MULTISETS, [(), ((2, 1),), ((3, 1),), ((5, 1),)]),
+        ],
+    )
+    def test_lists_that_are_no_window_have_none(self, poset, elements):
+        assert poset.coordinate_passes(elements) is None
 
     def test_explicit_posets_have_none(self):
         p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
-        assert p.coordinate_steps(["a", "b"]) is None
+        assert p.coordinate_passes(["a", "b"]) is None
 
 
 class TestIntervalCaps:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetlab.cli as cli
@@ -36,6 +36,7 @@ from posetlab import (
     zeta_function,
     zeta_transform,
 )
+from posetlab.scalars import parse_narrow
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
@@ -346,15 +347,94 @@ KERNEL_SETUPS = [
     (Window(SUBSETS, 5), [(6,), (1, 6), (2, 3, 7)]),
     (Window(MULTISETS, 60), [integer_to_multiset(n) for n in (61, 64, 90, 121)]),
 ]
+# Windows of one or two elements, and a divisor window of a prime power.
+EDGE_SETUPS = [
+    (Window(DIV, 1), [2, 3]),
+    (Window(CHAIN, 1), [2]),
+    (Window(MULTISETS, 1), [integer_to_multiset(2)]),
+    (Window(SUBSETS, 0), [(1,)]),
+    (Window(DIV, 1, divisor_closure=True), [2]),
+    (Window(DIV, 2, divisor_closure=True), [3, 4]),
+    (Window(DIV, 3**5, divisor_closure=True), [2, 6, 729]),
+]
+# Primes above 1000: any three of them as denominators have an lcm
+# above 10**9.
+LARGE_PRIMES = [p for p in range(1009, 1100) if all(p % d for d in range(2, 32))]
+
+
+def draw_values(data, kind: str, size: int) -> list:
+    """``size`` nonzero values drawn through ``data``: of one scalar tier
+    (see ``exact_scalars``), ``"coprime"`` values whose parts all have
+    distinct prime denominators, or ``"cancelling"`` Gaussian values
+    each followed by its negation or its conjugate, so that a sum over
+    both vanishes or is real."""
+    if kind == "coprime":
+        primes = data.draw(st.permutations(LARGE_PRIMES))
+        numerators = data.draw(st.lists(st.integers(-9, 9), min_size=2 * size, max_size=2 * size))
+        real = [Fraction(n or 1, q) for n, q in zip(numerators, primes)]
+        imag = [Fraction(n, q) for n, q in zip(numerators[size:], primes[size:])]
+        return [GaussianRational(re, im) for re, im in zip(real[:size], imag)]
+    if kind == "cancelling":
+        values = []
+        while len(values) < size:
+            v = data.draw(exact_scalars("gaussian"))
+            values += [v, data.draw(st.sampled_from([-v, GaussianRational(v.real, -v.imag)]))]
+        return values[:size]
+    return data.draw(st.lists(exact_scalars(kind), min_size=size, max_size=size))
+
+
+def element_texts(p):
+    """Hypothesis strategy for the encodings of small elements of p,
+    several for most elements: reordered members or factors, padding,
+    leading zeros and explicit exponents."""
+    if p is SUBSETS:
+        return st.lists(st.integers(1, 4), unique=True, max_size=3).flatmap(
+            lambda members: st.permutations(members).map(lambda order: "{" + ", ".join(map(str, order)) + "}")
+        )
+    if p is MULTISETS:
+        factor = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.booleans()).map(
+            lambda f: f"{f[0]}^{f[1]}" if f[1] > 1 or f[2] else str(f[0])
+        )
+        factors = st.lists(factor, unique_by=lambda text: text[0], max_size=3)
+        return factors.map(lambda texts: "*".join(texts) or "1")
+    padded = st.sampled_from(["{}", " {} ", "0{}"])
+    return st.tuples(st.integers(1, 12), padded).map(lambda drawn: drawn[1].format(drawn[0]))
+
+
+SCALAR_TEXTS = st.one_of(
+    st.sampled_from(["0", "0/4", "0+0i", "1", "-3", "6/4", "1/2-3/4i", "0+1i", "2-1i"]),
+    st.tuples(st.integers(-5, 5), st.integers(1, 5)).map(lambda q: f"{q[0]}/{q[1]}"),
+)
+
+
+@st.composite
+def function_documents(draw):
+    """A poset and the values of a function document on it, whose keys
+    may encode one element more than once."""
+    p = draw(st.sampled_from([DIV, CHAIN, SUBSETS, MULTISETS]))
+    keys = draw(st.lists(element_texts(p), unique=True, max_size=6))
+    return p, {key: draw(SCALAR_TEXTS) for key in keys}
+
+
+def typed_entries(f) -> list:
+    """f's stored entries, in order, with the type of each value."""
+    return [(x, type(v), v) for x, v in f._entries.items()]
+
+
+def assert_stored_as_constructed(f):
+    """f's entries are canonical, narrow, nonzero and in canonical order:
+    the public constructor stores the same entries in the same order."""
+    assert typed_entries(f) == typed_entries(FiniteSupportFunction(f.poset, f._entries))
 
 
 class TestCoordinatewiseKernel:
     """Whole-window zeta and Mobius transforms against the point rule."""
 
-    @settings(max_examples=80, deadline=None)
+    # No example count here: CI runs this test with the ``ci`` profile.
+    @settings(deadline=None)
     @given(
-        setup=st.sampled_from(KERNEL_SETUPS),
-        kind=st.sampled_from(["int", "rational", "gaussian"]),
+        setup=st.sampled_from(KERNEL_SETUPS + EDGE_SETUPS),
+        kind=st.sampled_from(["int", "rational", "gaussian", "coprime", "cancelling"]),
         data=st.data(),
     )
     def test_kernel_equals_point_oracle(self, setup, kind, data):
@@ -362,13 +442,44 @@ class TestCoordinatewiseKernel:
         p = window.poset
         pool = enumerate_window(window) + outside
         support = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
-        values = data.draw(
-            st.lists(exact_scalars(kind), min_size=len(support), max_size=len(support))
-        )
+        values = draw_values(data, kind, len(support))
         f = FiniteSupportFunction(p, zip(support, values))
         for transform in (zeta_transform, mobius_inversion):
             e = transform(f)
-            assert dict(materialize(e, window).items()) == point_values(e, window)
+            result = materialize(e, window)
+            assert dict(result.items()) == point_values(e, window)
+            assert_stored_as_constructed(result)
+
+    def test_gaussian_sums_are_stored_narrow_or_pruned(self):
+        window = Window(DIV, 60)
+        f = FiniteSupportFunction(
+            DIV,
+            {
+                1: GaussianRational(Fraction(1, 2), 1),
+                2: GaussianRational(Fraction(1, 3), -1),
+                3: GaussianRational(Fraction(-1, 2), -1),
+                5: GaussianRational(Fraction(1, 2), -1),
+            },
+        )
+        g = materialize(zeta_transform(f), window)
+        assert dict(g.items()) == point_values(zeta_transform(f), window)
+        assert_stored_as_constructed(g)
+        # 1 + 3 cancels; 1 + 2 and 1 + 5 are real, 1 + 5 an integer.
+        assert 3 not in g._entries and 9 not in g._entries
+        assert (g._entries[2], g._entries[4], g._entries[5]) == (Fraction(5, 6), Fraction(5, 6), 1)
+        assert type(g._entries[5]) is int
+        assert g._entries[6] == GaussianRational(Fraction(1, 3), -1)
+        assert materialize(mobius_inversion(g), window) == f
+
+    def test_coprime_denominators_past_a_million(self):
+        window = Window(SUBSETS, 4)
+        f = FiniteSupportFunction(
+            SUBSETS, {(): Fraction(1, 1009), (1,): Fraction(-2, 1013), (2,): Fraction(3, 1019), (1, 2): 5}
+        )
+        g = materialize(zeta_transform(f), window)
+        assert g[(1, 2, 3)] == Fraction(1, 1009) - Fraction(2, 1013) + Fraction(3, 1019) + 5
+        assert dict(g.items()) == point_values(zeta_transform(f), window)
+        assert materialize(mobius_inversion(g), window) == f
 
     @pytest.mark.parametrize("window,outside", KERNEL_SETUPS)
     def test_user_built_inverse_of_zeta_takes_kernel(self, window, outside):
@@ -411,7 +522,7 @@ class TestCoordinatewiseKernel:
 
     @pytest.mark.parametrize("poset,window", EXPLICIT_SETUPS)
     def test_explicit_posets_take_point_path(self, poset, window):
-        assert poset.coordinate_steps(enumerate_window(window)) is None
+        assert poset.coordinate_passes(enumerate_window(window)) is None
         rng = random.Random(31)
         g = random_support_function(rng, poset, enumerate_window(window))
         mobius_function(poset)._memo.clear()
@@ -435,25 +546,37 @@ class TestCoordinatewiseKernel:
         assert calls == enumerate_window(window)
         assert result == materialize(e, window)
 
-    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS)
+    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS + EDGE_SETUPS)
     def test_integer_coefficients_do_no_gaussian_addition(self, window, outside, monkeypatch):
+        """Integer, rational and Gaussian values all pass through the
+        kernel without a ``GaussianRational`` operator."""
         p = window.poset
         rng = random.Random(f"narrow-kernel-{window.label()}")
         pool = enumerate_window(window) + outside
-        f = FiniteSupportFunction(p, {x: rng.randint(-9, 9) for x in rng.sample(pool, 6)})
+        support = rng.sample(pool, min(6, len(pool)))
+        functions = [
+            FiniteSupportFunction(p, {x: rng.randint(-9, 9) for x in support}),
+            FiniteSupportFunction(p, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for x in support}),
+            random_support_function(rng, p, pool),
+        ]
         calls = []
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__"
+        ):
             real = getattr(GaussianRational, name)
             monkeypatch.setattr(
                 GaussianRational, name,
-                lambda self, other, real=real, name=name: calls.append(name) or real(self, other),
+                lambda *args, real=real, name=name: calls.append(name) or real(*args),
             )
-        g = materialize(zeta_transform(f), window)
-        back = materialize(mobius_inversion(g), window)
+        results = []
+        for f in functions:
+            g = materialize(zeta_transform(f), window)
+            results.append((g, materialize(mobius_inversion(g), window)))
         assert calls == []
         monkeypatch.undo()
-        assert dict(back.items()) == point_values(mobius_inversion(g), window)
-        assert dict(g.items()) == point_values(zeta_transform(f), window)
+        for f, (g, back) in zip(functions, results):
+            assert dict(g.items()) == point_values(zeta_transform(f), window)
+            assert dict(back.items()) == point_values(mobius_inversion(g), window)
 
     @pytest.mark.parametrize("transform", [zeta_transform, mobius_inversion])
     @pytest.mark.parametrize("window,outside", KERNEL_SETUPS)
@@ -506,6 +629,28 @@ class TestFunctionDocuments:
     def test_zero_values_are_pruned_on_load(self):
         doc = {"poset": "chain", "values": {"1": "1", "2": "0"}}
         assert function_from_document(doc, CHAIN).support() == [1]
+
+    @settings(deadline=None)
+    @given(case=function_documents())
+    @example(case=(SUBSETS, {"{2,1}": "1", "{1,2}": "2"}))
+    @example(case=(SUBSETS, {"{2,1}": "0", "{1,2}": "2"}))
+    @example(case=(SUBSETS, {"{1,2}": "2", "{2,1}": "0/3"}))
+    @example(case=(MULTISETS, {"3*2": "1/2", "2*3": "1"}))
+    @example(case=(MULTISETS, {"5": "1", "3*2": "0", "2^1*3": "1+1i", "1": "2"}))
+    def test_reading_equals_the_constructor(self, case):
+        """Reading a document stores what the constructor stores for its
+        parsed entries, in the same order, or refuses it with the same
+        message."""
+        p, values = case
+        doc = {"poset": p.family, "values": values}
+        entries = [(p.parse_element(key), parse_narrow(text)) for key, text in values.items()]
+        outcomes = []
+        for build in (lambda: FiniteSupportFunction(p, entries), lambda: function_from_document(doc, p)):
+            try:
+                outcomes.append(typed_entries(build()))
+            except InvalidInput as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
 
     def test_malformed_documents(self):
         with pytest.raises(InvalidInput):
