@@ -13,18 +13,24 @@ triangular recursion computes every inverse b of a, a row at a time:
 
 The Mobius function is the inverse of the constant function ``zeta``,
 where this is the defining recursion
-``mu(x, y) = - sum over x <= z < y of mu(x, z)``. The same solver gives
-columns: on the dual poset ``p._dual()``, mu_dual(z, x) = mu(x, z), so
-the dual's row at z is the column x -> mu(x, z).
+``mu(x, y) = - sum over x <= z < y of mu(x, z)``. The same solver, run
+down the interval instead of up it, solves a * b = delta a column at a
+time (Rota):
+
+    b(y, y) = 1 / a(y, y),
+    b(z, y) = - (sum over z < w <= y of a(z, w) * b(w, y)) / a(z, z).
+
+Each inverse keeps such a column solver, with a memo of its own.
 
 A row walks its interval's grid (``Poset._grid``, a mixed-radix listing
 that is a linear extension) where the poset has one, and canonical
-order elsewhere. At each z the sum runs over the row's nonzero entries
-so far, each tested with ``_leq``, unless the interval is Boolean (every
-radix 2, as on subsets and squarefree divisibility) and the down-set of
-z is no larger: then it reads the down-set, the submasks of z's index,
-with no order test. A Mobius row over n atoms then sums about 3**n
-terms in all, where the scan made about 4**n / 2 order tests.
+order elsewhere; a column walks the same list reversed. At each z the
+sum runs over the nonzero entries so far, each tested with ``_leq``,
+unless the interval is Boolean (every radix 2, as on subsets and
+squarefree divisibility) and the down-set of z (its up-set, for a
+column) is no larger: then it reads that set, the submasks of z's
+index, with no order test. A Mobius row over n atoms then sums about
+3**n terms in all, where the scan made about 4**n / 2 order tests.
 
 Values are computed and memoised in their narrowest exact type (see
 :func:`posetlab.scalars.narrow`), so a Mobius row is plain ``int``
@@ -100,19 +106,36 @@ class IntervalFunction:
             return self._inverse_row(x, y)
         raise AssertionError(f"unknown kind {kind!r}")
 
+    def _column_solver(self) -> "IntervalFunction":
+        """This inverse solved a column at a time by ``_inverse_row``, with
+        a memo of its own keyed (z, y) as here; built once and kept on
+        this function."""
+        solver = self.__dict__.get("_columns")
+        if solver is None:
+            solver = self._columns = IntervalFunction(self.poset, "inverse", self.name, self.operands)
+            solver._by_column = True
+        return solver
+
+    _by_column = False
+
     def _inverse_row(self, x, y):
         # Triangular solve for b with (b * a)(x, .) = delta, filling the
         # memo for the whole row: b(x, z) a(z, z) = delta(x, z) minus the
-        # sum of b(x, w) a(w, z) over x <= w < z. The walk follows a
-        # linear extension, the grid or canonical order, so each value
-        # only needs earlier ones; ``values`` keeps the row by walk index.
+        # sum of b(x, w) a(w, z) over x <= w < z. A column solver solves
+        # (a * b)(., y) = delta down [x, y] the same way, with the order
+        # test and a's arguments swapped (zeta is symmetric), and keys its
+        # memo (z, y). The walk follows a linear extension, the grid or
+        # canonical order, reversed for a column, so each value only
+        # needs earlier ones; ``values`` keeps the entries by walk index.
         # On a Boolean grid the index of z is a bit mask, and its proper
-        # submasks index the rest of z's down-set: when the down-set, of
-        # 2**popcount elements, is no larger than the nonzero entries so
-        # far, the sum reads it with no order test. Otherwise each
-        # nonzero entry is tested with ``_leq``. Mixed radices always
-        # scan: listing their down-sets costs more in Python than the
-        # scan saves. Raises on the first zero diagonal in canonical order.
+        # submasks index the rest of z's down-set; reversing the list
+        # complements every digit, so for a column they index its
+        # up-set. When that set, of 2**popcount elements, is no larger
+        # than the nonzero entries so far, the sum reads it with no order
+        # test. Otherwise each nonzero entry is tested with ``_leq``.
+        # Mixed radices always scan: listing their down-sets costs more
+        # in Python than the scan saves. Raises on the first zero
+        # diagonal in canonical order.
         p = self.poset
         leq = p._leq
         operand = self.operands[0]
@@ -124,11 +147,18 @@ class IntervalFunction:
         else:
             elements, radices = grid
             binary = radices.count(2) == len(radices)
+        column, start = self._by_column, x
+        if column:
+            elements, start, below, read = elements[::-1], y, leq, a
+            leq = lambda w, z: below(z, w)
+            if a is not _zeta:
+                a = lambda w, z: read(z, w)
         values = [0] * len(elements)
         nonzeros: list = []
         try:
             for i, z in enumerate(elements):
-                cached = memo.get((x, z))
+                key = (z, y) if column else (x, z)
+                cached = memo.get(key)
                 if cached is not None:
                     if cached:
                         values[i] = cached
@@ -137,7 +167,7 @@ class IntervalFunction:
                 diagonal = a(z, z)
                 if not diagonal:
                     raise NotInvertible(z)
-                total = 1 if z == x else 0
+                total = 1 if z == start else 0
                 if binary and 1 << i.bit_count() <= len(nonzeros):
                     s = i
                     while s:
@@ -150,14 +180,14 @@ class IntervalFunction:
                         if leq(w, z):
                             total -= b_w * a(w, z)
                 value = _divide(total, diagonal)
-                memo[(x, z)] = value
+                memo[key] = value
                 if value:
                     values[i] = value
                     nonzeros.append((z, value))
         except NotInvertible:
             # A walk in canonical order meets the first zero diagonal there.
             for z in p._interval(x, y):
-                if (x, z) not in memo and not a(z, z):
+                if not a(z, z):
                     raise NotInvertible(z) from None
             raise
         return memo[(x, y)]
@@ -166,13 +196,24 @@ class IntervalFunction:
         p = self.poset
         left, right = self.operands
         # Fills a row-solved left factor's row over [x, y] in one walk,
-        # so the loop below only reads its memo.
+        # and an inverse right factor's column, so the loop below only
+        # reads memos. Where the column meets a zero diagonal, the loop
+        # reads the right factor's rows: they may never reach it, and
+        # otherwise name the element they always named.
         left._evaluate_canonical(x, y)
+        b = right._evaluate_canonical
+        if right.kind == "inverse":
+            column = right._column_solver()
+            try:
+                column._evaluate_canonical(x, y)
+                b = column._evaluate_canonical
+            except NotInvertible:
+                pass
         total = 0
         for z in p._interval(x, y):
             a_val = left._evaluate_canonical(x, z)
             if a_val:
-                b_val = right._evaluate_canonical(z, y)
+                b_val = b(z, y)
                 if b_val:
                     total += a_val * b_val
         return narrow(total)
@@ -213,9 +254,9 @@ def zeta_function(p: Poset) -> IntervalFunction:
 
 def mobius_function(p: Poset) -> IntervalFunction:
     """The Mobius function of ``p``, the inverse of zeta, shared per
-    poset so the recursion cache accumulates across callers. It is kept
-    on the poset itself, like ``p._dual()``: the two refer only to each
-    other, so neither keeps the other alive."""
+    poset so its memos, its rows' and its column solver's, accumulate
+    across callers. It is kept on the poset itself: the two refer only
+    to each other, so neither keeps the other alive."""
     fn = p.__dict__.get("_mobius")
     if fn is None:
         fn = p._mobius = IntervalFunction(p, "inverse", "mobius", (zeta_function(p),))

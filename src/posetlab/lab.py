@@ -15,9 +15,9 @@ probes that property at desk scale:
   fresh ground elements q); the chain tries only z = y + 1, the one
   z > y with mu(y, z) != 0, and explicit posets scan every element
   above y, within the budget. The checks and the verification read
-  columns x -> mu(x, z) of the Mobius function, computed as rows on the
-  dual poset by the one row solver: y's column once per stream, each
-  candidate's column in one walk down its ideal.
+  columns x -> mu(x, z) of the Mobius function from its column solver:
+  y's column once per stream, each candidate's column in one walk down
+  its ideal.
 
 * **censuses** -- the support set {y : a(x, y) != 0} restricted to a
   window, with a verdict attached only where a built-in analytic
@@ -209,9 +209,9 @@ def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     avoid set: (ideal(z) - ideal(y)) misses the set, Mobius values
     factor through y on all of ideal(y), and mu(y, z) != 0.
 
-    The columns x -> mu(x, y) and x -> mu(x, z) are rows of the dual
-    poset's Mobius function, each solved in one walk down its ideal and
-    kept in that function's shared memo, so y's column is solved once
+    The columns x -> mu(x, y) and x -> mu(x, z) come from the shared
+    Mobius function's column solver, each solved in one walk down its
+    ideal and kept in that solver's memo, so y's column is solved once
     per stream and verification reads z's column again."""
     y, z = p.canon(y), p.canon(z)
     if not (p._leq(y, z) and y != z):
@@ -222,15 +222,18 @@ def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     disjoint = not any(
         p._leq(s, z) and not p._leq(s, y) for s in {p.canon(s) for s in avoid_set}
     )
-    # mu(b, a) on the dual is mu(a, b) here: one walk down ideal(y) fills
-    # y's column (a memo hit for every later candidate), one down ideal(z)
-    # fills z's.
-    mu = mobius_function(p._dual())._evaluate_canonical
+    # One walk down ideal(y) fills y's column (a memo hit for every later
+    # candidate), one down ideal(z) fills z's.
+    mu = mobius_function(p)._column_solver()._evaluate_canonical
     bottom = p.bottom()
-    mu(y, bottom)
-    mu(z, bottom)
-    mu_yz = mu(z, y)
-    factorize = all(mu(y, x) * mu_yz == mu(z, x) for x in p.ideal(y))
+    mu(bottom, y)
+    mu(bottom, z)
+    mu_yz = mu(y, z)
+    # Every read is a memo hit and ``all`` ignores order, so ideal(y) is
+    # read unsorted where it has a grid.
+    grid = p._grid(bottom, y)
+    below = p.ideal(y) if grid is None else grid[0]
+    factorize = all(mu(x, y) * mu_yz == mu(x, z) for x in below)
     return WitnessConditions(disjoint, factorize, bool(mu_yz), as_scalar(mu_yz))
 
 
@@ -281,8 +284,8 @@ def verify_uncertainty_witnesses(
     observed f(z) recomputed by a direct sum of mu(x,z)*g(x) over the
     support of g below z; the two must agree and be nonzero, which is
     exactly how a finite-support g forces the inverted function to have
-    infinite support. The sum reads the column mu(., z), a row on the
-    dual poset that the witness check has already solved.
+    infinite support. The sum reads the column mu(., z), which the
+    witness check has already solved.
     """
     if not g:
         raise ZeroFunction("the supplied function is identically zero")
@@ -297,14 +300,14 @@ def verify_uncertainty_witnesses(
             f"g's value {g[base]}, although g vanishes below it"
         )
 
-    mu = mobius_function(p._dual())._evaluate_canonical
+    mu = mobius_function(p)._column_solver()._evaluate_canonical
     certificates = []
     for cert in witnesses(p, base, g.support(), count, budget):
         predicted = cert.mu_yz * f_base
         total = 0
         for x, g_x in g._entries.items():
             if p._leq(x, cert.z):
-                total += mu(cert.z, x) * g_x
+                total += mu(x, cert.z) * g_x
         observed = as_scalar(total)
         if not (observed == predicted and observed):
             raise WitnessConclusionViolated(

@@ -14,10 +14,8 @@ and output ordering are all decidable and reproducible: plain ints for
 the integer families, sorted tuples for subsets, sorted ``(prime, mult)``
 tuples for multisets, and identifier strings for explicit posets. Every
 returned element list is in canonical order, which is always a linear
-extension of the partial order. Every poset also has an internal dual
-view, ``_dual()``, with the order reversed and intervals listed in
-reversed canonical order, through which the Mobius solver computes
-columns.
+extension of the partial order, and reversed it is one of the reversed
+order, which the Mobius solver walks for columns.
 
 The built-in families are downward-closed parts of a product of chains:
 one chain per prime (divisibility, multisets), one 2-chain per ground
@@ -163,21 +161,9 @@ class Poset:
         and the s beside it. None on other posets and other lists."""
         return None
 
-    # -- dual ---------------------------------------------------------
-
-    def _dual(self) -> "Poset":
-        """The dual view of this poset (see ``_Dual``), built once. It is
-        kept on the poset itself, so the two refer only to each other and
-        neither keeps the other alive."""
-        dual = self.__dict__.get("_dual_view")
-        if dual is None:
-            dual = self._dual_view = _Dual(self)
-        return dual
-
     def __getstate__(self):
-        # Copies and pickles leave out the cached dual view (its order test
-        # is a closure) and the Mobius memo; the copy builds its own.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_dual_view", "_mobius")}
+        # Copies and pickles leave out the Mobius memos; the copy builds its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_mobius"}
 
     def __repr__(self):
         return f"Poset({self.family})"
@@ -190,40 +176,6 @@ class Poset:
 
     def _key(self):
         return (self.family,)
-
-
-class _Dual(Poset):
-    """The dual of ``base``: the same elements in the same encoding, the
-    order reversed. It has no bottom, windows or census and serves the
-    solver, which reads only ``_leq``, ``_interval`` and ``_grid``. Since
-    mu_dual(y, x) = mu(x, y) (Rota), a row of the dual's Mobius function
-    is a column of the base's."""
-
-    def __init__(self, base: Poset):
-        self.family = base.family
-        self._base = base
-        self.canon = base.canon
-        self.format_element = base.format_element
-        leq = base._leq
-        self._leq = lambda x, y: leq(y, x)
-
-    def _interval(self, x, y) -> list:
-        # Reversed canonical order is a linear extension of the dual order.
-        return self._base._interval(y, x)[::-1]
-
-    def _grid(self, x, y):
-        # Complementing every digit reverses the index, so the reversed
-        # list is a grid of the dual order with the same radices.
-        grid = self._base._grid(y, x)
-        if grid is None:
-            return None
-        return grid[0][::-1], grid[1]
-
-    def __repr__(self):
-        return f"Poset(dual of {self.family})"
-
-    def _key(self):
-        return ("dual",) + self._base._key()
 
 
 def _canon_positive_int(x, family: str) -> int:

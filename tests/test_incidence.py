@@ -336,21 +336,20 @@ class TestExplicitPosetAlgebra:
                     assert total == (1 if x == y else 0)
 
 
-class TestDualColumns:
-    """A row of the dual's Mobius function is a column of the poset's
-    (Rota): mu_dual(z, x) = mu(x, z), checked exactly against the row
-    recursion."""
+class TestColumns:
+    """An inverse's column solver solves a * b = delta a column at a time
+    (Rota): its value on [x, z] is the row recursion's, checked exactly."""
 
     @staticmethod
     def assert_columns_are_rows(p, tops):
-        column = invert(zeta_function(p._dual()))
-        shared = mobius_function(p._dual())
+        column = invert(zeta_function(p))._column_solver()
+        shared = mobius_function(p)._column_solver()
         for z in tops:
             rows = invert(zeta_function(p))
             for x in p.ideal(z):
                 value = rows.evaluate(x, z)
-                assert column.evaluate(z, x) == value == mobius_value(p, x, z)
-                assert shared.evaluate(z, x) == value
+                assert column.evaluate(x, z) == value == mobius_value(p, x, z)
+                assert shared.evaluate(x, z) == value
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), window=st.sampled_from([w for _, w in WINDOWS]))
@@ -366,9 +365,9 @@ class TestDualColumns:
         self.assert_columns_are_rows(p, enumerate_window(Window(p)))
 
     def test_one_walk_fills_a_column(self):
-        column = invert(zeta_function(DIV._dual()))
-        assert column.evaluate(60, 1) == 0
-        assert column._memo == {(60, x): mobius_value(DIV, x, 60).real for x in DIV.ideal(60)}
+        column = invert(zeta_function(DIV))._column_solver()
+        assert column.evaluate(1, 60) == 0
+        assert column._memo == {(x, 60): mobius_value(DIV, x, 60).real for x in DIV.ideal(60)}
 
     def test_mobius_value_stays_on_rows(self):
         mobius_function(SUBSETS)._memo.clear()
@@ -377,8 +376,8 @@ class TestDualColumns:
 
 
 class TestSharedMobiusLifetime:
-    """The shared Mobius function is kept on its poset (and the dual's on
-    the dual view), so a poset the caller drops is collected with its memo."""
+    """The shared Mobius function is kept on its poset, and its column
+    solver on it, so a poset the caller drops is collected with their memos."""
 
     @staticmethod
     def diamond(bottom):
@@ -391,14 +390,16 @@ class TestSharedMobiusLifetime:
     def test_shared_per_poset(self):
         p = self.diamond("shared")
         assert mobius_function(p) is mobius_function(p)
-        assert mobius_function(p._dual()) is mobius_function(p._dual())
-        assert mobius_function(p) is not mobius_function(p._dual())
+        assert mobius_function(p)._column_solver() is mobius_function(p)._column_solver()
+        assert mobius_function(p) is not mobius_function(p)._column_solver()
 
-    @pytest.mark.parametrize("use", ["mobius_value", "witness_check"])
+    @pytest.mark.parametrize("use", ["mobius_value", "column", "witness_check"])
     def test_explicit_poset_is_collected(self, use):
         p = self.diamond(use)
         if use == "mobius_value":
             assert mobius_value(p, use, "1") == 1
+        elif use == "column":
+            assert mobius_function(p)._column_solver().evaluate(use, "1") == 1
         else:
             conditions = check_witness_conditions(p, "a", [], "1")
             assert conditions.mu_yz == -1

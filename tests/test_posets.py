@@ -1,9 +1,7 @@
 """Poset families, windows, explicit posets, and the multiset map."""
 
-import gc
 import math
 import random
-import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -343,53 +341,6 @@ class TestExplicitPosets:
                 for z in elements:
                     if (y, z) in rel:
                         assert (x, z) in rel
-
-
-_DUAL_WINDOWS = [Window(DIV, 60), Window(CHAIN, 30), Window(SUBSETS, 4), Window(MULTISETS, 60)] + [
-    Window(random_explicit_poset(random.Random(seed), 9)) for seed in (21, 22, 23)
-]
-
-
-class TestDual:
-    @pytest.mark.parametrize("window", _DUAL_WINDOWS, ids=lambda w: w.label())
-    def test_order_and_intervals_are_reversed(self, window):
-        p = window.poset
-        dual = p._dual()
-        elements = enumerate_window(window)
-        for x in elements:
-            for y in elements:
-                assert dual._leq(x, y) == p._leq(y, x)
-                if not p._leq(x, y):
-                    continue
-                # [y, x] on the dual is [x, y] here, in reversed canonical order.
-                listed = dual._interval(y, x)
-                assert listed == interval(p, x, y)[::-1]
-                assert all(dual._leq(y, z) and dual._leq(z, x) for z in listed)
-                # A linear extension of the dual order.
-                for i, z in enumerate(listed):
-                    assert not any(dual._leq(w, z) for w in listed[i + 1 :])
-
-    @pytest.mark.parametrize("window", _DUAL_WINDOWS, ids=lambda w: w.label())
-    def test_one_view_per_poset_with_its_own_key(self, window):
-        p = window.poset
-        assert p._dual() is p._dual()
-        assert p._dual() != p and p._dual()._key() != p._key()
-        assert p._dual().canon(p.bottom()) == p.bottom()
-
-    def test_equal_explicit_posets_have_equal_duals(self):
-        doc = {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}
-        first, second = load_explicit_poset(doc), load_explicit_poset(doc)
-        assert first._dual() is not second._dual()
-        assert first._dual() == second._dual()
-        assert hash(first._dual()) == hash(second._dual())
-
-    def test_view_does_not_keep_an_explicit_poset_alive(self):
-        p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
-        assert p._dual()._interval("b", "a") == ["b", "a"]
-        alive = weakref.ref(p)
-        del p
-        gc.collect()
-        assert alive() is None
 
 
 PASS_WINDOWS = [

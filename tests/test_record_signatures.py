@@ -23,6 +23,7 @@ from posetlab import (
     finite_support_pair_search,
     get_poset,
     load_explicit_poset,
+    mobius_function,
     mobius_value,
     witnesses,
 )
@@ -102,7 +103,7 @@ class TestCopyAndPickle:
             assert twin == cert and repr(twin) == repr(cert)
 
     def test_pair_search_result(self):
-        # A witness check caches the poset's dual view and Mobius memo first.
+        # A witness check caches the poset's Mobius function first.
         next(witnesses(divisibility, 2, [3], 1))
         result = finite_support_pair_search(divisibility, Window(divisibility, 4), Window(divisibility, 8))
         assert result.candidate is not None
@@ -121,9 +122,9 @@ class TestCopyAndPickle:
             p = get_poset(name)
         bottom, above = enumerate_window(Window(p, 4))[:2]
         assert mobius_value(p, bottom, above) == -1
-        p._dual()
+        assert mobius_function(p)._column_solver().evaluate(bottom, above) == -1
         window = Window(p, 4)
         for twin in _round_trips(window)[1:]:
             assert twin == window and twin.poset is not p
-            assert "_dual_view" not in vars(twin.poset) and "_mobius" not in vars(twin.poset)
-        assert {"_dual_view", "_mobius"} <= set(vars(p))
+            assert "_mobius" not in vars(twin.poset)
+        assert mobius_function(p)._memo and mobius_function(p)._columns._memo

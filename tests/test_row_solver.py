@@ -1,14 +1,16 @@
-"""The inverse row solver on product-of-chains grids.
+"""The inverse row solver on product-of-chains grids, run both ways.
 
 ``Poset._grid(x, y)`` lists a product-of-chains interval in mixed-radix
-order, and ``IntervalFunction._inverse_row`` walks that order. On a
-Boolean grid it sums over the down-set of each z by submask arithmetic
-whenever that down-set is no larger than the row's nonzero entries so
-far, and otherwise tests each nonzero entry with ``_leq``. These tests
-compare its rows with the recursion done in ``GaussianRational`` and
-with the closed form, on every built-in family, their dual views and
-random explicit posets; check the grids against the intervals; and pin
-the number of order tests a row makes.
+order, and ``IntervalFunction._inverse_row`` walks that order, up it for
+a row and down it for a column. On a Boolean grid it sums over the
+down-set (up-set) of each z by submask arithmetic whenever that set is
+no larger than the nonzero entries so far, and otherwise tests each
+nonzero entry with ``_leq``. These tests compare its rows and columns
+with the recursions done in ``GaussianRational`` and with the closed
+form, on every built-in family and random explicit posets; check the
+grids against the intervals; pin the number of order tests a row makes;
+and hold convolutions, which read an inverse right factor by column, to
+the defining sum and to the errors of reading it by row.
 """
 
 import math
@@ -24,14 +26,27 @@ from posetlab import (
     BoundTooLarge,
     NotInvertible,
     check_witness_conditions,
+    convolve,
     custom_function,
+    delta_function,
     get_poset,
     invert,
     mobius_function,
     zeta_function,
 )
+from posetlab.incidence import IntervalFunction
+from posetlab.posets import interval
 from posetlab.scalars import GaussianRational, narrow
-from test_scalar_tiers import DIAGONALS, as_gaussian, is_normal, off_diagonal, oracle_inverse_row, presented
+from test_scalar_tiers import (
+    DIAGONALS,
+    as_gaussian,
+    is_normal,
+    off_diagonal,
+    oracle_convolution,
+    oracle_inverse_column,
+    oracle_inverse_row,
+    presented,
+)
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
@@ -87,95 +102,121 @@ def fresh_mobius(p):
     return invert(zeta_function(p))
 
 
-def assert_row(fn, oracle, x, elements):
-    """Every memo entry of fn's row at x over ``elements`` equals the
-    oracle's value and is held in its narrowest type."""
-    for z in elements:
-        value = fn._memo[(x, z)]
-        assert value == oracle[z], (x, z)
-        assert type(value) is type(narrow(oracle[z])) and is_normal(value), (x, z, value)
+def solved(fn, x, y, elements, column):
+    """fn's column solver when ``column``, else fn; and the memo keys of
+    the row at x (the column at y) over ``elements``, by z."""
+    if column:
+        return fn._column_solver(), {z: (z, y) for z in elements}
+    return fn, {z: (x, z) for z in elements}
 
 
-class TestRowsAgainstTheRecursion:
+def assert_solved(fn, oracle, keys):
+    """Every memo entry of fn at ``keys`` equals the oracle's value and
+    is held in its narrowest type."""
+    for z, key in keys.items():
+        value = fn._memo[key]
+        assert value == oracle[z], key
+        assert type(value) is type(narrow(oracle[z])) and is_normal(value), (key, value)
+
+
+class TestRowsAndColumnsAgainstTheRecursion:
     @settings(max_examples=120, deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
-        dual=st.booleans(),
+        column=st.booleans(),
         partial=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_inverse_and_mobius_rows(self, family, dual, partial, seed):
+    def test_inverse_and_mobius(self, family, column, partial, seed):
         rng = random.Random(seed)
-        base, x, y = random_interval(family, rng)
-        p = base._dual() if dual else base
-        if dual:
-            x, y = y, x
+        p, x, y = random_interval(family, rng)
         elements = p._interval(x, y)
         a, a_gaussian = gaussian_function(p, rng)
-        inverse, mobius = invert(a), fresh_mobius(p)
+        inverse, keys = solved(invert(a), x, y, elements, column)
+        mobius, _ = solved(fresh_mobius(p), x, y, elements, column)
         if partial:
-            # A row whose memo already holds [x, y'] for some y' in [x, y].
+            # A row whose memo already holds [x, y'] for some y' in [x, y],
+            # or a column holding [x', y].
             middle = rng.choice(elements)
-            inverse._evaluate_canonical(x, middle)
-            mobius._evaluate_canonical(x, middle)
+            lower, upper = (middle, y) if column else (x, middle)
+            inverse._evaluate_canonical(lower, upper)
+            mobius._evaluate_canonical(lower, upper)
         inverse._evaluate_canonical(x, y)
         mobius._evaluate_canonical(x, y)
-        assert_row(inverse, oracle_inverse_row(p, a_gaussian, elements, x), x, elements)
-        assert_row(mobius, oracle_inverse_row(p, lambda u, v: GaussianRational(1), elements, x), x, elements)
+        one = lambda u, v: GaussianRational(1)
+        if column:
+            assert_solved(inverse, oracle_inverse_column(p, a_gaussian, elements, y), keys)
+            assert_solved(mobius, oracle_inverse_column(p, one, elements, y), keys)
+        else:
+            assert_solved(inverse, oracle_inverse_row(p, a_gaussian, elements, x), keys)
+            assert_solved(mobius, oracle_inverse_row(p, one, elements, x), keys)
         if family != "explicit":
-            for z in elements:
-                lower, upper = (z, x) if dual else (x, z)
-                assert mobius._memo[(x, z)] == base._closed_form_mobius(lower, upper)
+            for key in keys.values():
+                assert mobius._memo[key] == p._closed_form_mobius(*key)
 
-    @pytest.mark.parametrize("dual", [False, True])
-    @pytest.mark.parametrize("base, top", [(SUBSETS, tuple(range(1, 10))), (DIV, math.prod(PRIMES + (11, 13, 17, 19, 23)))])
-    def test_large_boolean_rows_match_the_closed_form(self, base, top, dual):
-        bottom = base.bottom()
-        p, x, y = (base._dual(), top, bottom) if dual else (base, bottom, top)
-        mobius = fresh_mobius(p)
-        mobius._evaluate_canonical(x, y)
-        for z in p._interval(x, y):
-            lower, upper = (z, x) if dual else (x, z)
-            value = mobius._memo[(x, z)]
-            assert type(value) is int and value == base._closed_form_mobius(lower, upper)
+    @pytest.mark.parametrize("column", [False, True])
+    @pytest.mark.parametrize("p, top", [(SUBSETS, tuple(range(1, 10))), (DIV, math.prod(PRIMES + (11, 13, 17, 19, 23)))])
+    def test_large_boolean_intervals_match_the_closed_form(self, p, top, column):
+        bottom = p.bottom()
+        mobius, keys = solved(fresh_mobius(p), bottom, top, p._interval(bottom, top), column)
+        mobius._evaluate_canonical(bottom, top)
+        for key in keys.values():
+            value = mobius._memo[key]
+            assert type(value) is int and value == p._closed_form_mobius(*key)
+
+    def test_column_solver_is_built_once_with_its_own_memo(self):
+        inverse = fresh_mobius(DIV)
+        columns = inverse._column_solver()
+        assert inverse._column_solver() is columns and columns is not inverse
+        assert columns.evaluate(1, 12) == 0 and columns._memo and not inverse._memo
 
 
 class TestFirstZeroDiagonal:
     """``NotInvertible`` names the first zero diagonal in canonical
-    order, though the grid walk may meet another one first."""
+    order, though the grid walk, up for a row or down for a column, may
+    meet another one first."""
 
     CASES = [
-        # The grid walk of [{}, {1,2,3}] meets {1,2} before {3}.
-        (SUBSETS, (), (1, 2, 3), {(3,), (1, 2)}, (3,)),
-        # Its dual walk, from {1,2,3} down, meets {3} before {1,2}.
-        (SUBSETS._dual(), (1, 2, 3), (), {(3,), (1, 2)}, (1, 2)),
-        # The grid walk of [1, 30] meets 6 before 5.
-        (DIV, 1, 30, {5, 6}, 5),
-        (DIV._dual(), 30, 1, {5, 6}, 6),
-        (MULTISETS, (), ((2, 1), (3, 1), (5, 1)), {((5, 1),), ((2, 1), (3, 1))}, ((5, 1),)),
+        # The row walk of [{}, {1,2,3}] meets {1,2} before {3}.
+        (SUBSETS, (), (1, 2, 3), {(3,), (1, 2)}, (3,), False),
+        # The column walk, from {1,2,3} down, meets {2,3} before {3}.
+        (SUBSETS, (), (1, 2, 3), {(3,), (2, 3)}, (3,), True),
+        # The row walk of [1, 30] meets 6 before 5, the column walk 10 before 6.
+        (DIV, 1, 30, {5, 6}, 5, False),
+        (DIV, 1, 30, {6, 10}, 6, True),
+        (MULTISETS, (), ((2, 1), (3, 1), (5, 1)), {((5, 1),), ((2, 1), (3, 1))}, ((5, 1),), False),
+        (MULTISETS, (), ((2, 1), (3, 1), (5, 1)), {((2, 1), (3, 1)), ((3, 1), (5, 1))}, ((2, 1), (3, 1)), True),
     ]
 
-    @pytest.mark.parametrize("p, x, y, zeros, first", CASES, ids=lambda v: repr(v))
-    def test_names_the_first_in_canonical_order(self, p, x, y, zeros, first):
+    @pytest.mark.parametrize("p, x, y, zeros, first, column", CASES, ids=lambda v: repr(v))
+    def test_names_the_first_in_canonical_order(self, p, x, y, zeros, first, column):
         assert [z for z in p._interval(x, y) if z in zeros][0] == first
+        walk = p._grid(x, y)[0][:: -1 if column else 1]
+        assert [z for z in walk if z in zeros][0] != first
         a = custom_function(p, lambda u, v: 0 if u == v and u in zeros else 1)
-        inverse = invert(a)
+        inverse = invert(a)._column_solver() if column else invert(a)
         with pytest.raises(NotInvertible) as caught:
             inverse._evaluate_canonical(x, y)
         assert caught.value.element == first
         # Whatever the walk memoised on the way is correct.
         one = lambda u, v: GaussianRational(1)
-        for (row, z), value in inverse._memo.items():
-            below = p._interval(row, z)
-            assert not zeros.intersection(below)
-            assert value == oracle_inverse_row(p, one, below, row)[z]
+        for (lower, upper), value in inverse._memo.items():
+            spanned = p._interval(lower, upper)
+            assert not zeros.intersection(spanned)
+            if column:
+                assert value == oracle_inverse_column(p, one, spanned, upper)[lower]
+            else:
+                assert value == oracle_inverse_row(p, one, spanned, lower)[upper]
 
-    @pytest.mark.parametrize("p, x, y, zeros, first", CASES, ids=lambda v: repr(v))
-    def test_a_nested_inverse_raises_the_same(self, p, x, y, zeros, first):
+    @pytest.mark.parametrize("p, x, y, zeros, first, column", CASES, ids=lambda v: repr(v))
+    def test_a_nested_inverse_raises_the_same(self, p, x, y, zeros, first, column):
         # invert(c)(z, z) = 1 / c(z, z) raises where c's diagonal is zero.
         c = custom_function(p, lambda u, v: 0 if u == v and u in zeros else 2)
+        inverse = invert(invert(c))
+        if column:
+            inverse = inverse._column_solver()
         with pytest.raises(NotInvertible) as caught:
-            invert(invert(c))._evaluate_canonical(x, y)
+            inverse._evaluate_canonical(x, y)
         assert caught.value.element == first
 
 
@@ -207,12 +248,21 @@ class TestGrids:
                     above = elements[i + stride]
                     assert p._leq(z, above) and z != above
             stride *= radix
-        dual_elements, dual_radices = p._dual()._grid(y, x)
-        assert dual_elements == elements[::-1] and dual_radices == radices
+
+    @pytest.mark.parametrize("p, x, y", [case for case in _grid_cases() if set(case[0]._grid(*case[1:])[1]) <= {2}], ids=repr)
+    def test_boolean_submasks_index_down_sets_and_reversed_up_sets(self, p, x, y):
+        elements = p._grid(x, y)[0]
+        reversed_elements = elements[::-1]
+        for i in range(len(elements)):
+            submasks = {s for s in range(i + 1) if s & i == s}
+            assert {elements[s] for s in submasks} == {w for w in elements if p._leq(w, elements[i])}
+            assert {reversed_elements[s] for s in submasks} == {
+                w for w in elements if p._leq(reversed_elements[i], w)
+            }
 
     @pytest.mark.parametrize("p, x, y", [(CHAIN, 1, 10), (random_explicit_poset(random.Random(3), 6), "v00", "v00")])
     def test_no_grid_on_a_single_chain_or_an_explicit_poset(self, p, x, y):
-        assert p._grid(x, y) is None and p._dual()._grid(y, x) is None
+        assert p._grid(x, y) is None
 
     @pytest.mark.parametrize(
         "p, x, y, size",
@@ -246,14 +296,12 @@ class TestGrids:
             p._interval(x, y)
         with pytest.raises(BoundTooLarge) as from_grid:
             p._grid(x, y)
-        with pytest.raises(BoundTooLarge) as from_dual:
-            p._dual()._grid(y, x)
-        assert str(from_grid.value) == str(from_interval.value) == str(from_dual.value)
+        assert str(from_grid.value) == str(from_interval.value)
 
 
 class TestOrderTests:
-    """The order tests one row makes, counted through each family's
-    ``_leq`` (dual views and Mobius memos are rebuilt, so they bind and
+    """The order tests one row or column makes, counted through each
+    family's ``_leq`` (Mobius functions are rebuilt, so they bind and
     fill through the counted test)."""
 
     @pytest.fixture
@@ -268,7 +316,6 @@ class TestOrderTests:
 
             monkeypatch.setattr(type(p), "_leq", counted)
             monkeypatch.setitem(p.__dict__, "_mobius", None)
-            monkeypatch.setitem(p.__dict__, "_dual_view", None)
         return calls
 
     def test_boolean_row(self, leq_calls):
@@ -284,3 +331,167 @@ class TestOrderTests:
     def test_chain_row_scans_as_before(self, leq_calls):
         mobius_function(CHAIN)._evaluate_canonical(1, 2000)
         assert len(leq_calls) == 3997
+
+
+def small_interval(family, rng):
+    """A poset, x <= y in it, and [x, y] of at most 16 elements; x is
+    the bottom half the time, for longer intervals."""
+    p, x, y = random_interval(family, rng)
+    if rng.random() < 0.5:
+        x = p.bottom()
+    elements = p._interval(x, y)
+    while len(elements) > 16:
+        y = rng.choice(elements[:-1])
+        elements = p._interval(x, y)
+    return p, x, y, elements
+
+
+def table_rule(p, elements, rng, zero_share):
+    """A pure custom rule on the intervals inside ``elements``, with a
+    zero diagonal entry at about ``zero_share`` of them; it raises
+    ``KeyError`` on any interval outside."""
+    table = {}
+    for i, u in enumerate(elements):
+        for v in elements[i:]:
+            if p._leq(u, v):
+                if u != v:
+                    table[(u, v)] = presented(rng, off_diagonal(rng))
+                elif rng.random() < zero_share:
+                    table[(u, v)] = 0
+                else:
+                    table[(u, v)] = presented(rng, DIAGONALS[rng.choice(sorted(DIAGONALS))](rng))
+    return lambda u, v: table[(u, v)]
+
+
+LEFT_KINDS = ["zeta", "delta", "mobius", "custom", "inverse", "convolution"]
+RIGHT_KINDS = ["mobius", "inverse", "inverse of inverse", "inverse of convolution"]
+
+
+def build(p, kind, c, d, shared):
+    """A new interval function of ``kind`` over the rules c and d; the
+    poset's shared Mobius function when ``shared``."""
+    if kind == "zeta":
+        return zeta_function(p)
+    if kind == "delta":
+        return delta_function(p)
+    if kind == "mobius":
+        return mobius_function(p) if shared else invert(zeta_function(p))
+    if kind == "custom":
+        return custom_function(p, c)
+    if kind == "inverse":
+        return invert(custom_function(p, c))
+    if kind == "convolution":
+        return convolve(custom_function(p, d), invert(custom_function(p, c)))
+    if kind == "inverse of inverse":
+        return invert(invert(custom_function(p, c)))
+    return invert(convolve(custom_function(p, c), zeta_function(p)))
+
+
+class _Undefined(Exception):
+    pass
+
+
+def _reader(table):
+    def read(u, v):
+        value = table[(u, v)]
+        if value is None:
+            raise _Undefined
+        return value
+
+    return read
+
+
+def oracle_table(p, fn, elements):
+    """fn's value on every interval inside ``elements`` by the defining
+    sums and the row recursion, in GaussianRational; None where it needs
+    a zero diagonal entry of an inverted function."""
+    pairs = [(u, v) for i, u in enumerate(elements) for v in elements[i:] if p._leq(u, v)]
+    if fn.kind in ("zeta", "delta", "custom"):
+        one = fn.kind == "zeta"
+        return {(u, v): as_gaussian(fn._rule(u, v) if fn.kind == "custom" else int(one or u == v)) for u, v in pairs}
+    tables = [_reader(oracle_table(p, operand, elements)) for operand in fn.operands]
+    result = {}
+    if fn.kind == "convolution":
+        for u, v in pairs:
+            try:
+                result[(u, v)] = oracle_convolution(p, *tables, u, v)
+            except _Undefined:
+                result[(u, v)] = None
+        return result
+    (a,) = tables
+    for u, v in pairs:
+        try:
+            total = GaussianRational(1 if u == v else 0)
+            for w in interval(p, u, v):
+                if w != v:
+                    total = total - _reader(result)(u, w) * a(w, v)
+            result[(u, v)] = total / a(v, v)
+        except (_Undefined, ZeroDivisionError):
+            result[(u, v)] = None
+    return result
+
+
+class _NoColumns:
+    """A column solver whose fill always meets a zero diagonal, so a
+    convolution reads its right factor by row."""
+
+    def _evaluate_canonical(self, x, y):
+        raise NotInvertible(None)
+
+
+def outcome(fn, x, y):
+    """fn's value on [x, y], or the type, text and element of its error."""
+    try:
+        return fn.evaluate(x, y)
+    except NotInvertible as error:
+        return type(error), str(error), error.element
+
+
+class TestConvolutionsReadColumns:
+    """A convolution fills an inverse right factor's column, and falls
+    back to reading its rows when the fill meets a zero diagonal."""
+
+    @settings(deadline=None)
+    @given(
+        family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
+        left=st.sampled_from(LEFT_KINDS),
+        right=st.sampled_from(RIGHT_KINDS),
+        zero_share=st.sampled_from([0, 0.05, 0.2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_convolution_equals_the_defining_sum(self, family, left, right, zero_share, seed):
+        rng = random.Random(seed)
+        p, x, y, elements = small_interval(family, rng)
+        c, d = table_rule(p, elements, rng, zero_share), table_rule(p, elements, rng, zero_share)
+        product = convolve(build(p, left, d, c, True), build(p, right, c, d, True))
+        result = outcome(product, x, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(IntervalFunction, "_column_solver", lambda self: _NoColumns())
+            by_rows = outcome(convolve(build(p, left, d, c, False), build(p, right, c, d, False)), x, y)
+        assert result == by_rows
+        expected = oracle_table(p, product, elements)[(x, y)]
+        if expected is None:
+            assert type(result) is tuple
+        else:
+            assert type(result) is GaussianRational and result == expected
+
+    def test_a_zero_diagonal_the_rows_never_reach(self):
+        # The column over [1, 3] meets c(1, 1) = 0, but a(1, z) is zero
+        # for z < 3, so the rows read only b(3, 3).
+        a = custom_function(CHAIN, lambda u, v: int(v == 3))
+        c = custom_function(CHAIN, lambda u, v: int(u != 1 or v != 1))
+        b = invert(c)
+        assert convolve(a, b).evaluate(1, 3) == 1
+        with pytest.raises(NotInvertible) as caught:
+            b._column_solver().evaluate(1, 3)
+        assert caught.value.element == 1
+
+    @pytest.mark.parametrize("p, x, y", [(MULTISETS, (), ((2, 2000),)), (CHAIN, 1, 2001)], ids=repr)
+    def test_memo_stays_linear_in_the_interval(self, p, x, y, monkeypatch):
+        # Reading the Mobius function by row left |[x, y]|**2 / 2 entries.
+        monkeypatch.setitem(p.__dict__, "_mobius", None)
+        mobius = mobius_function(p)
+        product = convolve(zeta_function(p), mobius)
+        assert product.evaluate(x, y) == 0
+        entries = len(product._memo) + len(mobius._memo) + len(mobius._column_solver()._memo)
+        assert entries <= 2 * len(p._interval(x, y))

@@ -144,10 +144,28 @@ def oracle_inverse_row(p, a, elements, x) -> dict:
     return row
 
 
+def oracle_inverse_column(p, a, elements, y) -> dict:
+    """b(z, y) for every window z <= y, by a(z, z) b(z, y) = delta(z, y)
+    minus the sum of a(z, w) b(w, y) over z < w <= y, in GaussianRational."""
+    column = {}
+    for z in reversed(elements):
+        if p.leq(z, y):
+            total = GaussianRational(1 if z == y else 0)
+            for w in interval(p, z, y):
+                if w != z:
+                    total = total - a(z, w) * column[w]
+            column[z] = total / a(z, z)
+    return column
+
+
 def oracle_convolution(p, a, b, x, y) -> GaussianRational:
+    """The defining sum; b is read only where a is nonzero, so it may be
+    undefined elsewhere."""
     total = GaussianRational(0)
     for z in interval(p, x, y):
-        total = total + a(x, z) * b(z, y)
+        a_value = a(x, z)
+        if a_value:
+            total = total + a_value * b(z, y)
     return total
 
 
