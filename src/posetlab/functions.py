@@ -23,6 +23,9 @@ over window positions on integer numerators over a common denominator
 of f's stored values, and their result is stored as it comes, already
 canonical and narrow. Every other transform, and every explicit poset,
 is evaluated point by point, in narrow arithmetic on f's stored values.
+The same kernel checks a conjecture's inverse pair over principal
+filters (:mod:`posetlab.lab`), and its pass loop solves Mobius rows and
+columns on grids (:mod:`posetlab.incidence`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput, PosetMismatch
 from .incidence import IntervalFunction, mobius_function, zeta_function
-from .posets import Poset, Window, enumerate_window
+from .posets import Poset, Window, _run_passes, enumerate_window
 from .scalars import ZERO, GaussianRational, _Immutable, _set, as_scalar, format_narrow, narrow, parse_narrow
 
 
@@ -196,17 +199,19 @@ def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupport
 
 def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
-    ``entries`` (element -> value) on the window ``elements``, whose
-    ``passes`` are its :meth:`~posetlab.posets.Poset.coordinate_passes`:
-    the nonzero values, narrow, in window order.
+    ``entries`` (element -> value) on ``elements``, a window or the
+    principal filter of its first element within one, whose ``passes``
+    are its :meth:`~posetlab.posets.Poset.coordinate_passes`: the nonzero
+    values, narrow, in the order of ``elements``.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
-    the product of their inverses, so each coordinate gets one pass:
-    a[t] += a[s] over ascending targets t for zeta, and a[t] -= a[s] over
-    descending ones for Mobius, which reads a[s] before this pass changes
-    it. The coefficients are 1 and -1, so the passes run on the values
-    scaled by the lcm of their denominators, as integers: one list for
-    real parts, and one for imaginary parts only when one is nonzero."""
+    the product of their inverses, so each coordinate gets one pass
+    (``posets._run_passes``): a[t] += a[s] over ascending targets t for
+    zeta, and a[t] -= a[s] over descending ones for Mobius, which reads
+    a[s] before this pass changes it. The coefficients are 1 and -1, so
+    the passes run on the values scaled by the lcm of their denominators,
+    as integers: one list for real parts, and one for imaginary parts
+    only when one is nonzero."""
     position = dict(zip(elements, range(len(elements))))
     # Support outside the window reaches no window element.
     placed = [(position[x], v) for x, v in entries.items() if x in position]
@@ -218,13 +223,7 @@ def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
         values = [0] * len(elements)
         for i, part in parts:
             values[i] = part.numerator * (scale // part.denominator)
-        for targets, sources in passes:
-            if sign > 0:
-                for t, s in zip(targets, sources):
-                    values[t] += values[s]
-            else:
-                for t, s in zip(reversed(targets), reversed(sources)):
-                    values[t] -= values[s]
+        _run_passes(values, passes, sign)
         numerators.append(values)
     if not imag:
         return {elements[i]: _unscale(scale, n) for i, n in enumerate(numerators[0]) if n}

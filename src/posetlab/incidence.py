@@ -25,12 +25,17 @@ Each inverse keeps such a column solver, with a memo of its own.
 A row walks its interval's grid (``Poset._grid``, a mixed-radix listing
 that is a linear extension) where the poset has one, and canonical
 order elsewhere; a column walks the same list reversed. At each z the
-sum runs over the nonzero entries so far, each tested with ``_leq``,
-unless the interval is Boolean (every radix 2, as on subsets and
-squarefree divisibility) and the down-set of z (its up-set, for a
-column) is no larger: then it reads that set, the submasks of z's
-index, with no order test. A Mobius row over n atoms then sums about
-3**n terms in all, where the scan made about 4**n / 2 order tests.
+sum runs over the nonzero entries so far, each tested with ``_leq``.
+A Mobius row or column on a grid (divisibility, multisets, subsets) is
+not summed at all. On a product of chains zeta is a product of one
+prefix-sum operator per chain, so Mobius is the product of their
+inverses, and the row of x is the Mobius transform of the point mass
+at x: one integer difference pass per grid coordinate, in the same pass
+loop as the whole-window kernel of :mod:`posetlab.functions`, with no
+order test. Reversing the grid complements every digit, so the same
+passes over the reversed list give a column. The chain, which has no
+grid, and explicit posets keep the scan; a Mobius row of the chain holds
+at most two nonzero entries.
 
 Values are computed and memoised in their narrowest exact type (see
 :func:`posetlab.scalars.narrow`), so a Mobius row is plain ``int``
@@ -48,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotInvertible, PosetMismatch
-from .posets import Poset
+from .posets import Poset, _grid_passes, _run_passes
 from .scalars import GaussianRational, as_scalar, narrow
 
 
@@ -126,15 +131,8 @@ class IntervalFunction:
         # test and a's arguments swapped (zeta is symmetric), and keys its
         # memo (z, y). The walk follows a linear extension, the grid or
         # canonical order, reversed for a column, so each value only
-        # needs earlier ones; ``values`` keeps the entries by walk index.
-        # On a Boolean grid the index of z is a bit mask, and its proper
-        # submasks index the rest of z's down-set; reversing the list
-        # complements every digit, so for a column they index its
-        # up-set. When that set, of 2**popcount elements, is no larger
-        # than the nonzero entries so far, the sum reads it with no order
-        # test. Otherwise each nonzero entry is tested with ``_leq``.
-        # Mixed radices always scan: listing their down-sets costs more
-        # in Python than the scan saves. Raises on the first zero
+        # needs earlier ones; each is a sum over the nonzero entries so
+        # far that ``_leq`` puts below it. Raises on the first zero
         # diagonal in canonical order.
         p = self.poset
         leq = p._leq
@@ -142,47 +140,34 @@ class IntervalFunction:
         a = _zeta if operand.kind == "zeta" else operand._evaluate_canonical
         memo = self._memo
         grid = p._grid(x, y)
-        if grid is None:
-            elements, binary = p._interval(x, y), False
-        else:
-            elements, radices = grid
-            binary = radices.count(2) == len(radices)
+        if grid is not None and a is _zeta:
+            return self._mobius_passes(x, y, *grid)
+        elements = p._interval(x, y) if grid is None else grid[0]
         column, start = self._by_column, x
         if column:
             elements, start, below, read = elements[::-1], y, leq, a
             leq = lambda w, z: below(z, w)
             if a is not _zeta:
                 a = lambda w, z: read(z, w)
-        values = [0] * len(elements)
         nonzeros: list = []
         try:
-            for i, z in enumerate(elements):
+            for z in elements:
                 key = (z, y) if column else (x, z)
                 cached = memo.get(key)
                 if cached is not None:
                     if cached:
-                        values[i] = cached
                         nonzeros.append((z, cached))
                     continue
                 diagonal = a(z, z)
                 if not diagonal:
                     raise NotInvertible(z)
                 total = 1 if z == start else 0
-                if binary and 1 << i.bit_count() <= len(nonzeros):
-                    s = i
-                    while s:
-                        s = (s - 1) & i
-                        b_w = values[s]
-                        if b_w:
-                            total -= b_w * a(elements[s], z)
-                else:
-                    for w, b_w in nonzeros:
-                        if leq(w, z):
-                            total -= b_w * a(w, z)
+                for w, b_w in nonzeros:
+                    if leq(w, z):
+                        total -= b_w * a(w, z)
                 value = _divide(total, diagonal)
                 memo[key] = value
                 if value:
-                    values[i] = value
                     nonzeros.append((z, value))
         except NotInvertible:
             # A walk in canonical order meets the first zero diagonal there.
@@ -191,6 +176,23 @@ class IntervalFunction:
                     raise NotInvertible(z) from None
             raise
         return memo[(x, y)]
+
+    def _mobius_passes(self, x, y, elements, radices):
+        # The Mobius row of x (column of y) on the grid [x, y]: Mobius
+        # is the product of one difference operator per chain, so the
+        # Mobius transform of the point mass at x takes one pass per
+        # coordinate. Reversing the grid complements every digit, so the
+        # same passes over the reversed list give the column. Every z of
+        # [x, y] is memoised, zeros included, as the scan would.
+        values = [0] * len(elements)
+        values[0] = 1
+        _run_passes(values, _grid_passes(radices), -1)
+        if self._by_column:
+            keys = [(z, y) for z in reversed(elements)]
+        else:
+            keys = [(x, z) for z in elements]
+        self._memo.update(zip(keys, values))
+        return values[-1]
 
     def _convolution(self, x, y):
         p = self.poset
@@ -202,15 +204,20 @@ class IntervalFunction:
         # otherwise name the element they always named.
         left._evaluate_canonical(x, y)
         b = right._evaluate_canonical
+        # Where no read can raise, the exact sum does not depend on the
+        # order of its terms, so it walks the grid unsorted.
+        unordered = right.kind in _TOTAL
         if right.kind == "inverse":
             column = right._column_solver()
             try:
                 column._evaluate_canonical(x, y)
                 b = column._evaluate_canonical
+                unordered = True
             except NotInvertible:
                 pass
+        grid = p._grid(x, y) if unordered and left.kind in _FILLED else None
         total = 0
-        for z in p._interval(x, y):
+        for z in p._interval(x, y) if grid is None else grid[0]:
             a_val = left._evaluate_canonical(x, z)
             if a_val:
                 b_val = b(z, y)
@@ -220,6 +227,12 @@ class IntervalFunction:
 
     def __repr__(self):
         return f"IntervalFunction({self.name} on {self.poset.family})"
+
+
+# Kinds whose reads never raise, and those whose row over [x, y] is
+# memoised whole once the value at (x, y) is.
+_TOTAL = ("delta", "zeta")
+_FILLED = _TOTAL + ("inverse",)
 
 
 def _zeta(x, y):

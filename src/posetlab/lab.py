@@ -16,8 +16,8 @@ probes that property at desk scale:
   z > y with mu(y, z) != 0, and explicit posets scan every element
   above y, within the budget. The checks and the verification read
   columns x -> mu(x, z) of the Mobius function from its column solver:
-  y's column once per stream, each candidate's column in one walk down
-  its ideal.
+  y's column once per stream, each candidate's column once, by one
+  difference pass per coordinate of its ideal's grid.
 
 * **censuses** -- the support set {y : a(x, y) != 0} restricted to a
   window, with a verdict attached only where a built-in analytic
@@ -30,6 +30,11 @@ probes that property at desk scale:
   shell; a nontrivial kernel exhibits a finite/finite candidate pair
   (verified only up to the shell), a trivial kernel rules one out at
   this truncation.
+
+A conjecture experiment first checks that its pair (a, b) convolves to
+delta on the shell. Where a and b are each zeta or an inverse of zeta,
+it runs the whole-window kernel twice over each element's principal
+filter in the shell, and elsewhere it sums the convolution.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .errors import (
 )
 from .functions import (
     FiniteSupportFunction,
+    _coordinatewise,
     _materialize_elements,
     alpha_transform,
     function_to_document,
@@ -419,6 +425,37 @@ def finite_support_pair_search(
 # -- combined evidence --------------------------------------------------
 
 
+def _check_inverses(p: Poset, a: IntervalFunction, b: IntervalFunction, shell_elements: list) -> None:
+    """Raise ``NotInverses`` at the first pair x <= y of the shell, in
+    canonical order of x and then of y, where (a*b)(x, y) differs from
+    delta.
+
+    (a*b)(x, y) for y above x is the b-transform of the a-transform of
+    the point mass at x, and the transforms of a function supported
+    above x live on x's principal filter F_x within the shell. So where
+    a and b are each zeta or an inverse of zeta, and F_x has coordinate
+    passes, the row of a*b at x is two runs of the whole-window kernel
+    over F_x. Elsewhere each (a*b)(x, y) is the defining sum over
+    [x, y], computed and not memoised: no value is read twice."""
+    signs = a._zeta_power(), b._zeta_power()
+    product = None
+    for i, x in enumerate(shell_elements):
+        above = [y for y in shell_elements[i:] if p._leq(x, y)]
+        passes = p.coordinate_passes(above) if all(signs) else None
+        if passes is not None:
+            row = _coordinatewise(_coordinatewise({x: 1}, signs[0], above, passes), signs[1], above, passes)
+            if row == {x: 1}:
+                continue
+            wrong = (y for y in above if row.get(y, 0) != (1 if x == y else 0))
+        else:
+            if product is None:
+                product = convolve(a, b)
+            wrong = (y for y in above if product._compute(x, y) != (1 if x == y else 0))
+        y = next(wrong, None)
+        if y is not None:
+            raise NotInverses(f"(a*b)({p.format_element(x)}, {p.format_element(y)}) != delta")
+
+
 def conjecture_experiment(
     p: Poset,
     a: IntervalFunction,
@@ -433,25 +470,16 @@ def conjecture_experiment(
     inverse pair, plus a pair search in the beta direction.
 
     The pair (a, b) is verified to convolve to delta on every interval
-    inside the shell before anything else runs; the shell may hold at
-    most ``DEFAULT_ELEMENT_CAP`` pairs of elements. No conclusion about the
-    equivalence itself is drawn or implied.
+    inside the shell before anything else runs (see ``_check_inverses``);
+    the shell may hold at most ``DEFAULT_ELEMENT_CAP`` pairs of elements.
+    No conclusion about the equivalence itself is drawn or implied.
     """
     if a.poset != p or b.poset != p:
         raise PosetMismatch("interval functions live on a different poset")
     shell_elements = enumerate_window(shell)
     pairs = len(shell_elements) * (len(shell_elements) + 1) // 2
     _check_cap(pairs, f"inverse-pair check over {pairs} element pairs exceeds cap {{cap}}")
-    product = convolve(a, b)
-    for i, x in enumerate(shell_elements):
-        for y in shell_elements[i:]:
-            if not p._leq(x, y):
-                continue
-            # Computed, not memoised: no value of the product is read twice.
-            if product._compute(x, y) != (1 if x == y else 0):
-                raise NotInverses(
-                    f"(a*b)({p.format_element(x)}, {p.format_element(y)}) != delta"
-                )
+    _check_inverses(p, a, b, shell_elements)
 
     censuses = []
     for x in sample_x:

@@ -22,11 +22,12 @@ one chain per prime (divisibility, multisets), one 2-chain per ground
 element (subsets), or a single chain. Their shared base derives the
 closed-form Mobius function (Rota's product theorem) and witness
 candidates from each family's ``(coordinate, height)`` pairs; each
-family states its own passes of whole-window transforms over window
-positions. Divisibility, subsets and multisets list an interval as a
-grid, in mixed-radix order (``Poset._grid``); the canonical interval is
-that grid sorted, and the Mobius solver reads down-sets off it by index
-arithmetic.
+family states its own passes of whole-window transforms over the
+positions of a window, or of the principal filter of an element within
+one. Divisibility, subsets and multisets list an interval as a grid, in
+mixed-radix order (``Poset._grid``); the canonical interval is that
+grid sorted, and the Mobius solver runs one pass per grid coordinate
+over it (``_grid_passes``, ``_run_passes``).
 """
 
 from __future__ import annotations
@@ -155,10 +156,12 @@ class Poset:
 
     def coordinate_passes(self, elements):
         """One ``(targets, sources)`` pair of position sequences per
-        coordinate of a window ``elements``, listed as by
-        ``enumerate_window``: ``elements[s]`` is ``elements[t]`` one
-        lower in that coordinate, for each t of the ascending ``targets``
-        and the s beside it. None on other posets and other lists."""
+        coordinate of ``elements``, a window listed as by
+        ``enumerate_window`` or the principal filter of its first element
+        within one, in canonical order: ``elements[s]`` is
+        ``elements[t]`` one lower in that coordinate, for each t of the
+        ascending ``targets`` and the s beside it. None on other posets
+        and other lists."""
         return None
 
     def __getstate__(self):
@@ -353,13 +356,22 @@ class DivisibilityPoset(_PositiveIntegers):
     )
 
     def coordinate_passes(self, elements):
-        """A range window by position arithmetic; a divisor window, told
-        apart by its size, by one pass per prime of its bound."""
+        """The multiples x*m of the first element x in a range window
+        (x = 1 for the window itself) by position arithmetic on m; those
+        in a divisor window of n, told apart by their number, by one
+        pass per prime of n / x."""
         size = len(elements)
-        if not size or elements[-1] == size:
+        if not size:
+            return []
+        x, top = elements[0], elements[-1]
+        if x != 1 and any(y % x for y in elements):
+            return None
+        if top == x * size:
             return _range_passes(size)
-        factors = numtheory.prime_factors(elements[-1])
-        return _divisor_passes(elements, factors) if size == _divisor_count(factors) else None
+        factors = numtheory.prime_factors(top // x)
+        if size != _divisor_count(factors):
+            return None
+        return _divisor_passes([y // x for y in elements] if x != 1 else elements, factors)
 
 
 class ChainPoset(_PositiveIntegers):
@@ -385,8 +397,11 @@ class ChainPoset(_PositiveIntegers):
         return None
 
     def coordinate_passes(self, elements):
-        """A window 1..N is one chain: n - 1 below n."""
+        """A window 1..N, or the filter x..N of x within one, is one
+        chain: n - 1 below n."""
         size = len(elements)
+        if size and elements[-1] - elements[0] + 1 != size:
+            return None
         return [(range(1, size), range(size - 1))] if size > 1 else []
 
     mobius_census = (
@@ -482,14 +497,21 @@ class SubsetPoset(_ChainProduct):
         return out
 
     def coordinate_passes(self, elements):
-        """The subsets of {1..n} as the divisors of the product of the
-        first n primes: member g of a subset is the g-th prime of its
-        image, and each ground element gets one pass."""
-        top = elements[-1] if elements else ()
-        if top != tuple(range(1, len(top) + 1)) or len(elements) != 1 << len(top):
+        """The subsets of {1..n} that contain the first element x (x = {}
+        for the window itself) as divisors: member g of a subset is the
+        g-th prime of its image, and each ground element outside x gets
+        one pass."""
+        if not elements:
             return None
-        primes = list(itertools.islice(numtheory.primes(), len(top)))
-        return _divisor_passes([math.prod(primes[g - 1] for g in x) for x in elements], primes)
+        x, top = elements[0], elements[-1]
+        n = len(top)
+        if top != tuple(range(1, n + 1)) or len(elements) != 1 << (n - len(x)):
+            return None
+        if any(z and z[-1] > n for z in elements):
+            return None
+        primes = list(itertools.islice(numtheory.primes(), n))
+        images = [math.prod(primes[g - 1] for g in z) for z in elements]
+        return _divisor_passes(images, [primes[g - 1] for g in top if g not in x])
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -574,10 +596,17 @@ class MultisetPoset(_ChainProduct):
         return [integer_to_multiset(n) for n in range(1, _check_bound(bound) + 1)]
 
     def coordinate_passes(self, elements):
-        """A window of images 1..N holds image y at position y - 1, so
-        its passes are those of divisibility on 1..N."""
+        """A window of images 1..N holds image y at position y - 1, and
+        the filter of its first element x, of image X, holds X*m at
+        position m - 1; so their passes are those of divisibility on
+        1..N / X."""
         size = len(elements)
-        return _range_passes(size) if not size or self.sort_key(elements[-1]) == size else None
+        if not size:
+            return []
+        x = elements[0]
+        if x and not all(self._leq(x, y) for y in elements):
+            return None
+        return _range_passes(size) if self.sort_key(elements[-1]) == self.sort_key(x) * size else None
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -695,21 +724,63 @@ class ExplicitPoset(Poset):
         return (self.family, self._elements, self._covers)
 
 
+def _grid_passes(radices) -> list:
+    """The passes of a grid with these ``radices`` (see ``Poset._grid``):
+    for each coordinate, of stride s and radix r, and each digit
+    d = 1, ..., r - 1, the positions t whose digit there is d, and the
+    positions t - s one lower. They are ranges: one per offset within a
+    block of s * r positions where a coordinate has fewer such offsets
+    than blocks, else one per block."""
+    size = math.prod(radices)
+    passes = []
+    stride = 1
+    for radix in radices:
+        block = stride * radix
+        for low in range(0, block - stride, stride):
+            high = low + stride
+            if stride * block <= size:
+                passes += [(range(high + j, size, block), range(low + j, size, block)) for j in range(stride)]
+            else:
+                passes += [(range(b + high, b + high + stride), range(b + low, b + high)) for b in range(0, size, block)]
+        stride = block
+    return passes
+
+
+def _run_passes(values: list, passes: list, sign: int) -> None:
+    """Zeta (sign 1) or Mobius (sign -1) in place on ``values``, listed
+    by position, given its ``passes``: zeta runs a[t] += a[s] over each
+    pass in order, and Mobius undoes those steps, a[t] -= a[s] over the
+    passes and their positions in reverse order."""
+    if sign > 0:
+        for targets, sources in passes:
+            for t, s in zip(targets, sources):
+                values[t] += values[s]
+    else:
+        for targets, sources in reversed(passes):
+            for t, s in zip(reversed(targets), reversed(sources)):
+                values[t] -= values[s]
+
+
 def _range_passes(size: int) -> list:
     """Divisibility's passes on 1..size: for each prime q, y // q sits
     at position y // q - 1 for the multiple y of q at position y - 1."""
     return [(range(q - 1, size, q), range(size // q)) for q in numtheory._sieve(size + 1)]
 
 
-def _divisor_passes(images: list, primes) -> list:
-    """Divisibility's passes on a window whose elements have the integer
-    ``images``, closed under taking divisors: for each of the ``primes``,
-    the multiples y of q and the positions of y // q."""
+def _divisor_passes(images: list, primes) -> list | None:
+    """Divisibility's passes on the distinct integer ``images`` of a
+    list: for each of the ``primes``, the multiples y of q and the
+    positions of y // q. None when some y // q is not an image, so that
+    the images are not closed under dividing by the primes; the
+    divisors of m are the only such set of their number that holds m."""
     position = {y: i for i, y in enumerate(images)}
     passes = []
     for q in primes:
         targets = [i for i, y in enumerate(images) if y % q == 0]
-        passes.append((targets, [position[images[t] // q] for t in targets]))
+        try:
+            passes.append((targets, [position[images[t] // q] for t in targets]))
+        except KeyError:
+            return None
     return passes
 
 

@@ -4,9 +4,11 @@
 ``--hypothesis-profile=ci`` for the CLI table reader's equivalence with
 argparse, whose handling of ``--`` and of dash-prefixed values differs
 between Python versions; for the whole-window kernel against the point
-rule, the correctness gate for the kernel's integer arithmetic; and for
+rule, the correctness gate for the kernel's integer arithmetic; for
 convolutions, which read an inverse right factor by column, against the
-defining sum.
+defining sum; and for the rows and columns of inverses, and the
+conjecture inverse-pair check, whose zeta powers run as integer passes,
+against the recursion and the defining pairwise loop.
 """
 
 from hypothesis import settings

@@ -2,8 +2,10 @@
 
 import ast
 import itertools
+import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -57,6 +59,7 @@ from posetlab import (
     zeta_function,
     zeta_transform,
 )
+from posetlab.errors import PosetLabError
 from posetlab.incidence import IntervalFunction
 from posetlab.linalg import primitive_integer_vector
 from posetlab.scalars import as_scalar
@@ -714,6 +717,9 @@ class TestConjectureExperiment:
             )
 
     def test_inverse_check_evaluates_no_delta_function(self, monkeypatch):
+        # Zeta powers are checked by whole-window passes over each
+        # principal filter, which evaluate no interval function at all;
+        # a custom pair is checked by convolutions, which read no delta.
         kinds = []
         compute = IntervalFunction._compute
 
@@ -722,14 +728,16 @@ class TestConjectureExperiment:
             return compute(self, x, y)
 
         monkeypatch.setattr(IntervalFunction, "_compute", spy)
-        p = get_poset("chain")
-        conjecture_experiment(p, mobius_function(p), zeta_function(p), Window(p, 4), Window(p, 8), [1])
+        for p, shell in [(CHAIN, Window(CHAIN, 8)), (DIV, Window(DIV, 12)), (DIV, Window(DIV, 60, divisor_closure=True))]:
+            lab._check_inverses(p, mobius_function(p), zeta_function(p), enumerate_window(shell))
+            lab._check_inverses(p, zeta_function(p), invert(zeta_function(p)), enumerate_window(shell))
+            with pytest.raises(NotInverses) as info:
+                lab._check_inverses(p, zeta_function(p), zeta_function(p), enumerate_window(shell))
+            assert str(info.value) == "(a*b)(1, 2) != delta"
+            assert kinds == []
+        c = random_interval_function(random.Random(4), CHAIN, list(range(1, 9)))
+        lab._check_inverses(CHAIN, c, invert(c), list(range(1, 9)))
         assert kinds and "delta" not in kinds
-        kinds.clear()
-        with pytest.raises(NotInverses) as info:
-            conjecture_experiment(p, zeta_function(p), zeta_function(p), Window(p, 4), Window(p, 8), [1])
-        assert str(info.value) == "(a*b)(1, 2) != delta"
-        assert "delta" not in kinds
 
     def test_inverse_check_memoises_no_product_value(self, monkeypatch):
         products = []
@@ -740,7 +748,12 @@ class TestConjectureExperiment:
 
         monkeypatch.setattr(lab, "convolve", capture)
         p = get_poset("chain")
-        conjecture_experiment(p, mobius_function(p), zeta_function(p), Window(p, 4), Window(p, 8), [1])
+        shell = list(range(1, 9))
+        mobius = invert(zeta_function(p))
+        lab._check_inverses(p, mobius, zeta_function(p), shell)
+        assert products == [] and mobius._memo == {} and "_columns" not in mobius.__dict__
+        c = random_interval_function(random.Random(4), p, shell)
+        lab._check_inverses(p, c, invert(c), shell)
         assert len(products) == 1 and products[0]._memo == {}
 
     def test_inverse_check_pairs_are_capped(self, monkeypatch):
@@ -767,6 +780,119 @@ class TestConjectureExperiment:
         assert doc["censuses"][0]["x"] == "1"
         assert doc["pair_search"]["nullspace_dimension"] == 3
         assert doc["pair_search"]["caveat"] == "verified only on shell"
+
+
+def pairwise_check(p, a, b, shell_elements):
+    """The defining inverse-pair check: (a*b)(x, y) against delta on
+    every pair x <= y of the shell, in canonical order of x, then of y."""
+    product = convolve(a, b)
+    for i, x in enumerate(shell_elements):
+        for y in shell_elements[i:]:
+            if p._leq(x, y) and product.evaluate(x, y) != GaussianRational(1 if x == y else 0):
+                raise NotInverses(f"(a*b)({p.format_element(x)}, {p.format_element(y)}) != delta")
+
+
+def conjecture_windows(family, rng):
+    """A poset, a window, a shell strictly containing it, and one or two
+    shell elements to sample."""
+    if family == "explicit":
+        p = random_explicit_poset(rng, rng.randint(2, 8))
+        w = shell = Window(p)
+    elif family == "divisors":
+        p = DIV
+        n = math.prod(rng.choice([2, 3, 5, 7]) ** rng.randint(0, 2) for _ in range(3))
+        while n == 1:
+            n = rng.choice([2, 3, 5, 7])
+        d = rng.choice(divisors_of(n)[:-1])
+        w, shell = Window(p, d, divisor_closure=True), Window(p, n, divisor_closure=True)
+    else:
+        p = {"divisibility": DIV, "chain": CHAIN, "subsets": SUBSETS, "multisets": MULTISETS}[family]
+        top = rng.randint(2, 4) if family == "subsets" else rng.randint(2, 36)
+        w, shell = Window(p, rng.randint(1 if family != "subsets" else 0, top - 1)), Window(p, top)
+    elements = enumerate_window(shell)
+    return p, w, shell, rng.sample(elements, min(len(elements), rng.randint(1, 2)))
+
+
+def divisors_of(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+PAIR_KINDS = ["delta", "zeta", "mobius", "inverse of zeta", "custom", "inverse of custom", "inverse of a zero diagonal"]
+
+
+def pair_function(p, kind, c, zero):
+    """A new interval function of ``kind``; the custom rules c and
+    ``zero`` (c with one diagonal entry of the shell set to 0) are
+    shared, so that (custom, inverse of custom) is an inverse pair."""
+    if kind == "delta":
+        return delta_function(p)
+    if kind == "zeta":
+        return zeta_function(p)
+    if kind == "mobius":
+        return mobius_function(p)
+    if kind == "inverse of zeta":
+        return invert(zeta_function(p))
+    if kind == "custom":
+        return c
+    return invert(c if kind == "inverse of custom" else zero)
+
+
+def report_or_error(*args):
+    try:
+        return conjecture_experiment(*args).to_json_dict()
+    except PosetLabError as error:
+        return type(error), str(error)
+
+
+class TestInverseCheck:
+    """Zeta powers are checked by two runs of the whole-window kernel
+    over each principal filter of the shell; every other pair, and every
+    shell without passes, by the defining convolutions."""
+
+    # CI runs this test with the ``ci`` profile, whose example count wins
+    # when it is the larger.
+    @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+    @given(
+        family=st.sampled_from(["divisibility", "divisors", "chain", "subsets", "multisets", "explicit"]),
+        left=st.sampled_from(PAIR_KINDS),
+        right=st.sampled_from(PAIR_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conjecture_check_equals_the_pairwise_loop(self, family, left, right, seed):
+        rng = random.Random(seed)
+        p, w, shell, sample = conjecture_windows(family, rng)
+        elements = enumerate_window(shell)
+        c = random_interval_function(rng, p, elements)
+        zeroed = rng.choice(elements)
+        zero = custom_function(p, lambda x, y: 0 if x == y == zeroed else c._rule(x, y))
+        a, b = pair_function(p, left, c, zero), pair_function(p, right, c, zero)
+        result = report_or_error(p, a, b, w, shell, sample)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lab, "_check_inverses", pairwise_check)
+            expected = report_or_error(p, a, b, w, shell, sample)
+        assert result == expected
+
+    @pytest.mark.parametrize(
+        "p, bound, pair, first",
+        [
+            (CHAIN, 400, ("zeta", "zeta"), "(1, 2)"),
+            (CHAIN, 400, ("mobius", "mobius"), "(1, 2)"),
+            (DIV, 400, ("mobius", "delta"), "(1, 2)"),
+            (SUBSETS, 7, ("zeta", "inverse of zeta"), None),
+            (MULTISETS, 200, ("inverse of zeta", "zeta"), None),
+        ],
+        ids=repr,
+    )
+    def test_large_shells(self, p, bound, pair, first):
+        # The filters of a 400-element chain hold 80,200 pairs; the
+        # defining sums over them took about n**3 / 6 steps.
+        a, b = (pair_function(p, kind, None, None) for kind in pair)
+        elements = enumerate_window(Window(p, bound))
+        if first is None:
+            lab._check_inverses(p, a, b, elements)
+        else:
+            with pytest.raises(NotInverses, match=re.escape(f"(a*b){first} != delta")):
+                lab._check_inverses(p, a, b, elements)
 
 
 class TestCertificateSerialisation:

@@ -372,25 +372,49 @@ def step_coordinate(p, y, z):
     return c
 
 
+def filter_cases():
+    """A window and the principal filter within it of its first,
+    second, middle and last element."""
+    cases = []
+    for window in PASS_WINDOWS:
+        elements = enumerate_window(window)
+        for x in sorted({elements[i] for i in (0, 1, len(elements) // 2, -1) if i < len(elements)}, key=repr):
+            cases.append((window, x))
+    return cases
+
+
 class TestCoordinatePasses:
     @pytest.mark.parametrize("window", PASS_WINDOWS, ids=lambda w: w.label())
     def test_passes_are_the_lower_covers(self, window):
+        assert_passes_are_the_lower_covers(window.poset, enumerate_window(window))
+
+    @pytest.mark.parametrize("window, x", filter_cases(), ids=repr)
+    def test_principal_filters_give_their_lower_covers(self, window, x):
         p = window.poset
-        elements = enumerate_window(window)
-        pairs = []
-        coordinates = []
-        for targets, sources in p.coordinate_passes(elements):
-            targets, sources = list(targets), list(sources)
-            assert targets and len(targets) == len(sources)
-            assert targets == sorted(set(targets))
-            steps = [(elements[t], elements[s]) for t, s in zip(targets, sources)]
-            # Every step of a pass lowers the same coordinate.
-            (c,) = {step_coordinate(p, y, z) for y, z in steps}
-            coordinates.append(c)
-            pairs += steps
-        assert len(set(coordinates)) == len(coordinates)
-        expected = [(y, z) for y in elements for z in lower_covers(p, y)]
-        assert sorted(pairs, key=repr) == sorted(expected, key=repr)
+        above = [y for y in enumerate_window(window) if p._leq(x, y)]
+        assert_passes_are_the_lower_covers(p, above)
+
+    @pytest.mark.parametrize(
+        "poset,elements",
+        [
+            # Multiples of the first element with a gap, or not all multiples.
+            (DIV, [2, 4, 10]),
+            (DIV, [2, 4, 6, 7]),
+            (DIV, [3, 6, 9, 15]),
+            # Six divisors' worth of elements, not closed under division.
+            (DIV, [1, 2, 3, 4, 5, 12]),
+            (DIV, [2, 4, 6, 10, 12, 24]),
+            (CHAIN, [3, 4, 6]),
+            # Four sets above {1} in {1, 2, 3}, but {2} is not above it.
+            (SUBSETS, [(1,), (2,), (1, 2), (1, 2, 3)]),
+            (SUBSETS, [(1,), (1, 2), (1, 4), (1, 2, 3)]),
+            (MULTISETS, [((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1))]),
+            (MULTISETS, [((2, 1),), ((2, 2),), ((2, 3),)]),
+        ],
+        ids=repr,
+    )
+    def test_lists_that_are_no_filter_have_none(self, poset, elements):
+        assert poset.coordinate_passes(elements) is None
 
     @pytest.mark.parametrize(
         "poset,elements",
@@ -408,6 +432,27 @@ class TestCoordinatePasses:
     def test_explicit_posets_have_none(self):
         p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
         assert p.coordinate_passes(["a", "b"]) is None
+
+
+def assert_passes_are_the_lower_covers(p, elements):
+    """``p.coordinate_passes(elements)`` has one pass per coordinate, and
+    its steps are exactly the pairs (y, z) of ``elements`` with z a
+    lower cover of y."""
+    members = set(elements)
+    pairs = []
+    coordinates = []
+    for targets, sources in p.coordinate_passes(elements):
+        targets, sources = list(targets), list(sources)
+        assert targets and len(targets) == len(sources)
+        assert targets == sorted(set(targets))
+        steps = [(elements[t], elements[s]) for t, s in zip(targets, sources)]
+        # Every step of a pass lowers the same coordinate.
+        (c,) = {step_coordinate(p, y, z) for y, z in steps}
+        coordinates.append(c)
+        pairs += steps
+    assert len(set(coordinates)) == len(coordinates)
+    expected = [(y, z) for y in elements for z in lower_covers(p, y) if z in members]
+    assert sorted(pairs, key=repr) == sorted(expected, key=repr)
 
 
 class TestIntervalCaps:

@@ -2,15 +2,15 @@
 
 ``Poset._grid(x, y)`` lists a product-of-chains interval in mixed-radix
 order, and ``IntervalFunction._inverse_row`` walks that order, up it for
-a row and down it for a column. On a Boolean grid it sums over the
-down-set (up-set) of each z by submask arithmetic whenever that set is
-no larger than the nonzero entries so far, and otherwise tests each
-nonzero entry with ``_leq``. These tests compare its rows and columns
-with the recursions done in ``GaussianRational`` and with the closed
-form, on every built-in family and random explicit posets; check the
-grids against the intervals; pin the number of order tests a row makes;
-and hold convolutions, which read an inverse right factor by column, to
-the defining sum and to the errors of reading it by row.
+a row and down it for a column, testing each nonzero entry so far with
+``_leq``; a Mobius row or column on a grid runs one difference pass per
+coordinate instead. These tests compare its rows and columns with the
+recursions done in ``GaussianRational`` and with the closed form, on
+every built-in family and random explicit posets; hold the passes to the
+memo the scan leaves; check the grids against the intervals; pin the
+number of order tests a row makes; and hold convolutions, which read an
+inverse right factor by column, to the defining sum and to the errors
+of reading it by row.
 """
 
 import math
@@ -120,7 +120,9 @@ def assert_solved(fn, oracle, keys):
 
 
 class TestRowsAndColumnsAgainstTheRecursion:
-    @settings(max_examples=120, deadline=None)
+    # CI runs this test with the ``ci`` profile, whose example count wins
+    # when it is the larger.
+    @settings(max_examples=max(120, settings.default.max_examples), deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
         column=st.booleans(),
@@ -169,6 +171,36 @@ class TestRowsAndColumnsAgainstTheRecursion:
         columns = inverse._column_solver()
         assert inverse._column_solver() is columns and columns is not inverse
         assert columns.evaluate(1, 12) == 0 and columns._memo and not inverse._memo
+
+
+class TestPassesMemoiseAsTheScan:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["divisibility", "subsets", "multisets"]),
+        column=st.booleans(),
+        partial=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_memo_keys_and_values(self, family, column, partial, seed):
+        # The inverse of a custom function equal to 1 everywhere is the
+        # Mobius function solved by the scan.
+        rng = random.Random(seed)
+        p, x, y = random_interval(family, rng)
+        middle = rng.choice(p._interval(x, y))
+        lower, upper = (middle, y) if column else (x, middle)
+
+        def solve(operand):
+            inverse = invert(operand)
+            if column:
+                inverse = inverse._column_solver()
+            if partial:
+                inverse._evaluate_canonical(lower, upper)
+            inverse._evaluate_canonical(x, y)
+            return inverse._memo
+
+        memo = solve(zeta_function(p))
+        assert memo == solve(custom_function(p, lambda u, v: 1))
+        assert all(type(value) is int for value in memo.values())
 
 
 class TestFirstZeroDiagonal:
@@ -260,6 +292,25 @@ class TestGrids:
                 w for w in elements if p._leq(reversed_elements[i], w)
             }
 
+    @pytest.mark.parametrize("p, x, y", _grid_cases(), ids=repr)
+    def test_grid_passes_step_down_each_lower_cover(self, p, x, y):
+        elements, radices = p._grid(x, y)
+        passes = posets._grid_passes(radices)
+        steps = [(elements[t], elements[s]) for targets, sources in passes for t, s in zip(targets, sources)]
+        assert len(steps) == len(set(steps))
+        lower_covers = {
+            (z, w) for z in elements for w in elements if p._leq(w, z) and len(p._interval(w, z)) == 2
+        }
+        assert set(steps) == lower_covers
+        # Mobius undoes zeta, and zeta sums each down-set.
+        rng = random.Random(len(elements))
+        start = [rng.randint(-9, 9) for _ in elements]
+        values = start[:]
+        posets._run_passes(values, passes, 1)
+        assert values == [sum(v for w, v in zip(elements, start) if p._leq(w, z)) for z in elements]
+        posets._run_passes(values, passes, -1)
+        assert values == start
+
     @pytest.mark.parametrize("p, x, y", [(CHAIN, 1, 10), (random_explicit_poset(random.Random(3), 6), "v00", "v00")])
     def test_no_grid_on_a_single_chain_or_an_explicit_poset(self, p, x, y):
         assert p._grid(x, y) is None
@@ -319,14 +370,26 @@ class TestOrderTests:
         return calls
 
     def test_boolean_row(self, leq_calls):
-        # The nonzero scan made 32,640: every Mobius value there is nonzero.
+        # The nonzero scan made 32,640 (every Mobius value there is
+        # nonzero), and submask sums 502; the passes make none.
         mobius_function(SUBSETS)._evaluate_canonical((), tuple(range(1, 9)))
-        assert len(leq_calls) <= 502
+        assert len(leq_calls) == 0
 
     def test_witness_columns(self, leq_calls):
-        # The nonzero scan made 10,145, 8,128 of them in z's column.
+        # The nonzero scan made 10,145, 8,128 of them in z's column, and
+        # submask sums 368. Only y <= z is tested now.
         check_witness_conditions(SUBSETS, tuple(range(1, 7)), [], tuple(range(1, 8)))
-        assert len(leq_calls) <= 368
+        assert len(leq_calls) == 1
+
+    @pytest.mark.parametrize(
+        "p, x, y",
+        [(DIV, 1, 720720), (MULTISETS, (), ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)))],
+        ids=repr,
+    )
+    def test_mixed_radix_row(self, p, x, y, leq_calls):
+        # 240 elements in radices 5, 3, 2, 2, 2, 2: the scan made 7,904.
+        mobius_function(p)._evaluate_canonical(x, y)
+        assert len(leq_calls) == 0
 
     def test_chain_row_scans_as_before(self, leq_calls):
         mobius_function(CHAIN)._evaluate_canonical(1, 2000)
@@ -485,6 +548,18 @@ class TestConvolutionsReadColumns:
         with pytest.raises(NotInvertible) as caught:
             b._column_solver().evaluate(1, 3)
         assert caught.value.element == 1
+
+    def test_rows_are_read_in_canonical_order(self):
+        # a(x, z) is nonzero at {1,2} and {3} only. The grid of
+        # [{}, {1,2,3}] lists {1,2} before {3}, canonical order {3}
+        # first; b's row at {3} meets the zero diagonal {1,3}, its row at
+        # {1,2} meets {1,2}. A sum that may raise keeps canonical order.
+        x, y = (), (1, 2, 3)
+        a = custom_function(SUBSETS, lambda u, v: int(v in ((1, 2), (3,))))
+        c = custom_function(SUBSETS, lambda u, v: 0 if u == v and u in ((1, 2), (1, 3)) else 1)
+        with pytest.raises(NotInvertible) as caught:
+            convolve(a, invert(c)).evaluate(x, y)
+        assert caught.value.element == (1, 3)
 
     @pytest.mark.parametrize("p, x, y", [(MULTISETS, (), ((2, 2000),)), (CHAIN, 1, 2001)], ids=repr)
     def test_memo_stays_linear_in_the_interval(self, p, x, y, monkeypatch):
