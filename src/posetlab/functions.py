@@ -176,9 +176,11 @@ def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
 
     A transform by zeta or by an inverse of zeta, on a poset with
     :meth:`~posetlab.posets.Poset.coordinate_passes`, is computed for the
-    whole window coordinate by coordinate; it equals ``e(y)`` at every
-    window element. Anything else, including any object with only a
-    ``poset`` and a ``__call__``, is evaluated at every window element.
+    whole window coordinate by coordinate, and one by delta, or an
+    inverse of delta, is the support copied onto the window; either
+    equals ``e(y)`` at every window element. Anything else, including
+    any object with only a ``poset`` and a ``__call__``, is evaluated at
+    every window element.
     Support elements outside the window never reach a window element,
     because windows are downward closed."""
     if e.poset != w.poset:
@@ -190,7 +192,8 @@ def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupport
     """:func:`materialize` on an enumerated window."""
     if isinstance(e, EvaluableFunction):
         sign = e.a._zeta_power()
-        passes = e.poset.coordinate_passes(elements) if sign else None
+        # Delta (power 0) runs no pass: its transform is h copied onto the window.
+        passes = None if sign is None else e.poset.coordinate_passes(elements) if sign else []
         if passes is not None:
             values = _coordinatewise(e.h._entries, sign, elements, passes)
             return FiniteSupportFunction._canonical(e.poset, values)

@@ -81,10 +81,14 @@ class IntervalFunction:
         return as_scalar(self._evaluate_canonical(*self.poset._comparable(x, y)))
 
     def _zeta_power(self) -> int | None:
-        """1 for zeta, -1 for an inverse of zeta, None for anything else."""
+        """1 for zeta, 0 for delta, minus the operand's power for an
+        inverse of one of these, None for anything else: the number of
+        whole-window kernel runs, and their sign, that transform by this
+        function (delta's transform runs none)."""
         if self.kind == "inverse":
-            return -1 if self.operands[0].kind == "zeta" else None
-        return 1 if self.kind == "zeta" else None
+            power = self.operands[0]._zeta_power()
+            return None if power is None else -power
+        return {"zeta": 1, "delta": 0}.get(self.kind)
 
     def _evaluate_canonical(self, x, y):
         """The value on [x, y] for canonical x <= y, in narrowest form."""

@@ -433,17 +433,22 @@ def _check_inverses(p: Poset, a: IntervalFunction, b: IntervalFunction, shell_el
     (a*b)(x, y) for y above x is the b-transform of the a-transform of
     the point mass at x, and the transforms of a function supported
     above x live on x's principal filter F_x within the shell. So where
-    a and b are each zeta or an inverse of zeta, and F_x has coordinate
-    passes, the row of a*b at x is two runs of the whole-window kernel
-    over F_x. Elsewhere each (a*b)(x, y) is the defining sum over
-    [x, y], computed and not memoised: no value is read twice."""
-    signs = a._zeta_power(), b._zeta_power()
+    a and b are each zeta, delta or an inverse of one of these, the row
+    of a*b at x is one run of the whole-window kernel over F_x for each
+    factor that is not delta, given F_x's coordinate passes; delta's
+    transform is the identity, so delta * delta needs none. Elsewhere
+    each (a*b)(x, y) is the defining sum over [x, y], computed and not
+    memoised: no value is read twice."""
+    powers = a._zeta_power(), b._zeta_power()
+    signs = [s for s in powers if s]
     product = None
     for i, x in enumerate(shell_elements):
         above = [y for y in shell_elements[i:] if p._leq(x, y)]
-        passes = p.coordinate_passes(above) if all(signs) else None
+        passes = None if None in powers else p.coordinate_passes(above) if signs else []
         if passes is not None:
-            row = _coordinatewise(_coordinatewise({x: 1}, signs[0], above, passes), signs[1], above, passes)
+            row = {x: 1}
+            for sign in signs:
+                row = _coordinatewise(row, sign, above, passes)
             if row == {x: 1}:
                 continue
             wrong = (y for y in above if row.get(y, 0) != (1 if x == y else 0))

@@ -253,14 +253,17 @@ class _ChainProduct(Poset):
         # y's sort key is the interval's largest, so this refuses exactly
         # what sorting the interval would.
         self.sort_key(y)
-        choices = [range(lower.get(c, 0), k + 1) for c, k in top]
-        # product() varies its last argument fastest, so it walks the
-        # coordinates in reverse.
-        elements = [
-            self._from_pairs(tuple((c, k) for (c, _), k in zip(top, reversed(combo)) if k))
-            for combo in itertools.product(*reversed(choices))
-        ]
-        return elements, [len(r) for r in choices if len(r) > 1]
+        # One coordinate at a time, as numtheory.divisor_grid does: each
+        # height h of coordinate c is a copy of the grid so far, so the
+        # first coordinate varies fastest.
+        pairs = [()]
+        radices = []
+        for c, k in top:
+            low = lower.get(c, 0)
+            pairs = [z + ((c, h),) if h else z for h in range(low, k + 1) for z in pairs]
+            if k > low:
+                radices.append(k - low + 1)
+        return list(map(self._from_pairs, pairs)), radices
 
     def _closed_form_mobius(self, x, y) -> GaussianRational:
         """Rota's product theorem: the product over coordinates of the
@@ -593,7 +596,23 @@ class MultisetPoset(_ChainProduct):
         return numtheory.primes()
 
     def window_elements(self, bound) -> list:
-        return [integer_to_multiset(n) for n in range(1, _check_bound(bound) + 1)]
+        """The factorisations of 1..N, from one smallest-prime-factor
+        sieve: n with least prime p is n // p with p's multiplicity
+        raised by one, and no prime of n // p is below p."""
+        size = _check_bound(bound)
+        least = list(range(size + 1))
+        # Descending, so each composite keeps the least prime that marks it.
+        for p in reversed(numtheory._sieve(math.isqrt(size) + 1)):
+            least[p * p :: p] = [p] * len(range(p * p, size + 1, p))
+        elements = [(), ()]  # elements[n] is n's; 0 holds a placeholder
+        for n in range(2, size + 1):
+            p = least[n]
+            rest = elements[n // p]
+            if rest and rest[0][0] == p:
+                elements.append(((p, rest[0][1] + 1),) + rest[1:])
+            else:
+                elements.append(((p, 1),) + rest)
+        return elements[1:]
 
     def coordinate_passes(self, elements):
         """A window of images 1..N holds image y at position y - 1, and

@@ -1,6 +1,7 @@
 """CLI behaviour: output, exit codes, JSON round-trips, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -930,3 +931,68 @@ class TestOptimizedInterpreter:
         assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
             normal.returncode, normal.stdout, normal.stderr
         )
+
+
+# One call per way out of main: success, a domain error, a validation
+# error, argparse errors (an ambiguous abbreviation, an unknown command),
+# and help, which argparse ends with SystemExit.
+_EXITS = [
+    (("classical-mobius", "--n", "6"), 0),
+    (("mobius", "--poset", "divisibility", "--x", "2", "--y", "3"), 2),
+    (("mobius", "--poset", "nope", "--x", "1", "--y", "2"), 1),
+    (("mobius", "--pos", "divisibility", "--x", "1", "--y", "2"), 1),
+    (("nosuch",), 1),
+    (("-h",), 0),
+    (("mobius", "-h"), 0),
+]
+
+
+def _run_in_process(argv, status) -> str:
+    """What ``run(argv)`` prints to stdout in this process, after checking
+    that it returns ``status`` or exits through ``SystemExit`` with it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            assert run(list(argv)) == status
+        except SystemExit as exit:
+            assert exit.code == status
+    return out.getvalue()
+
+
+class TestGarbageCollectorFreeze:
+    """``main`` freezes the collector on every way out of the process, so
+    that shutdown's collections skip the objects tracked since start-up;
+    ``run``, the in-process API, leaves the collector alone."""
+
+    # An exit hook runs after main has returned or raised, and reports
+    # the freeze count as the last line of stderr.
+    PRELUDE = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+        "import posetlab.cli as cli\n"
+    )
+
+    def exit_with_freeze_count(self, body, *argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlab.__file__)))
+        env.pop("PYTHONOPTIMIZE", None)
+        done = subprocess.run([sys.executable, "-c", self.PRELUDE + body, *argv], capture_output=True, text=True, env=env)
+        label, _, count = done.stderr.splitlines()[-1].rpartition(" ")
+        assert label == "freeze count"
+        return done, int(count)
+
+    @pytest.mark.parametrize("argv, status", _EXITS, ids=repr)
+    def test_main_freezes_on_every_exit(self, argv, status):
+        done, count = self.exit_with_freeze_count("cli.main()", *argv)
+        assert (done.returncode, done.stdout) == (status, _run_in_process(argv, status))
+        assert count > 0
+
+    def test_main_freezes_on_an_uncaught_exception(self):
+        done, count = self.exit_with_freeze_count("cli.run = lambda: 1 // 0\ncli.main()")
+        assert done.returncode == 1 and "ZeroDivisionError" in done.stderr
+        assert count > 0
+
+    @pytest.mark.parametrize("argv, status", _EXITS, ids=repr)
+    def test_run_does_not_freeze(self, argv, status):
+        before = gc.get_freeze_count()
+        _run_in_process(argv, status)
+        assert gc.get_freeze_count() == before

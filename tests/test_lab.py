@@ -845,9 +845,10 @@ def report_or_error(*args):
 
 
 class TestInverseCheck:
-    """Zeta powers are checked by two runs of the whole-window kernel
-    over each principal filter of the shell; every other pair, and every
-    shell without passes, by the defining convolutions."""
+    """Zeta powers are checked by one run of the whole-window kernel per
+    factor other than delta over each principal filter of the shell, and
+    delta * delta needs no run; every other pair, and every shell without
+    passes, by the defining convolutions."""
 
     # CI runs this test with the ``ci`` profile, whose example count wins
     # when it is the larger.
@@ -893,6 +894,20 @@ class TestInverseCheck:
         else:
             with pytest.raises(NotInverses, match=re.escape(f"(a*b){first} != delta")):
                 lab._check_inverses(p, a, b, elements)
+
+    @pytest.mark.parametrize(
+        "p, bound",
+        [(CHAIN, 400), (DIV, 400), (MULTISETS, 200), (random_explicit_poset(random.Random(7), 12), None)],
+        ids=["chain", "divisibility", "multisets", "explicit"],
+    )
+    @pytest.mark.parametrize("inverted", [(), (0,), (1,), (0, 1)], ids=repr)
+    def test_delta_pairs_build_no_convolution(self, p, bound, inverted, monkeypatch):
+        # Delta and its inverse run no pass, on any poset: the row of
+        # their product at x is the point mass at x. With no convolve,
+        # a defining sum would raise.
+        monkeypatch.setattr(lab, "convolve", None)
+        a, b = (invert(delta_function(p)) if i in inverted else delta_function(p) for i in range(2))
+        lab._check_inverses(p, a, b, enumerate_window(Window(p, bound)))
 
 
 class TestCertificateSerialisation:

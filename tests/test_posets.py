@@ -1,7 +1,9 @@
 """Poset families, windows, explicit posets, and the multiset map."""
 
+import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -232,6 +234,63 @@ class TestWindows:
             assert leq(poset, bottom(poset), x)
             for y in elements[i + 1 :]:
                 assert not (leq(poset, y, x) and y != x)
+
+
+# The multisets window's oracle: the images 1..5,000 factored one at a time.
+FACTORED = [integer_to_multiset(n) for n in range(1, 5001)]
+
+
+def product_grid(x, y):
+    """``MULTISETS._grid(x, y)`` as the product over y's coordinates of
+    their height ranges, one generator per combination; ``product``
+    varies its last argument fastest, so it takes them reversed."""
+    lower = dict(x)
+    choices = [range(lower.get(c, 0), k + 1) for c, k in y]
+    elements = [
+        tuple((c, k) for (c, _), k in zip(y, reversed(combo)) if k)
+        for combo in itertools.product(*reversed(choices))
+    ]
+    return elements, [len(r) for r in choices if len(r) > 1]
+
+
+class TestMultisetConstructions:
+    """The multisets window, built from one smallest-prime-factor sieve,
+    and the multisets grid, built one coordinate at a time, against the
+    constructions they replaced."""
+
+    # No example count here: CI runs these tests with the ``ci`` profile.
+    @settings(deadline=None)
+    @given(st.integers(0, 5000))
+    @example(0)
+    @example(1)
+    @example(5000)
+    def test_multisets_window_equals_factoring_each_image(self, bound):
+        if bound == 0:
+            with pytest.raises(InvalidInput, match="window bound must be a positive integer, got 0$"):
+                MULTISETS.window_elements(bound)
+        else:
+            assert MULTISETS.window_elements(bound) == FACTORED[:bound]
+
+    @pytest.mark.parametrize("bound", [-3, True, False, 2.0, "12", None], ids=repr)
+    def test_multisets_window_refuses_bad_bounds(self, bound):
+        with pytest.raises(InvalidInput, match=re.escape(f"window bound must be a positive integer, got {bound!r}")):
+            MULTISETS.window_elements(bound)
+
+    def test_multisets_window_cap(self, monkeypatch):
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 1000)
+        assert MULTISETS.window_elements(1000) == FACTORED[:1000]
+        with pytest.raises(BoundTooLarge, match="window of 1001 elements exceeds cap 1000$"):
+            MULTISETS.window_elements(1001)
+
+    # No example count here: CI runs these tests with the ``ci`` profile.
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_multisets_grid_equals_the_product_construction(self, data):
+        coordinates = data.draw(st.lists(st.sampled_from(numtheory._SMALL_PRIMES[:8]), unique=True, max_size=5))
+        y = tuple(sorted((c, data.draw(st.integers(1, 4))) for c in coordinates))
+        heights = [(c, data.draw(st.integers(0, k))) for c, k in y]
+        x = tuple((c, h) for c, h in heights if h)
+        assert MULTISETS._grid(x, y) == product_grid(x, y)
 
 
 class TestOrderLaws:

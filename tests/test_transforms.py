@@ -503,11 +503,10 @@ class TestCoordinatewiseKernel:
         "make_a",
         [
             lambda p: custom_function(p, lambda x, y: 1),
-            delta_function,
             lambda p: convolve(zeta_function(p), zeta_function(p)),
             lambda p: invert(custom_function(p, lambda x, y: 2)),
         ],
-        ids=["custom", "delta", "convolution", "inverse-of-custom"],
+        ids=["custom", "convolution", "inverse-of-custom"],
     )
     @pytest.mark.parametrize("window,outside", KERNEL_SETUPS[::2])
     def test_other_interval_functions_take_point_path(self, make_a, window, outside):
@@ -519,6 +518,28 @@ class TestCoordinatewiseKernel:
         result = materialize(e, window)
         assert a._memo  # filled by point evaluations
         assert dict(result.items()) == point_values(e, window)
+
+    @pytest.mark.parametrize("make_a", [delta_function, lambda p: invert(delta_function(p))], ids=["delta", "inverse-of-delta"])
+    @pytest.mark.parametrize("window,outside", KERNEL_SETUPS[::2] + [(w, []) for _, w in EXPLICIT_SETUPS])
+    def test_delta_transforms_copy_the_support(self, make_a, window, outside):
+        """Delta's transform is the identity: the support, copied onto
+        the window with no pass and no point evaluation, on every poset."""
+        p = window.poset
+        rng = random.Random(f"delta-{window.label()}")
+        h = random_support_function(rng, p, enumerate_window(window) + outside, limit=9)
+        a = make_a(p)
+        e = alpha_transform(h, a)
+        result = materialize(e, window)
+        assert a._memo == {}
+        assert dict(result.items()) == point_values(e, window)
+        assert_stored_as_constructed(result)
+
+    def test_inverse_of_mobius_takes_kernel(self):
+        g = FiniteSupportFunction(DIV, {1: 1, 6: Fraction(-2, 3), 35: 3})
+        a = invert(mobius_function(DIV))
+        result = materialize(alpha_transform(g, a), Window(DIV, 360))
+        assert a._memo == {}
+        assert result == materialize(zeta_transform(g), Window(DIV, 360))
 
     @pytest.mark.parametrize("poset,window", EXPLICIT_SETUPS)
     def test_explicit_posets_take_point_path(self, poset, window):
