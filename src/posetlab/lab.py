@@ -68,6 +68,12 @@ from .scalars import GaussianRational, as_scalar
 
 DEFAULT_BUDGET = 10_000
 
+# A pair-search row walks ideal(y) while the bound on its size is at most
+# this many times the window, and otherwise tests each unknown. A walked
+# element costs about a half (chain) to a third (subsets) of an order
+# test, and the bound, y's position in the shell, exceeds most ideals.
+_WALK_FACTOR = 4
+
 
 class WitnessConditions(NamedTuple):
     disjoint: bool
@@ -368,13 +374,16 @@ def finite_support_pair_search(
     ``beta`` (the zeta function by default) vanishes on ``shell - w``.
 
     One homogeneous equation per shell element outside the window;
-    unknowns are the window elements. The matrix cells are beta's values
-    in narrowest form, and the kernel is computed by exact sparse
-    elimination; the basis and the candidate hold ``GaussianRational``
-    values. A nontrivial kernel yields a candidate pair: the first
-    basis vector normalised to integer entries with content 1, together
-    with its transform materialised on the shell. Vanishing beyond the
-    shell remains unverified. The matrix may hold at most
+    unknowns are the window elements. Each row is sparse: beta's nonzero
+    values, in narrowest form, at the unknowns below its shell element.
+    The kernel is computed by exact sparse elimination, which takes each
+    distinct row once; the basis and the candidate hold
+    ``GaussianRational`` values. A nontrivial kernel yields a candidate
+    pair: the first basis vector normalised to integer entries with
+    content 1, together with its transform materialised on the shell.
+    Vanishing beyond the shell remains unverified. The matrix, counted
+    dense as (shell - window) x window cells, and the kernel basis,
+    dimension x window cells, may each hold at most
     ``DEFAULT_ELEMENT_CAP`` cells, like each window.
     """
     if w.poset != p or shell.poset != p:
@@ -385,26 +394,13 @@ def finite_support_pair_search(
         raise PosetMismatch("transform function lives on a different poset")
     unknowns = enumerate_window(w)
     shell_elements = enumerate_window(shell)
-    window_set = set(unknowns)
-    shell_set = set(shell_elements)
-    if not (window_set < shell_set):
+    if not (set(unknowns) < set(shell_elements)):
         raise WindowNotNested(
             f"shell {shell.label()} must strictly contain window {w.label()}"
         )
     cells = (len(shell_elements) - len(unknowns)) * len(unknowns)
     _check_cap(cells, f"pair-search matrix of {cells} cells exceeds cap {{cap}}")
-
-    rows = []
-    for y in shell_elements:
-        if y in window_set:
-            continue
-        rows.append(
-            [
-                beta._evaluate_canonical(x, y) if p._leq(x, y) else 0
-                for x in unknowns
-            ]
-        )
-    basis = nullspace(rows, len(unknowns))
+    basis = nullspace(_pair_search_rows(p, unknowns, shell_elements, beta), len(unknowns))
 
     candidate = None
     if basis:
@@ -420,6 +416,42 @@ def finite_support_pair_search(
         nullspace_basis=basis,
         candidate=candidate,
     )
+
+
+def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: IntervalFunction) -> list:
+    """The pair-search matrix as sparse rows: for each shell element y
+    outside the window, in shell order, ``{c: beta(x, y)}`` over the
+    unknowns x = ``unknowns[c]`` below y where the value is nonzero.
+
+    The shell is a down-set listed in a linear extension, so the ideal
+    of the element at position i has at most i + 1 elements. Where that
+    is at most ``_WALK_FACTOR`` times the window, the unknowns below y
+    are read from a walk of ideal(y), with no order test; elsewhere each
+    unknown is tested against y. So no row visits more than
+    ``_WALK_FACTOR`` elements per cell of the matrix. The values are
+    evaluated in ascending column order either way, the order of a dense
+    build, so a beta that raises raises the same error."""
+    column = {x: c for c, x in enumerate(unknowns)}
+    evaluate = beta._evaluate_canonical
+    bottom = p.bottom()
+    walk_limit = _WALK_FACTOR * len(unknowns)
+    rows = []
+    for i, y in enumerate(shell_elements):
+        if y in column:
+            continue
+        if i < walk_limit:
+            grid = p._grid(bottom, y)
+            below = p._interval(bottom, y) if grid is None else grid[0]
+            columns = sorted(column[x] for x in below if x in column)
+        else:
+            columns = [c for c, x in enumerate(unknowns) if p._leq(x, y)]
+        row = {}
+        for c in columns:
+            value = evaluate(unknowns[c], y)
+            if value:
+                row[c] = value
+        rows.append(row)
+    return rows
 
 
 # -- combined evidence --------------------------------------------------

@@ -1,16 +1,20 @@
 """Exact linear algebra over Gaussian rationals.
 
 One sparse, fraction-free Gauss–Jordan elimination over Gaussian
-integers serves every routine here. Input rows may hold any exact
-scalar (``int``, ``Fraction`` or ``GaussianRational``, as
-:func:`posetlab.scalars.narrow` produces them). Each row is scaled by
-the lcm of the denominators of its parts and kept as a dict from column
-to a ``(re, im)`` pair of plain ``int``; zero entries are never stored.
-A row is cleared by cross-multiplying with the pivot row
+integers serves every routine here. An input row is a sequence of
+scalars or a ``{column: scalar}`` mapping, with any exact scalar
+(``int``, ``Fraction`` or ``GaussianRational``, as
+:func:`posetlab.scalars.narrow` produces them). Equal rows span the
+same space, so a row equal to one already taken is skipped. Each row is
+scaled by the lcm of the denominators of its parts and kept as a dict
+from column to a ``(re, im)`` pair of plain ``int``; zero entries are
+never stored. A row is cleared by cross-multiplying with the pivot row
 (``row <- p*row - f*pivot_row``, Bareiss's integer-preserving step),
-which touches only the union of the two rows' columns, and is then
-divided by the gcd of all its integer parts, so the integers stay small
-without building any ``Fraction``.
+which touches only the union of the two rows' columns. Every row is
+kept primitive: divided by the gcd of all its integer parts and, in a
+matrix with an imaginary part, by the gcd of its entries in Z[i] (a
+real row with integer content 1 is already primitive there), so the
+integers stay small without building any ``Fraction``.
 
 Scaling a row by a nonzero scalar never changes the row space, so the
 elimination reaches the same reduced row echelon form as division-based
@@ -23,18 +27,22 @@ results leave this module.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
+from .posets import _check_cap
 from .scalars import ONE, ZERO, GaussianRational
 
 
 def _sparse_row(row) -> dict[int, tuple[int, int]]:
-    """The nonzero entries of ``row`` times the lcm of their
-    denominators, as ``{column: (re, im)}`` ints."""
-    entries = {c: v for c, v in enumerate(row) if v}
+    """The nonzero entries of ``row``, a sequence or a ``{column: value}``
+    mapping, times the lcm of their denominators, as ``{column: (re, im)}``
+    ints."""
+    cells = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = {c: v for c, v in cells if v}
     if all(type(v) is int for v in entries.values()):
         return {c: (v, 0) for c, v in entries.items()}
     parts = {c: (v.real, v.imag) for c, v in entries.items()}
@@ -45,10 +53,43 @@ def _sparse_row(row) -> dict[int, tuple[int, int]]:
     }
 
 
-def _clear(row, pivot_row, c):
-    """``p*row - f*pivot_row`` divided by its content, where p and f are
-    the entries in column ``c`` of ``pivot_row`` and ``row``. The result
-    has no entry in column ``c``."""
+def _gaussian_gcd(values) -> tuple[int, int]:
+    """A gcd in Z[i] of the ``(re, im)`` pairs, by Euclid's algorithm with
+    each quotient rounded to the nearest Gaussian integer, so that every
+    remainder has at most half the norm of its divisor. It stops at the
+    first unit."""
+    u, v = 0, 0
+    for x, y in values:
+        while x or y:
+            # (u + vi) / (x + yi) = (u + vi)(x - yi) / n, rounded.
+            n = x * x + y * y
+            qr = (2 * (u * x + v * y) + n) // (2 * n)
+            qi = (2 * (v * x - u * y) + n) // (2 * n)
+            u, v, x, y = x, y, u - qr * x + qi * y, v - qr * y - qi * x
+        if u * u + v * v == 1:
+            break
+    return u, v
+
+
+def _primitive(row, gaussian: bool):
+    """``row`` divided by the gcd of its integer parts and, if
+    ``gaussian``, then by the gcd of its entries in Z[i]."""
+    content = gcd(*chain.from_iterable(row.values()))
+    if content > 1:
+        row = {k: (a // content, b // content) for k, (a, b) in row.items()}
+    if gaussian:
+        c, d = _gaussian_gcd(row.values())
+        n = c * c + d * d
+        if n > 1:
+            # (a + bi) / (c + di) = (a + bi)(c - di) / n, exactly.
+            row = {k: ((a * c + b * d) // n, (b * c - a * d) // n) for k, (a, b) in row.items()}
+    return row
+
+
+def _clear(row, pivot_row, c, gaussian: bool):
+    """``p*row - f*pivot_row`` made primitive (see ``_primitive``), where
+    p and f are the entries in column ``c`` of ``pivot_row`` and ``row``.
+    The result has no entry in column ``c``."""
     pr, pi = pivot_row[c]
     fr, fi = row[c]
     # Real pivots, most of them 1, are the rule on 0/1 matrices; skipping
@@ -71,24 +112,34 @@ def _clear(row, pivot_row, c):
                 new[k] = (re, im)
             else:
                 del new[k]
-    content = gcd(*chain.from_iterable(new.values()))
-    if content > 1:
-        new = {k: (a // content, b // content) for k, (a, b) in new.items()}
-    return new
+    return _primitive(new, gaussian)
 
 
 def _eliminate(rows):
     """Sparse fraction-free Gauss–Jordan elimination. Returns the
-    nonzero rows, each without an entry in any pivot column but its own,
-    and the pivot columns, ascending."""
+    nonzero rows, each primitive and without an entry in any pivot
+    column but its own, and the pivot columns, ascending. A row equal to
+    an earlier one is skipped."""
+    taken = set()
+    sparse_rows = []
+    for row in rows:
+        # Keyed before conversion, so that a repeat costs one hash.
+        key = tuple(row.items()) if isinstance(row, Mapping) else tuple(row)
+        if key not in taken:
+            taken.add(key)
+            sparse = _sparse_row(row)
+            if sparse:
+                sparse_rows.append(sparse)
+    # Clearing real rows gives real rows, and a real row with integer
+    # content 1 is primitive over Z[i]: only a matrix with an imaginary
+    # part needs Gaussian gcds.
+    gaussian = any(b for row in sparse_rows for _, b in row.values())
     # Rows waiting for a pivot, bucketed by their leading column. Clearing
     # a row's leading column only moves its lead right, so the leads are
     # taken in ascending order from a heap.
     waiting: dict[int, list] = {}
-    for row in rows:
-        sparse = _sparse_row(row)
-        if sparse:
-            waiting.setdefault(min(sparse), []).append(sparse)
+    for row in sparse_rows:
+        waiting.setdefault(min(row), []).append(_primitive(row, gaussian))
     leads = sorted(waiting)
     echelon: list = []
     pivots: list[int] = []
@@ -98,7 +149,7 @@ def _eliminate(rows):
         pivot_row = min(bucket, key=len)
         for row in bucket:
             if row is not pivot_row:
-                row = _clear(row, pivot_row, c)
+                row = _clear(row, pivot_row, c, gaussian)
                 if row:
                     lead = min(row)
                     if lead not in waiting:
@@ -107,7 +158,7 @@ def _eliminate(rows):
                     waiting[lead].append(row)
         for i, row in enumerate(echelon):
             if c in row:
-                echelon[i] = _clear(row, pivot_row, c)
+                echelon[i] = _clear(row, pivot_row, c, gaussian)
         echelon.append(pivot_row)
         pivots.append(c)
     return echelon, pivots
@@ -123,8 +174,9 @@ def _quotient(value, pivot) -> GaussianRational:
 
 
 def reduced_row_echelon(rows: list[list]):
-    """Return (rref rows, pivot column indices). Input is not mutated;
-    zero rows are dropped."""
+    """Return (rref rows, pivot column indices) of rows given as
+    sequences of one length. Input is not mutated; zero rows are
+    dropped."""
     echelon, pivots = _eliminate(rows)
     ncols = len(rows[0]) if rows else 0
     rref = []
@@ -136,10 +188,14 @@ def reduced_row_echelon(rows: list[list]):
     return rref, pivots
 
 
-def nullspace(rows: list[list], ncols: int) -> list[list[GaussianRational]]:
+def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
     """Basis of the kernel of the matrix, one vector per free column in
-    ascending column order. An empty row list gives the standard basis."""
+    ascending column order. An empty row list gives the standard basis.
+    The basis holds (``ncols`` - rank) * ``ncols`` cells; past
+    ``DEFAULT_ELEMENT_CAP`` of them it is refused before any is built."""
     echelon, pivots = _eliminate(rows)
+    cells = (ncols - len(pivots)) * ncols
+    _check_cap(cells, f"kernel basis of {cells} cells exceeds cap {{cap}}")
     pivot_set = set(pivots)
     basis = {}
     for free in range(ncols):
@@ -158,9 +214,10 @@ def in_span(basis: list[list], vector: list) -> bool:
     """Whether ``vector`` is a linear combination of the basis vectors."""
     echelon, pivots = _eliminate(basis)
     residual = _sparse_row(vector)
+    # Only whether the residual vanishes matters, not its content.
     for row, c in zip(echelon, pivots):
         if c in residual:
-            residual = _clear(residual, row, c)
+            residual = _clear(residual, row, c, False)
     return not residual
 
 

@@ -8,8 +8,10 @@ rule, the correctness gate for the kernel's integer arithmetic; for
 convolutions, which read an inverse right factor by column, against the
 defining sum; and for the rows and columns of inverses, and the
 conjecture inverse-pair check, whose zeta powers run as integer passes,
-against the recursion and the defining pairwise loop; and for the
-multisets window and grid against their direct constructions.
+against the recursion and the defining pairwise loop; for the
+multisets window and grid against their direct constructions; and for
+the pair search's sparse rows against the dense build, and the
+primitivity of eliminated rows over the Gaussian integers.
 """
 
 from hypothesis import settings

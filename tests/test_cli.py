@@ -339,6 +339,14 @@ class TestCensusSearchConjecture:
         assert (status, out) == (1, "")
         assert err == "error: pair-search matrix of 1210000 cells exceeds cap 1048576\n"
 
+    def test_search_kernel_basis_over_cap_is_usage_error(self, capsys):
+        # One equation in 1025 unknowns: 1024 basis vectors of 1025 cells.
+        status, out, err = invoke(
+            capsys, "search", "--poset", "chain", "--bound", "1025", "--shell-bound", "1026"
+        )
+        assert (status, out) == (1, "")
+        assert err == "error: kernel basis of 1049600 cells exceeds cap 1048576\n"
+
     def test_conjecture_shell_over_cap_is_usage_error(self, capsys):
         # 1500 chain elements: 1125750 pairs to check against delta.
         status, out, err = invoke(

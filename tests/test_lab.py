@@ -11,11 +11,12 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetlab
 import posetlab.lab as lab
+import posetlab.linalg as linalg
 import posetlab.posets as posets
 from helpers import (
     random_explicit_poset,
@@ -592,6 +593,15 @@ class TestPairSearch:
             finite_support_pair_search(CHAIN, window, shell, beta=beta)
         assert calls == []
 
+    def test_kernel_basis_is_capped(self, monkeypatch):
+        # Window N and shell N + 1 on the chain: one equation, so N - 1
+        # basis vectors of N cells, refused before any of them is built.
+        result = finite_support_pair_search(CHAIN, Window(CHAIN, 1024), Window(CHAIN, 1025))
+        assert result.nullspace_dimension == 1023
+        monkeypatch.setattr(linalg, "_quotient", None)
+        with pytest.raises(BoundTooLarge, match="^kernel basis of 1049600 cells exceeds cap 1048576$"):
+            finite_support_pair_search(CHAIN, Window(CHAIN, 1025), Window(CHAIN, 1026))
+
     def test_candidate_transform_vanishes_on_shell(self):
         for k in range(3, 7):
             window, shell = Window(CHAIN, k), Window(CHAIN, 2 * k)
@@ -844,6 +854,114 @@ def report_or_error(*args):
         return type(error), str(error)
 
 
+def pair_search_windows(family, rng):
+    """A poset, the unknowns of a window and the elements of a shell that
+    contains it; on an explicit poset the window is the down-set of a
+    random sample and the shell is the whole poset."""
+    if family == "explicit":
+        p = random_explicit_poset(rng, rng.randint(2, 10))
+        shell = p.elements()
+        below = {x for top in rng.sample(shell, rng.randint(0, len(shell))) for x in p.ideal(top)}
+        return p, [x for x in shell if x in below], shell
+    p, w, shell, _ = conjecture_windows(family, rng)
+    return p, enumerate_window(w), enumerate_window(shell)
+
+
+def dense_pair_search_rows(p, unknowns, shell_elements, beta):
+    """The pair-search matrix as the order test of every (shell - window)
+    x window cell builds it, zeros included."""
+    window = set(unknowns)
+    return [
+        [beta._evaluate_canonical(x, y) if p._leq(x, y) else 0 for x in unknowns]
+        for y in shell_elements
+        if y not in window
+    ]
+
+
+def typed_cells_or_error(build, *args):
+    """The cells of each sparse row, or the nonzero cells of each dense
+    row, as (column, type, value); or the error."""
+    try:
+        rows = build(*args)
+    except PosetLabError as error:
+        return type(error), str(error)
+    return [
+        [(c, type(v), v) for c, v in row.items()] if isinstance(row, dict)
+        else [(c, type(v), v) for c, v in enumerate(row) if v]
+        for row in rows
+    ]
+
+
+class TestPairSearchRows:
+    """The pair search builds each row from a walk of ideal(y) as sparse
+    ``{column: value}`` cells, and the elimination takes each distinct
+    row once."""
+
+    # CI runs this test with the ``ci`` profile, whose example count wins
+    # when it is the larger.
+    @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+    @given(
+        family=st.sampled_from(["divisibility", "divisors", "chain", "subsets", "multisets", "explicit"]),
+        kind=st.sampled_from(["delta", "zeta", "mobius", "custom", "inverse of a zero diagonal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_rows_equal_the_dense_build(self, family, kind, seed):
+        rng = random.Random(seed)
+        p, unknowns, shell = pair_search_windows(family, rng)
+        c = random_interval_function(rng, p, shell)
+        zeroed = rng.choice(shell)
+        zero = custom_function(p, lambda x, y: 0 if x == y == zeroed else c._rule(x, y))
+        # Each build gets its own inverse, so neither reads the other's memo.
+        sparse, dense = (
+            typed_cells_or_error(build, p, unknowns, shell, pair_function(p, kind, c, zero))
+            for build in (lab._pair_search_rows, dense_pair_search_rows)
+        )
+        assert sparse == dense
+
+    def test_chain_rows_are_eliminated_once(self, monkeypatch):
+        # Each of the 80 shell elements outside the window sits above the
+        # whole window: one row, 80 times.
+        converted = []
+        original = linalg._sparse_row
+        monkeypatch.setattr(linalg, "_sparse_row", lambda row: converted.append(row) or original(row))
+        unknowns, shell = enumerate_window(Window(CHAIN, 80)), enumerate_window(Window(CHAIN, 160))
+        rows = lab._pair_search_rows(CHAIN, unknowns, shell, zeta_function(CHAIN))
+        assert len(rows) == 80
+        assert linalg._eliminate(rows)[1] == [0]
+        assert converted == [dict.fromkeys(range(80), 1)]
+
+    def test_rows_far_above_a_small_window_test_each_unknown(self, monkeypatch):
+        # Window {1, 2} in shell 1..1400: walking every ideal would visit
+        # 980,000 elements. Only 3..8, at positions below 4 * 2, walk.
+        walked, tested = [], []
+        for name, calls in (("_interval", walked), ("_leq", tested)):
+            original = getattr(type(CHAIN), name)
+
+            def counted(self, x, y, original=original, calls=calls):
+                calls.append(y)
+                return original(self, x, y)
+
+            monkeypatch.setattr(type(CHAIN), name, counted)
+        rows = lab._pair_search_rows(CHAIN, [1, 2], list(range(1, 1401)), zeta_function(CHAIN))
+        assert rows == [{0: 1, 1: 1}] * 1398
+        assert (walked, len(tested)) == (list(range(3, 9)), 2 * 1392)
+
+    def test_subsets_at_the_cell_cap_build_without_order_tests(self, monkeypatch):
+        # 1024 x 1024 cells counted dense, of which 3**10 are nonzero; the
+        # dense build made 2**20 order tests.
+        calls = []
+        original = type(SUBSETS)._leq
+
+        def counted(self, x, y):
+            calls.append(1)
+            return original(self, x, y)
+
+        monkeypatch.setattr(type(SUBSETS), "_leq", counted)
+        unknowns, shell = enumerate_window(Window(SUBSETS, 10)), enumerate_window(Window(SUBSETS, 11))
+        rows = lab._pair_search_rows(SUBSETS, unknowns, shell, zeta_function(SUBSETS))
+        assert (len(rows), sum(map(len, rows)), len(calls)) == (1024, 3**10, 0)
+
+
 class TestInverseCheck:
     """Zeta powers are checked by one run of the whole-window kernel per
     factor other than delta over each principal filter of the shell, and
@@ -859,6 +977,9 @@ class TestInverseCheck:
         right=st.sampled_from(PAIR_KINDS),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Pair-search rows here share Gaussian factors such as 1 + i; divided
+    # by their integer content alone, entries reached 343,370 bits.
+    @example(family="chain", left="custom", right="inverse of custom", seed=136)
     def test_conjecture_check_equals_the_pairwise_loop(self, family, left, right, seed):
         rng = random.Random(seed)
         p, w, shell, sample = conjecture_windows(family, rng)

@@ -7,9 +7,10 @@ from math import gcd
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ_I
 
 from posetlab import GaussianRational
-from posetlab.linalg import in_span, nullspace, primitive_integer_vector, reduced_row_echelon
+from posetlab.linalg import _eliminate, in_span, nullspace, primitive_integer_vector, reduced_row_echelon
 
 
 def gr(n, d=1):
@@ -182,6 +183,48 @@ def test_sparse_narrow_cells_match_sympy(matrix, rng, data):
     assert in_span(rows, vector) == (extended_rank == rank)
     for kernel_vector in basis:
         assert in_span(basis, primitive_integer_vector(kernel_vector))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_narrow_matrices(), st.randoms(use_true_random=False))
+def test_repeated_rows_change_no_kernel(matrix, rng):
+    """Rows drawn again and shuffled in, as sequences or as sparse
+    ``{column: value}`` mappings, give the kernel of the distinct rows."""
+    rows, ncols = matrix
+    distinct = []
+    for row in rows:
+        if row not in distinct:
+            distinct.append(row)
+    repeated = rows + [rng.choice(rows) for _ in rows]
+    rng.shuffle(repeated)
+    mappings = [{c: v for c, v in enumerate(row) if v} for row in repeated]
+    expected = nullspace(distinct, ncols)
+    assert nullspace(repeated, ncols) == expected
+    assert nullspace(mappings, ncols) == expected
+
+
+_GAUSSIAN_INTEGER = st.builds(GaussianRational, st.integers(-5, 5), st.integers(-5, 5))
+
+
+# CI runs this test with the ``ci`` profile, whose example count wins
+# when it is the larger.
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_eliminated_rows_are_primitive_over_the_gaussian_integers(nrows, ncols, gaussian, data):
+    """Every echelon row has a unit gcd in Z[i] (sympy's), on Gaussian
+    integer matrices whose rows share random Gaussian factors such as
+    1 + i, and on real ones, whose factors are integers."""
+    entry = _GAUSSIAN_INTEGER if gaussian else st.builds(GaussianRational, st.integers(-5, 5))
+    rows = []
+    for _ in range(nrows):
+        factor = data.draw(entry.filter(bool))
+        rows.append([factor * data.draw(entry) for _ in range(ncols)])
+    echelon, _ = _eliminate(rows)
+    for row in echelon:
+        common = ZZ_I.zero
+        for a, b in row.values():
+            common = ZZ_I.gcd(common, ZZ_I(a, b))
+        assert common.x**2 + common.y**2 == 1
 
 
 @settings(max_examples=200, deadline=None)

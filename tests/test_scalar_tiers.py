@@ -328,8 +328,8 @@ class TestPublicBoundary:
 
     def test_linalg_cells_are_narrow_and_results_gaussian(self, monkeypatch):
         """The pair search hands ``nullspace`` its memoised narrow values
-        (zeros included as ``int``); everything that comes back out of
-        the linear algebra is a ``GaussianRational``."""
+        as sparse ``{column: value}`` rows (no zero cells); everything
+        that comes back out of the linear algebra is a ``GaussianRational``."""
         seen = []
         original = lab.nullspace
 
@@ -340,10 +340,10 @@ class TestPublicBoundary:
         monkeypatch.setattr(lab, "nullspace", recording)
         beta = custom_function(DIV, lambda x, y: 1 if x == y else Fraction(x, y))
         for b, cell_types in ((zeta_function(DIV), {int}), (mobius_function(DIV), {int}),
-                              (beta, {int, Fraction})):
+                              (beta, {Fraction})):
             result = finite_support_pair_search(DIV, Window(DIV, 6), Window(DIV, 12), beta=b)
             rows = seen.pop()
-            cells = [entry for row in rows for entry in row]
+            cells = [entry for row in rows for entry in row.values()]
             assert cells and all(is_normal(entry) for entry in cells)
             assert {type(entry) for entry in cells} == cell_types
             assert result.nullspace_basis
@@ -351,8 +351,9 @@ class TestPublicBoundary:
                 assert all(type(v) is GaussianRational for v in vector)
             f, g = result.candidate
             assert all(type(v) is GaussianRational for _, v in (*f.items(), *g.items()))
-            rref, _ = reduced_row_echelon(rows)
-            kernel = nullspace(rows, len(rows[0]))
+            width = len(result.unknowns)
+            rref, _ = reduced_row_echelon([[row.get(c, 0) for c in range(width)] for row in rows])
+            kernel = nullspace(rows, width)
             outputs = [*(v for row in (*rref, *kernel) for v in row),
                        *primitive_integer_vector(result.nullspace_basis[-1])]
             assert outputs and all(type(v) is GaussianRational for v in outputs)
