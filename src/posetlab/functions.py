@@ -31,6 +31,7 @@ columns on grids (:mod:`posetlab.incidence`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InvalidInput, PosetMismatch
@@ -115,14 +116,21 @@ class FiniteSupportFunction(_Immutable):
 def _ordered(poset: Poset, pairs) -> dict:
     """Stored entries from canonical ``(element, narrow value)`` pairs:
     a repeated element is refused, zeros are dropped and the rest is put
-    in canonical order."""
+    in canonical order. Every kept element's sort key is computed, once,
+    after the repeats are checked, since a multisets key refuses an
+    image past the cap; entries whose keys already ascend, as every
+    written document's do, are returned as staged, unsorted."""
     staged = {}
     for element, value in pairs:
         if element in staged:
             raise InvalidInput(f"duplicate entry for {poset.format_element(element)}")
         if value:
             staged[element] = value
-    return dict(sorted(staged.items(), key=lambda kv: poset.sort_key(kv[0])))
+    keys = list(map(poset.sort_key, staged))
+    if all(map(operator.lt, keys, keys[1:])):
+        return staged
+    ordered = sorted(zip(keys, staged.items()), key=operator.itemgetter(0))
+    return {element: value for _, (element, value) in ordered}
 
 
 class EvaluableFunction:
@@ -258,12 +266,26 @@ def function_from_document(doc: dict, poset: Poset) -> FiniteSupportFunction:
     """Parse a function document against a resolved poset. Zero values
     are accepted and pruned. Each value is read in its narrowest type,
     so only a value with a nonzero imaginary part builds a
-    ``GaussianRational``."""
+    ``GaussianRational``, and each distinct value text is parsed once:
+    entries with the same text share its immutable value. Elements and
+    values are read in entry order, so the first malformed one raises,
+    before any repeated element; entries already in canonical order are
+    kept in it without a sort (see :func:`_ordered`)."""
     if not isinstance(doc, dict) or "values" not in doc:
         raise InvalidInput("function document must be an object with a 'values' key")
     values = doc["values"]
     if not isinstance(values, dict):
         raise InvalidInput("'values' must map element encodings to scalars")
+    parse_element = poset.parse_element
+    # Keyed by text, not by the JSON value: 1, true and 1.0 are equal
+    # keys, but 'True' and '1.0' are invalid scalars.
+    parsed = {}
+    entries = []
+    for key, text in values.items():
+        element = parse_element(key)
+        text = str(text)
+        if text not in parsed:
+            parsed[text] = parse_narrow(text)
+        entries.append((element, parsed[text]))
     # Parsed elements are canonical and parsed values narrow already.
-    entries = [(poset.parse_element(key), parse_narrow(str(text))) for key, text in values.items()]
     return FiniteSupportFunction._canonical(poset, _ordered(poset, entries))

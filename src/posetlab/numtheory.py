@@ -56,6 +56,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 class _Budget:
@@ -77,9 +78,10 @@ class _Budget:
 def is_prime(n: int) -> bool:
     """Whether n is prime; ``BoundTooLarge`` when n passes every base of
     the test but lies past its proven range, or the test is past the
-    budget."""
-    if n < 2:
-        return False
+    budget. Below ``_TRIAL_LIMIT`` it is one set lookup, as multiset
+    keys nearly always are."""
+    if n < _TRIAL_LIMIT:
+        return n in _SMALL_PRIME_SET
     for p in _SMALL_PRIMES:
         if p * p > n:
             return True

@@ -190,11 +190,15 @@ def _canon_positive_int(x, family: str) -> int:
 
 
 def _parse_int(text: str, family: str) -> int:
+    """The positive integer ``text`` reads as under ``int()``; what
+    ``int()`` returns from a string needs no type check."""
     try:
         value = int(text.strip())
     except ValueError:
         raise InvalidElement(f"invalid {family} element: {text!r}") from None
-    return _canon_positive_int(value, family)
+    if value < 1:
+        raise InvalidElement(f"{family} elements are positive integers, got {value}")
+    return value
 
 
 def _check_cap(size: int, refusal: str) -> None:
@@ -445,7 +449,8 @@ class SubsetPoset(_ChainProduct):
         body = body[1:-1].strip()
         if not body:
             return ()
-        return self.canon(_parse_int(part, self.family) for part in body.split(","))
+        # Members are parsed in text order, so the first bad one raises.
+        return tuple(sorted({_parse_int(part, self.family) for part in body.split(",")}))
 
     def sort_key(self, x):
         return (len(x), x)
@@ -540,7 +545,11 @@ class MultisetPoset(_ChainProduct):
             raise InvalidElement(f"multisets elements are (prime, mult) maps, got {x!r}")
         else:
             items = list(x)
-        out = {}
+        return _multiset(self._canon_pairs(items))
+
+    def _canon_pairs(self, items):
+        """Each entry of ``items`` as a pair of positive ints, checked
+        when it is reached."""
         for entry in items:
             try:
                 p, k = entry
@@ -548,14 +557,7 @@ class MultisetPoset(_ChainProduct):
                 raise InvalidElement(
                     f"multisets entries are (prime, mult) pairs, got {entry!r}"
                 ) from None
-            p = _canon_positive_int(p, self.family)
-            k = _canon_positive_int(k, self.family)
-            if not numtheory.is_prime(p):
-                raise InvalidElement(f"multiset keys must be prime, got {p}")
-            if p in out:
-                raise InvalidElement(f"duplicate multiset key {p}")
-            out[p] = k
-        return tuple(sorted(out.items()))
+            yield _canon_positive_int(p, self.family), _canon_positive_int(k, self.family)
 
     def format_element(self, x) -> str:
         if not x:
@@ -574,7 +576,9 @@ class MultisetPoset(_ChainProduct):
             p = _parse_int(base, self.family)
             k = _parse_int(exp, self.family) if sep else 1
             pairs.append((p, k))
-        return self.canon(pairs)
+        # Every factor is parsed before any key is checked, so the first
+        # malformed factor raises before a composite or repeated key.
+        return _multiset(pairs)
 
     def sort_key(self, x):
         """The integer image of canonical ``x``, without validating it
@@ -631,6 +635,20 @@ class MultisetPoset(_ChainProduct):
         INFINITE_CERTIFIED,
         "mirror of the divisibility certificate under the integer-image map",
     )
+
+
+def _multiset(pairs) -> tuple:
+    """The canonical multiset of ``(p, k)`` pairs of positive ints,
+    refusing a key that is not prime or repeats, in the order of
+    ``pairs``."""
+    out = {}
+    for p, k in pairs:
+        if not numtheory.is_prime(p):
+            raise InvalidElement(f"multiset keys must be prime, got {p}")
+        if p in out:
+            raise InvalidElement(f"duplicate multiset key {p}")
+        out[p] = k
+    return tuple(sorted(out.items()))
 
 
 class ExplicitPoset(Poset):

@@ -21,7 +21,9 @@ The format has one reader, :func:`parse_narrow`, and one printer,
 :func:`format_narrow`, both on narrow values; ``GaussianRational.parse``
 and ``str`` go through them, and function documents are read and
 written with them directly, so an integer or rational document builds
-no ``GaussianRational``.
+no ``GaussianRational``. The document reader parses each distinct value
+text once, and the entries with that text share the parsed value, which
+is immutable.
 """
 
 from __future__ import annotations

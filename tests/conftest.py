@@ -11,7 +11,9 @@ conjecture inverse-pair check, whose zeta powers run as integer passes,
 against the recursion and the defining pairwise loop; for the
 multisets window and grid against their direct constructions; and for
 the pair search's sparse rows against the dense build, and the
-primitivity of eliminated rows over the Gaussian integers.
+primitivity of eliminated rows over the Gaussian integers; and for
+element parsing against the seed package, and reading a function
+document against the constructor.
 """
 
 from hypothesis import settings

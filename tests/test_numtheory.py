@@ -26,6 +26,7 @@ from posetlab.numtheory import (
 def test_is_prime_small_values():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {n for n in range(31) if is_prime(n)} == known
+    assert not any(is_prime(n) for n in (0, 1, -7))
 
 
 def test_primes_stream_ascending():

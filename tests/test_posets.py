@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +38,12 @@ from posetlab import (
 )
 from posetlab.incidence import invert
 from posetlab.posets import DEFAULT_ELEMENT_CAP
+
+# The seed package is reached through the path alone, as in
+# test_seed_parity.py.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from seedref import posets as seed_posets  # noqa: E402
+from seedref.errors import InvalidElement as SeedInvalidElement  # noqa: E402
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")
@@ -711,6 +719,58 @@ class TestEncodings:
     def test_parse_rejects(self, poset, text):
         with pytest.raises(InvalidElement):
             poset.parse_element(text)
+
+
+# Integer texts that int() reads or refuses: whitespace, signs, leading
+# zeros, separators, Unicode digits, nonpositive values, empty parts,
+# composites and a prime above the trial-division limit.
+_PRIME_TEXTS = st.sampled_from(["2", "3", "5", "7", "11", "13", "997", "1009"])
+_INT_TEXTS = st.one_of(
+    st.integers(1, 40).map(str),
+    _PRIME_TEXTS,
+    st.sampled_from(
+        ["", " ", "0", "00", "-7", "+5", "007", " 3 ", "1_0", "1__0", "_1", "\u0663", "1.5",
+         "2 3", "x", "4", "1000003", "1000001", "999983", "- 2"]
+    ),
+)
+
+
+def _seed_element_texts(family: str):
+    """Hypothesis strategy for well-formed and malformed encodings of
+    ``family``'s elements, and for stray text."""
+    stray = st.text(alphabet="0123456789{},*^ +-_x\u0663", max_size=10)
+    padding = st.sampled_from(["", " ", "  ", "\t"])
+    if family == "subsets":
+        members = st.lists(_INT_TEXTS, max_size=4).map(",".join)
+        shaped = st.tuples(padding, members, padding).map(lambda t: f"{t[0]}{{{t[1]}}}{t[2]}")
+        fixed = st.sampled_from(["{1,,2}", "{2,1,2}", "1,2", "{1", "{ }", "{}"])
+    elif family == "multisets":
+        base = st.one_of(_PRIME_TEXTS, _INT_TEXTS)
+        factor = st.one_of(base, st.tuples(base, _INT_TEXTS).map("^".join))
+        shaped = st.lists(factor, min_size=1, max_size=3).map("*".join)
+        fixed = st.sampled_from(["1", "2*", "2^", "2*2", "2^0", "4", "3*2^2", " 2 * 3 ", "1000003^2"])
+    else:
+        shaped, fixed = _INT_TEXTS, st.sampled_from(["1", "1000003"])
+    return st.one_of(shaped, fixed, stray)
+
+
+class TestParseAgainstSeed:
+    # No example count here: CI runs this test with the ``ci`` profile.
+    @settings(deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["divisibility", "chain", "subsets", "multisets"]))
+    def test_parse_element_matches_the_seed(self, data, family):
+        """Each built-in family reads an encoding as the seed does: the
+        same element, or an ``InvalidElement`` with the same text."""
+        text = data.draw(_seed_element_texts(family))
+        outcomes = []
+        for p in (get_poset(family), seed_posets.get_poset(family)):
+            try:
+                element = p.parse_element(text)
+            except (InvalidElement, SeedInvalidElement) as error:
+                outcomes.append(str(error))
+            else:
+                outcomes.append((type(element), element))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMultisetCanonRejects:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetlab.cli as cli
+import posetlab.functions as functions_module
 import posetlab.posets as posets
 from helpers import exact_scalars, random_explicit_poset, random_support_function
 from posetlab import (
@@ -410,10 +412,12 @@ SCALAR_TEXTS = st.one_of(
 @st.composite
 def function_documents(draw):
     """A poset and the values of a function document on it, whose keys
-    may encode one element more than once."""
+    may encode one element more than once and whose values are drawn
+    from a small pool of texts, so that texts repeat."""
     p = draw(st.sampled_from([DIV, CHAIN, SUBSETS, MULTISETS]))
     keys = draw(st.lists(element_texts(p), unique=True, max_size=6))
-    return p, {key: draw(SCALAR_TEXTS) for key in keys}
+    pool = st.sampled_from(draw(st.lists(SCALAR_TEXTS, min_size=1, max_size=3)))
+    return p, {key: draw(pool) for key in keys}
 
 
 def typed_entries(f) -> list:
@@ -672,6 +676,59 @@ class TestFunctionDocuments:
             except InvalidInput as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
+
+    def test_json_values_are_read_by_their_text(self):
+        """Values are read, and shared, by their text: ``true`` and
+        ``1.0`` equal ``1`` as JSON values, but are refused."""
+        for value, text in ((True, "True"), (1.0, "1.0")):
+            doc = {"poset": "divisibility", "values": {"2": 1, "1": value}}
+            with pytest.raises(InvalidInput, match=rf"^invalid scalar: '{re.escape(text)}'$"):
+                function_from_document(doc, DIV)
+        f = function_from_document({"poset": "divisibility", "values": {"2": "1", "1": 1}}, DIV)
+        assert typed_entries(f) == [(1, int, 1), (2, int, 1)]
+
+    def test_each_distinct_value_text_is_parsed_once(self, monkeypatch):
+        pool = ["1", "-2/3", "0+1i", " 1", 1, "0", "1/2-3/4i"]
+        values = {str(n): pool[n % len(pool)] for n in range(1, 41)}
+        doc = {"poset": "divisibility", "values": values}
+        parsed = []
+        real = functions_module.parse_narrow
+        monkeypatch.setattr(functions_module, "parse_narrow", lambda text: parsed.append(text) or real(text))
+        f = function_from_document(doc, DIV)
+        # The JSON value 1 reads as the text "1"; " 1" is a text of its own.
+        assert parsed == ["-2/3", "0+1i", " 1", "1", "0", "1/2-3/4i"]
+        monkeypatch.undo()
+        expected = FiniteSupportFunction(DIV, {int(key): parse_narrow(str(v)) for key, v in values.items()})
+        assert typed_entries(f) == typed_entries(expected)
+
+    def test_entries_out_of_canonical_order_are_sorted(self):
+        cases = [
+            (DIV, {"6": "1", "1": "2", "3": "0", "4": "3"}, [1, 4, 6]),
+            (SUBSETS, {"{1,2}": "1", "{3}": "1", "{}": "1", "{2}": "1"}, [(), (2,), (3,), (1, 2)]),
+            (MULTISETS, {"3": "1", "2^2": "1", "1": "1", "5*2": "1"}, [(), ((3, 1),), ((2, 2),), ((2, 1), (5, 1))]),
+        ]
+        for p, values, support in cases:
+            f = function_from_document({"poset": p.family, "values": values}, p)
+            assert f.support() == support
+            assert_stored_as_constructed(f)
+            # Written back, the document is in canonical order and reads as it is.
+            assert function_from_document(function_to_document(f), p) == f
+
+    def test_multiset_image_past_the_cap_is_refused_in_canonical_position(self, monkeypatch):
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 10)
+        in_order = {"poset": "multisets", "values": {"1": "1", "2": "1", "2^9": "1"}}
+        assert function_from_document(in_order, MULTISETS).support() == [(), ((2, 1),), ((2, 9),)]
+        for last in ("2^10", "3^7"):
+            doc = {"poset": "multisets", "values": {"1": "1", "2": "1", last: "1"}}
+            with pytest.raises(BoundTooLarge, match="^multiset integer image of more than 10 bits$"):
+                function_from_document(doc, MULTISETS)
+        # Repeated elements are refused before any image is built.
+        doc = {"poset": "multisets", "values": {"2^10": "1", "2": "1", "2 ": "1"}}
+        with pytest.raises(InvalidInput, match="^duplicate entry for 2$"):
+            function_from_document(doc, MULTISETS)
+        # A zero entry is dropped before its image is built.
+        doc = {"poset": "multisets", "values": {"1": "1", "2": "1", "2^10": "0"}}
+        assert function_from_document(doc, MULTISETS).support() == [(), ((2, 1),)]
 
     def test_malformed_documents(self):
         with pytest.raises(InvalidInput):
