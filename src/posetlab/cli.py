@@ -182,9 +182,11 @@ def _load_json_file(path: str) -> dict:
             text = handle.read()
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    # A document nested deeper than the interpreter's recursion limit
+    # raises RecursionError from the decoder.
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 

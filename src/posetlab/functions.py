@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput, PosetMismatch
 from .incidence import IntervalFunction, mobius_function, zeta_function
-from .posets import Poset, Window, _run_passes, enumerate_window
+from .posets import Poset, Window, _check_cap, _run_passes, enumerate_window
 from .scalars import ZERO, GaussianRational, _Immutable, _set, as_scalar, format_narrow, narrow, parse_narrow
 
 
@@ -216,13 +216,13 @@ def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     values, narrow, in the order of ``elements``.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
-    the product of their inverses, so each coordinate gets one pass
-    (``posets._run_passes``): a[t] += a[s] over ascending targets t for
-    zeta, and a[t] -= a[s] over descending ones for Mobius, which reads
-    a[s] before this pass changes it. The coefficients are 1 and -1, so
-    the passes run on the values scaled by the lcm of their denominators,
-    as integers: one list for real parts, and one for imaginary parts
-    only when one is nonzero."""
+    the product of their inverses, so each coordinate gets its passes
+    (``posets._run_passes``): a[t] += a[s] over the passes in order for
+    zeta, and a[t] -= a[s] over them in reverse for Mobius, which undoes
+    each step with a[s] as that step read it. The coefficients are 1 and
+    -1, so the passes run on the values scaled by the lcm of their
+    denominators, as integers: one list for real parts, and one for
+    imaginary parts only when one is nonzero."""
     position = dict(zip(elements, range(len(elements))))
     # Support outside the window reaches no window element.
     placed = [(position[x], v) for x, v in entries.items() if x in position]
@@ -270,12 +270,14 @@ def function_from_document(doc: dict, poset: Poset) -> FiniteSupportFunction:
     entries with the same text share its immutable value. Elements and
     values are read in entry order, so the first malformed one raises,
     before any repeated element; entries already in canonical order are
-    kept in it without a sort (see :func:`_ordered`)."""
+    kept in it without a sort (see :func:`_ordered`). A document of more
+    than ``DEFAULT_ELEMENT_CAP`` entries is refused before any is read."""
     if not isinstance(doc, dict) or "values" not in doc:
         raise InvalidInput("function document must be an object with a 'values' key")
     values = doc["values"]
     if not isinstance(values, dict):
         raise InvalidInput("'values' must map element encodings to scalars")
+    _check_cap(len(values), f"function document of {len(values)} entries exceeds cap {{cap}}")
     parse_element = poset.parse_element
     # Keyed by text, not by the JSON value: 1, true and 1.0 are equal
     # keys, but 'True' and '1.0' are invalid scalars.

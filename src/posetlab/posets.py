@@ -21,13 +21,17 @@ The built-in families are downward-closed parts of a product of chains:
 one chain per prime (divisibility, multisets), one 2-chain per ground
 element (subsets), or a single chain. Their shared base derives the
 closed-form Mobius function (Rota's product theorem) and witness
-candidates from each family's ``(coordinate, height)`` pairs; each
-family states its own passes of whole-window transforms over the
-positions of a window, or of the principal filter of an element within
-one. Divisibility, subsets and multisets list an interval as a grid, in
+candidates from each family's ``(coordinate, height)`` pairs.
+Divisibility, subsets and multisets list an interval as a grid, in
 mixed-radix order (``Poset._grid``); the canonical interval is that
-grid sorted, and the Mobius solver runs one pass per grid coordinate
-over it (``_grid_passes``, ``_run_passes``).
+grid sorted, and the Mobius solver runs the grid's passes over it, one
+per digit level of each coordinate (``_grid_passes``, ``_run_passes``).
+Whole-window transforms run passes over the positions of a window, or
+of the principal filter of an element within one. A window or filter
+shaped like a grid (subsets, divisor windows) is the interval from its
+first to its last element and takes that interval's grid passes; one
+shaped like a range (divisibility and multisets ``1..N``, the chain)
+takes one ``range`` pass per coordinate.
 """
 
 from __future__ import annotations
@@ -155,13 +159,17 @@ class Poset:
     # -- product-of-chains structure -----------------------------------
 
     def coordinate_passes(self, elements):
-        """One ``(targets, sources)`` pair of position sequences per
-        coordinate of ``elements``, a window listed as by
-        ``enumerate_window`` or the principal filter of its first element
-        within one, in canonical order: ``elements[s]`` is
-        ``elements[t]`` one lower in that coordinate, for each t of the
-        ascending ``targets`` and the s beside it. None on other posets
-        and other lists."""
+        """The passes ``_run_passes`` runs for zeta and Mobius on
+        ``elements``, a window listed as by ``enumerate_window`` or the
+        principal filter of its first element within one, in canonical
+        order. A pass is a ``(targets, sources)`` pair of position
+        sequences, all in one coordinate: ``elements[s]`` is
+        ``elements[t]`` one lower in that coordinate, for each t and the
+        s beside it. A list shaped like a range has one pass per
+        coordinate, targets ascending; one shaped like a grid has the
+        grid's passes (``_grid_passes``), each from a single digit level
+        to the level below, a coordinate's passes ascending by level.
+        None on other posets and other lists."""
         return None
 
     def __getstate__(self):
@@ -211,10 +219,6 @@ def _check_cap(size: int, refusal: str) -> None:
 
 
 _INTERVAL_REFUSAL = "interval of more than {cap} elements"
-
-
-def _divisor_count(factors: dict) -> int:
-    return math.prod(k + 1 for k in factors.values())
 
 
 class _ChainProduct(Poset):
@@ -268,6 +272,27 @@ class _ChainProduct(Poset):
             if k > low:
                 radices.append(k - low + 1)
         return list(map(self._from_pairs, pairs)), radices
+
+    def coordinate_passes(self, elements):
+        """The passes of ``_grid`` over [x, y], x and y the first and last
+        of ``elements``, each grid position mapped to its position in
+        ``elements``; None unless ``elements`` is exactly that interval,
+        as a grid-shaped window, or a principal filter within one, is."""
+        if not elements or not self._leq(elements[0], elements[-1]):
+            return None
+        try:
+            grid, radices = self._grid(elements[0], elements[-1])
+        except BoundTooLarge:  # past the cap, so longer than any window
+            return None
+        if len(grid) != len(elements):
+            return None
+        position = dict(zip(elements, range(len(elements))))
+        try:
+            order = [position[z] for z in grid]
+        except KeyError:
+            return None
+        passes = _grid_passes(radices)
+        return [([order[t] for t in targets], [order[s] for s in sources]) for targets, sources in passes]
 
     def _closed_form_mobius(self, x, y) -> GaussianRational:
         """Rota's product theorem: the product over coordinates of the
@@ -353,7 +378,7 @@ class DivisibilityPoset(_PositiveIntegers):
         """The divisors of ``n``: a downward-closed set in this order,
         refused before any is built when there are more than the cap."""
         factors = numtheory.prime_factors(_canon_positive_int(n, self.family))
-        size = _divisor_count(factors)
+        size = math.prod(k + 1 for k in factors.values())
         _check_cap(size, f"window of {size} elements exceeds cap")
         return numtheory.divisors_from_factors(factors)
 
@@ -364,21 +389,15 @@ class DivisibilityPoset(_PositiveIntegers):
 
     def coordinate_passes(self, elements):
         """The multiples x*m of the first element x in a range window
-        (x = 1 for the window itself) by position arithmetic on m; those
-        in a divisor window of n, told apart by their number, by one
-        pass per prime of n / x."""
+        (x = 1 for the window itself) by position arithmetic on m; a
+        divisor window of n, or the filter [x, n] within one, as a grid."""
         size = len(elements)
         if not size:
             return []
-        x, top = elements[0], elements[-1]
-        if x != 1 and any(y % x for y in elements):
-            return None
-        if top == x * size:
+        x = elements[0]
+        if elements[-1] == x * size and (x == 1 or not any(y % x for y in elements)):
             return _range_passes(size)
-        factors = numtheory.prime_factors(top // x)
-        if size != _divisor_count(factors):
-            return None
-        return _divisor_passes([y // x for y in elements] if x != 1 else elements, factors)
+        return super().coordinate_passes(elements)
 
 
 class ChainPoset(_PositiveIntegers):
@@ -505,21 +524,11 @@ class SubsetPoset(_ChainProduct):
         return out
 
     def coordinate_passes(self, elements):
-        """The subsets of {1..n} that contain the first element x (x = {}
-        for the window itself) as divisors: member g of a subset is the
-        g-th prime of its image, and each ground element outside x gets
-        one pass."""
-        if not elements:
+        """The window of subsets of {1..n}, or the filter [x, {1..n}]
+        within it, as a grid."""
+        if not elements or elements[-1] != tuple(range(1, len(elements[-1]) + 1)):
             return None
-        x, top = elements[0], elements[-1]
-        n = len(top)
-        if top != tuple(range(1, n + 1)) or len(elements) != 1 << (n - len(x)):
-            return None
-        if any(z and z[-1] > n for z in elements):
-            return None
-        primes = list(itertools.islice(numtheory.primes(), n))
-        images = [math.prod(primes[g - 1] for g in z) for z in elements]
-        return _divisor_passes(images, [primes[g - 1] for g in top if g not in x])
+        return super().coordinate_passes(elements)
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -802,23 +811,6 @@ def _range_passes(size: int) -> list:
     """Divisibility's passes on 1..size: for each prime q, y // q sits
     at position y // q - 1 for the multiple y of q at position y - 1."""
     return [(range(q - 1, size, q), range(size // q)) for q in numtheory._sieve(size + 1)]
-
-
-def _divisor_passes(images: list, primes) -> list | None:
-    """Divisibility's passes on the distinct integer ``images`` of a
-    list: for each of the ``primes``, the multiples y of q and the
-    positions of y // q. None when some y // q is not an image, so that
-    the images are not closed under dividing by the primes; the
-    divisors of m are the only such set of their number that holds m."""
-    position = {y: i for i, y in enumerate(images)}
-    passes = []
-    for q in primes:
-        targets = [i for i, y in enumerate(images) if y % q == 0]
-        try:
-            passes.append((targets, [position[images[t] // q] for t in targets]))
-        except KeyError:
-            return None
-    return passes
 
 
 def _check_bound(bound) -> int:

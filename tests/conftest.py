@@ -12,8 +12,9 @@ against the recursion and the defining pairwise loop; for the
 multisets window and grid against their direct constructions; and for
 the pair search's sparse rows against the dense build, and the
 primitivity of eliminated rows over the Gaussian integers; and for
-element parsing against the seed package, and reading a function
-document against the constructor.
+element parsing against the seed package, reading a function document
+against the constructor, and wrong-shaped or deeply nested documents
+through the CLI, which must end in an error line.
 """
 
 from hypothesis import settings

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import posetlab
 import posetlab.cli as cli
 import posetlab.numtheory as numtheory
+import posetlab.posets as posets
 from helpers import skew_witness_stream
 from posetlab.cli import run
 
@@ -462,6 +463,42 @@ class TestExplicitPosetFiles:
         assert "two-element lists" in err
 
 
+class TestDocumentLimits:
+    """A document nested past the interpreter's recursion limit, or a
+    function document of more entries than the element cap, is refused
+    with one error line and exit status 1."""
+
+    DEEP = "[" * 3000 + "]" * 3000
+
+    @pytest.mark.parametrize("route", ["poset-file", "fn", "poset named by fn"])
+    def test_deep_nesting_is_usage_error(self, capsys, tmp_path, route):
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP)
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"poset": str(deep), "values": {"a": "1"}}))
+        argv = {
+            "poset-file": ("mobius", "--poset-file", str(deep), "--x", "a", "--y", "a"),
+            "fn": ("transform", "--fn", str(deep), "--bound", "3"),
+            "poset named by fn": ("transform", "--fn", str(fn)),
+        }[route]
+        status, out, err = invoke(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {deep} is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["transform", "invert-transform", "verify"])
+    def test_function_document_entry_cap(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 4)
+        fn = tmp_path / "fn.json"
+        flags = ("--bound", "4") if command != "verify" else ("--count", "1")
+        # A point mass at 1, with zero entries; zeros count towards the cap.
+        values = {"1": "1", "2": "0", "3": "0", "4": "0"}
+        fn.write_text(json.dumps({"poset": "chain", "values": values}))
+        assert invoke(capsys, command, "--fn", str(fn), *flags)[0] == 0
+        fn.write_text(json.dumps({"poset": "chain", "values": {**values, "5": "0"}}))
+        status, out, err = invoke(capsys, command, "--fn", str(fn), *flags)
+        assert (status, out, err) == (1, "", "error: function document of 5 entries exceeds cap 4\n")
+
+
 # -- fuzzing the transform commands ------------------------------------------
 
 # Stands for the path of a valid explicit-poset file written next to the
@@ -581,6 +618,83 @@ class TestTransformFuzz:
         assert status in (0, 1, 2)
         if status:
             assert err.getvalue().startswith("error:") and not out.getvalue()
+
+
+# -- fuzzing malformed documents ---------------------------------------------
+
+# Stands for a nested array or object; the test substitutes it into the
+# document text. Depths around the default recursion limit of 1,000
+# are refused by the decoder or read, depending on the stack in use.
+_DEEP = "@deep@"
+_DEPTH = st.sampled_from([1, 2, 50, 500, 900, 990, 1000, 3000, 20000])
+_ID = st.sampled_from(["a", "b", "c", "", _DEEP])
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), _ID),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["elements", "covers", "poset", "values", "a", "1"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_POSET_DOCUMENT = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {
+            "elements": st.one_of(_JSON, st.lists(_ID | _JSON, max_size=4)),
+            "covers": st.one_of(_JSON, st.lists(st.lists(_ID | _JSON, max_size=3) | _JSON, max_size=4)),
+        }
+    ),
+)
+_FN_DOCUMENT = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {
+            "poset": st.one_of(st.sampled_from([_EXPLICIT_FILE, "chain", "subsets"]), _JSON),
+            "values": st.one_of(_JSON, st.dictionaries(_ID | _ENCODING, _JSON | _VALID_SCALAR, max_size=3)),
+        }
+    ),
+)
+
+
+class TestMalformedDocumentFuzz:
+    @settings(deadline=None)
+    @given(
+        poset_document=_POSET_DOCUMENT,
+        fn_document=_FN_DOCUMENT,
+        depth=_DEPTH,
+        bracket=st.sampled_from(["[]", "{}"]),
+        route=st.sampled_from(["poset-file", "fn", "both"]),
+        command=st.sampled_from(["transform", "invert-transform", "verify"]),
+    )
+    def test_malformed_documents_end_in_an_error_line(
+        self, poset_document, fn_document, depth, bracket, route, command
+    ):
+        """Wrong-shaped and deeply nested ``--poset-file`` and ``--fn``
+        documents, alone or together, and the poset file a function
+        document names: exit status 0, 1 or 2, and an error line, never a
+        traceback, on a nonzero status."""
+        opening, closing = bracket
+        deep = (opening + '"a":' if opening == "{" else opening) * depth
+        deep += ("1" if opening == "{" else "") + closing * depth
+        with tempfile.TemporaryDirectory() as tmp:
+            poset_path = os.path.join(tmp, "poset.json")
+            fn_path = os.path.join(tmp, "fn.json")
+            for path, document in ((poset_path, poset_document), (fn_path, fn_document)):
+                text = json.dumps(document).replace(json.dumps(_DEEP), deep)
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text.replace(json.dumps(_EXPLICIT_FILE), json.dumps(poset_path)))
+            if route == "poset-file":
+                argv = ["mobius", "--poset-file", poset_path, "--x", "a", "--y", "b"]
+            else:
+                argv = [command, "--fn", fn_path] + (["--poset-file", poset_path] if route == "both" else [])
+                argv += ["--count", "1", "--budget", "20"] if command == "verify" else ["--bound", "3"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = run(argv)
+        assert status in (0, 1, 2)
+        if status:
+            assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+            assert not out.getvalue()
 
 
 # -- fuzzing the search commands ---------------------------------------------

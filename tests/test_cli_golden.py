@@ -4,9 +4,13 @@ commit 4f9069b. Documents live in a temporary working directory and are
 named relatively, so labels and messages carry no machine path."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import posetlab
 from posetlab.cli import run
 
 FILES = {
@@ -1137,3 +1141,25 @@ def test_table_covers_every_subcommand_in_both_forms():
 
     seen = {(argv[0], "--json" in argv) for argv, *_ in CASES}
     assert seen == {(command, form) for command in _HANDLERS for form in (False, True)}
+
+
+EXPLICIT_CASES = [case for case in CASES if "--poset-file" in case[0]]
+
+
+@pytest.mark.parametrize(("argv", "status", "stdout", "stderr"), EXPLICIT_CASES, ids=[" ".join(c[0]) for c in EXPLICIT_CASES])
+def test_explicit_posets_print_the_same_bytes_under_any_hash_seed(argv, status, stdout, stderr, tmp_path):
+    """Explicit posets key their elements by strings, whose hashes vary
+    with ``PYTHONHASHSEED``; each call prints the pinned bytes, and exits
+    with the pinned status, in fresh processes under two seeds."""
+    for name, doc in FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlab.__file__)))
+    env.pop("PYTHONOPTIMIZE", None)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", "from posetlab.cli import main; main()", *argv],
+            capture_output=True, cwd=tmp_path, env=dict(env, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1")
+    ]
+    assert [(done.returncode, done.stdout, done.stderr) for done in runs] == [(status, stdout.encode(), stderr.encode())] * 2

@@ -491,6 +491,9 @@ class TestCoordinatePasses:
             (SUBSETS, [(), (1,), (2,)]),
             (SUBSETS, [(), (2,)]),
             (MULTISETS, [(), ((2, 1),), ((3, 1),), ((5, 1),)]),
+            # Intervals from first to last past the cap: refused, not built.
+            (DIV, [1, math.prod(p for p in range(2, 84) if numtheory.is_prime(p))]),
+            (SUBSETS, [(), tuple(range(1, 41))]),
         ],
     )
     def test_lists_that_are_no_window_have_none(self, poset, elements):
@@ -502,22 +505,31 @@ class TestCoordinatePasses:
 
 
 def assert_passes_are_the_lower_covers(p, elements):
-    """``p.coordinate_passes(elements)`` has one pass per coordinate, and
-    its steps are exactly the pairs (y, z) of ``elements`` with z a
-    lower cover of y."""
+    """The steps of ``p.coordinate_passes(elements)`` are exactly the
+    pairs (y, z) of ``elements`` with z a lower cover of y, in the order
+    ``_run_passes`` relies on. Every step of a pass lowers the same
+    coordinate. A grid pass lowers it from a single level to the level
+    below, and a coordinate's grid passes never descend by level (one
+    level may take several passes, over disjoint chains); a range pass
+    lowers it from every level, is the coordinate's only pass, and its
+    targets ascend."""
     members = set(elements)
     pairs = []
-    coordinates = []
+    levels = {}  # coordinate -> level of its last grid pass, None after a range pass
     for targets, sources in p.coordinate_passes(elements):
         targets, sources = list(targets), list(sources)
         assert targets and len(targets) == len(sources)
-        assert targets == sorted(set(targets))
         steps = [(elements[t], elements[s]) for t, s in zip(targets, sources)]
-        # Every step of a pass lowers the same coordinate.
         (c,) = {step_coordinate(p, y, z) for y, z in steps}
-        coordinates.append(c)
+        heights = {dict(p._pairs(y))[c] for y, _ in steps}
+        if len(heights) == 1:
+            (level,) = heights
+            assert levels.get(c, 1) is not None and levels.get(c, 1) <= level
+            levels[c] = level
+        else:
+            assert c not in levels and targets == sorted(set(targets))
+            levels[c] = None
         pairs += steps
-    assert len(set(coordinates)) == len(coordinates)
     expected = [(y, z) for y in elements for z in lower_covers(p, y) if z in members]
     assert sorted(pairs, key=repr) == sorted(expected, key=repr)
 

@@ -714,6 +714,15 @@ class TestFunctionDocuments:
             # Written back, the document is in canonical order and reads as it is.
             assert function_from_document(function_to_document(f), p) == f
 
+    def test_entry_count_past_the_cap_is_refused_before_any_entry_is_read(self, monkeypatch):
+        monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 6)
+        values = {str(n): "1" for n in range(1, 7)}
+        assert function_from_document({"poset": "chain", "values": values}, CHAIN).support() == list(range(1, 7))
+        # The first entry is malformed, and the count is refused before it is read.
+        values = {"zz": "1", **values}
+        with pytest.raises(BoundTooLarge, match="^function document of 7 entries exceeds cap 6$"):
+            function_from_document({"poset": "chain", "values": values}, CHAIN)
+
     def test_multiset_image_past_the_cap_is_refused_in_canonical_position(self, monkeypatch):
         monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 10)
         in_order = {"poset": "multisets", "values": {"1": "1", "2": "1", "2^9": "1"}}
