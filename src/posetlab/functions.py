@@ -23,9 +23,8 @@ over window positions on integer numerators over a common denominator
 of f's stored values, and their result is stored as it comes, already
 canonical and narrow. Every other transform, and every explicit poset,
 is evaluated point by point, in narrow arithmetic on f's stored values.
-The same kernel checks a conjecture's inverse pair over principal
-filters (:mod:`posetlab.lab`), and its pass loop solves Mobius rows and
-columns on grids (:mod:`posetlab.incidence`).
+The kernel's pass loop also solves Mobius rows and columns on grids
+(:mod:`posetlab.incidence`).
 """
 
 from __future__ import annotations
@@ -210,10 +209,9 @@ def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupport
 
 def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
-    ``entries`` (element -> value) on ``elements``, a window or the
-    principal filter of its first element within one, whose ``passes``
-    are its :meth:`~posetlab.posets.Poset.coordinate_passes`: the nonzero
-    values, narrow, in the order of ``elements``.
+    ``entries`` (element -> value) on the window ``elements``, whose
+    ``passes`` are its :meth:`~posetlab.posets.Poset.coordinate_passes`:
+    the nonzero values, narrow, in the order of ``elements``.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
     the product of their inverses, so each coordinate gets its passes

@@ -81,10 +81,11 @@ class IntervalFunction:
         return as_scalar(self._evaluate_canonical(*self.poset._comparable(x, y)))
 
     def _zeta_power(self) -> int | None:
-        """1 for zeta, 0 for delta, minus the operand's power for an
-        inverse of one of these, None for anything else: the number of
-        whole-window kernel runs, and their sign, that transform by this
-        function (delta's transform runs none)."""
+        """k where this function is zeta^k: 1 for zeta, 0 for delta,
+        minus the operand's power for an inverse of one of these, None
+        for anything else. Its sign is that of the whole-window kernel
+        run that transforms by this function (delta's transform runs
+        none), and two powers decide an inverse-pair check."""
         if self.kind == "inverse":
             power = self.operands[0]._zeta_power()
             return None if power is None else -power

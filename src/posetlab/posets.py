@@ -26,12 +26,11 @@ Divisibility, subsets and multisets list an interval as a grid, in
 mixed-radix order (``Poset._grid``); the canonical interval is that
 grid sorted, and the Mobius solver runs the grid's passes over it, one
 per digit level of each coordinate (``_grid_passes``, ``_run_passes``).
-Whole-window transforms run passes over the positions of a window, or
-of the principal filter of an element within one. A window or filter
-shaped like a grid (subsets, divisor windows) is the interval from its
-first to its last element and takes that interval's grid passes; one
-shaped like a range (divisibility and multisets ``1..N``, the chain)
-takes one ``range`` pass per coordinate.
+Whole-window transforms run passes over the positions of a window. A
+window shaped like a grid (subsets, divisor windows) is the interval
+from its first to its last element and takes that interval's grid
+passes; one shaped like a range (divisibility and multisets ``1..N``,
+the chain) takes one ``range`` pass per coordinate.
 """
 
 from __future__ import annotations
@@ -160,16 +159,15 @@ class Poset:
 
     def coordinate_passes(self, elements):
         """The passes ``_run_passes`` runs for zeta and Mobius on
-        ``elements``, a window listed as by ``enumerate_window`` or the
-        principal filter of its first element within one, in canonical
-        order. A pass is a ``(targets, sources)`` pair of position
-        sequences, all in one coordinate: ``elements[s]`` is
+        ``elements``, a window listed as by ``enumerate_window``, in
+        canonical order. A pass is a ``(targets, sources)`` pair of
+        position sequences, all in one coordinate: ``elements[s]`` is
         ``elements[t]`` one lower in that coordinate, for each t and the
-        s beside it. A list shaped like a range has one pass per
+        s beside it. A window shaped like a range has one pass per
         coordinate, targets ascending; one shaped like a grid has the
         grid's passes (``_grid_passes``), each from a single digit level
         to the level below, a coordinate's passes ascending by level.
-        None on other posets and other lists."""
+        None on other posets and for lists that are no such window."""
         return None
 
     def __getstate__(self):
@@ -277,7 +275,7 @@ class _ChainProduct(Poset):
         """The passes of ``_grid`` over [x, y], x and y the first and last
         of ``elements``, each grid position mapped to its position in
         ``elements``; None unless ``elements`` is exactly that interval,
-        as a grid-shaped window, or a principal filter within one, is."""
+        as a grid-shaped window is."""
         if not elements or not self._leq(elements[0], elements[-1]):
             return None
         try:
@@ -388,15 +386,10 @@ class DivisibilityPoset(_PositiveIntegers):
     )
 
     def coordinate_passes(self, elements):
-        """The multiples x*m of the first element x in a range window
-        (x = 1 for the window itself) by position arithmetic on m; a
-        divisor window of n, or the filter [x, n] within one, as a grid."""
-        size = len(elements)
-        if not size:
-            return []
-        x = elements[0]
-        if elements[-1] == x * size and (x == 1 or not any(y % x for y in elements)):
-            return _range_passes(size)
+        """A range window 1..N, whose last element is its size, by
+        position arithmetic; a divisor window of n as a grid."""
+        if not elements or elements[-1] == len(elements):
+            return _range_passes(len(elements))
         return super().coordinate_passes(elements)
 
 
@@ -423,10 +416,10 @@ class ChainPoset(_PositiveIntegers):
         return None
 
     def coordinate_passes(self, elements):
-        """A window 1..N, or the filter x..N of x within one, is one
-        chain: n - 1 below n."""
+        """A window 1..N, whose last element is its size, is one chain:
+        n - 1 below n."""
         size = len(elements)
-        if size and elements[-1] - elements[0] + 1 != size:
+        if size and elements[-1] != size:
             return None
         return [(range(1, size), range(size - 1))] if size > 1 else []
 
@@ -524,8 +517,7 @@ class SubsetPoset(_ChainProduct):
         return out
 
     def coordinate_passes(self, elements):
-        """The window of subsets of {1..n}, or the filter [x, {1..n}]
-        within it, as a grid."""
+        """The window of subsets of {1..n} as a grid."""
         if not elements or elements[-1] != tuple(range(1, len(elements[-1]) + 1)):
             return None
         return super().coordinate_passes(elements)
@@ -628,17 +620,12 @@ class MultisetPoset(_ChainProduct):
         return elements[1:]
 
     def coordinate_passes(self, elements):
-        """A window of images 1..N holds image y at position y - 1, and
-        the filter of its first element x, of image X, holds X*m at
-        position m - 1; so their passes are those of divisibility on
-        1..N / X."""
-        size = len(elements)
-        if not size:
-            return []
-        x = elements[0]
-        if x and not all(self._leq(x, y) for y in elements):
+        """A window of images 1..N, whose last image is its size, holds
+        image y at position y - 1, so its passes are those of
+        divisibility on 1..N."""
+        if elements and self.sort_key(elements[-1]) != len(elements):
             return None
-        return _range_passes(size) if self.sort_key(elements[-1]) == self.sort_key(x) * size else None
+        return _range_passes(len(elements))
 
     mobius_census = (
         INFINITE_CERTIFIED,

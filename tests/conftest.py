@@ -6,9 +6,9 @@ argparse, whose handling of ``--`` and of dash-prefixed values differs
 between Python versions; for the whole-window kernel against the point
 rule, the correctness gate for the kernel's integer arithmetic; for
 convolutions, which read an inverse right factor by column, against the
-defining sum; and for the rows and columns of inverses, and the
-conjecture inverse-pair check, whose zeta powers run as integer passes,
-against the recursion and the defining pairwise loop; for the
+defining sum; and for the rows and columns of inverses against the
+recursion, and the conjecture inverse-pair check, which decides zeta
+powers from the powers, against the defining pairwise loop; for the
 multisets window and grid against their direct constructions; and for
 the pair search's sparse rows against the dense build, and the
 primitivity of eliminated rows over the Gaussian integers; and for

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetlab
+import posetlab.functions as functions
 import posetlab.lab as lab
 import posetlab.linalg as linalg
 import posetlab.posets as posets
@@ -727,10 +728,11 @@ class TestConjectureExperiment:
             )
 
     def test_inverse_check_evaluates_no_delta_function(self, monkeypatch):
-        # Zeta powers are checked by whole-window passes over each
-        # principal filter, which evaluate no interval function at all;
-        # a custom pair is checked by convolutions, which read no delta.
+        # Zeta powers are decided from the powers alone, with no value,
+        # order test or pass; a custom pair is checked by convolutions,
+        # which read no delta.
         kinds = []
+        calls = []
         compute = IntervalFunction._compute
 
         def spy(self, x, y):
@@ -738,13 +740,28 @@ class TestConjectureExperiment:
             return compute(self, x, y)
 
         monkeypatch.setattr(IntervalFunction, "_compute", spy)
-        for p, shell in [(CHAIN, Window(CHAIN, 8)), (DIV, Window(DIV, 12)), (DIV, Window(DIV, 60, divisor_closure=True))]:
-            lab._check_inverses(p, mobius_function(p), zeta_function(p), enumerate_window(shell))
-            lab._check_inverses(p, zeta_function(p), invert(zeta_function(p)), enumerate_window(shell))
-            with pytest.raises(NotInverses) as info:
-                lab._check_inverses(p, zeta_function(p), zeta_function(p), enumerate_window(shell))
-            assert str(info.value) == "(a*b)(1, 2) != delta"
-            assert kinds == []
+        monkeypatch.setattr(functions, "_coordinatewise", lambda *args: calls.append("_coordinatewise"))
+        shells = [
+            Window(CHAIN, 8),
+            Window(DIV, 12),
+            Window(DIV, 60, divisor_closure=True),
+            Window(MULTISETS, 12),
+            Window(SUBSETS, 3),
+            Window(random_explicit_poset(random.Random(7), 12)),
+        ]
+        for shell in shells:
+            p = shell.poset
+            elements = enumerate_window(shell)
+            with pytest.MonkeyPatch.context() as patch:
+                for name in ("_leq", "coordinate_passes"):
+                    patch.setattr(type(p), name, lambda *args, name=name: calls.append(name))
+                lab._check_inverses(p, mobius_function(p), zeta_function(p), elements)
+                lab._check_inverses(p, zeta_function(p), invert(zeta_function(p)), elements)
+                with pytest.raises(NotInverses) as info:
+                    lab._check_inverses(p, zeta_function(p), zeta_function(p), elements)
+            first, second = map(p.format_element, elements[:2])
+            assert str(info.value) == f"(a*b)({first}, {second}) != delta"
+            assert kinds == [] and calls == []
         c = random_interval_function(random.Random(4), CHAIN, list(range(1, 9)))
         lab._check_inverses(CHAIN, c, invert(c), list(range(1, 9)))
         assert kinds and "delta" not in kinds
@@ -826,6 +843,10 @@ def conjecture_windows(family, rng):
 def divisors_of(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
+
+EXPLICIT_CHAIN = load_explicit_poset(
+    {"elements": [f"c{i:03d}" for i in range(200)], "covers": [[f"c{i:03d}", f"c{i + 1:03d}"] for i in range(199)]}
+)
 
 PAIR_KINDS = ["delta", "zeta", "mobius", "inverse of zeta", "custom", "inverse of custom", "inverse of a zero diagonal"]
 
@@ -963,10 +984,10 @@ class TestPairSearchRows:
 
 
 class TestInverseCheck:
-    """Zeta powers are checked by one run of the whole-window kernel per
-    factor other than delta over each principal filter of the shell, and
-    delta * delta needs no run; every other pair, and every shell without
-    passes, by the defining convolutions."""
+    """Two zeta powers are decided from their sum, on every poset: a*b is
+    zeta to that power, which is delta only for a sum of 0 and otherwise
+    differs from it first at the shell's bottom and its first atom. Every
+    other pair is checked by the defining convolutions."""
 
     # CI runs this test with the ``ci`` profile, whose example count wins
     # when it is the larger.
@@ -1002,12 +1023,14 @@ class TestInverseCheck:
             (DIV, 400, ("mobius", "delta"), "(1, 2)"),
             (SUBSETS, 7, ("zeta", "inverse of zeta"), None),
             (MULTISETS, 200, ("inverse of zeta", "zeta"), None),
+            (EXPLICIT_CHAIN, None, ("zeta", "zeta"), "(c000, c001)"),
+            (EXPLICIT_CHAIN, None, ("mobius", "zeta"), None),
         ],
         ids=repr,
     )
     def test_large_shells(self, p, bound, pair, first):
-        # The filters of a 400-element chain hold 80,200 pairs; the
-        # defining sums over them took about n**3 / 6 steps.
+        # A 400-element chain holds 80,200 comparable pairs; the defining
+        # sums over them take about n**3 / 6 steps, and the powers none.
         a, b = (pair_function(p, kind, None, None) for kind in pair)
         elements = enumerate_window(Window(p, bound))
         if first is None:
@@ -1023,9 +1046,8 @@ class TestInverseCheck:
     )
     @pytest.mark.parametrize("inverted", [(), (0,), (1,), (0, 1)], ids=repr)
     def test_delta_pairs_build_no_convolution(self, p, bound, inverted, monkeypatch):
-        # Delta and its inverse run no pass, on any poset: the row of
-        # their product at x is the point mass at x. With no convolve,
-        # a defining sum would raise.
+        # Delta and its inverse have power 0, on any poset: their product
+        # is delta. With no convolve, a defining sum would raise.
         monkeypatch.setattr(lab, "convolve", None)
         a, b = (invert(delta_function(p)) if i in inverted else delta_function(p) for i in range(2))
         lab._check_inverses(p, a, b, enumerate_window(Window(p, bound)))
