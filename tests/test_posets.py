@@ -439,10 +439,35 @@ def step_coordinate(p, y, z):
     return c
 
 
+def filter_cases():
+    """A window and the principal filter within it of its first,
+    second, middle and last element."""
+    cases = []
+    for window in PASS_WINDOWS:
+        elements = enumerate_window(window)
+        for x in sorted({elements[i] for i in (0, 1, len(elements) // 2, -1) if i < len(elements)}, key=repr):
+            cases.append((window, x))
+    return cases
+
+
 class TestCoordinatePasses:
     @pytest.mark.parametrize("window", PASS_WINDOWS, ids=lambda w: w.label())
     def test_passes_are_the_lower_covers(self, window):
         assert_passes_are_the_lower_covers(window.poset, enumerate_window(window))
+
+    @pytest.mark.parametrize("window, x", filter_cases(), ids=repr)
+    def test_principal_filters_have_passes_only_as_windows_or_grids(self, window, x):
+        # A principal filter is no shape of its own: it takes passes only
+        # where it is the whole window or, in divisibility and subsets,
+        # exactly the grid-shaped interval from x to its last element.
+        # The evens of 1..60 and the chain 16..30 take none.
+        p = window.poset
+        elements = enumerate_window(window)
+        above = [y for y in elements if p._leq(x, y)]
+        if above == elements or (p in (DIV, SUBSETS) and above == p.interval(x, above[-1])):
+            assert_passes_are_the_lower_covers(p, above)
+        else:
+            assert p.coordinate_passes(above) is None
 
     @pytest.mark.parametrize(
         "poset,elements",
