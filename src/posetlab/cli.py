@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -500,11 +501,26 @@ def main() -> None:
     covers the ways out that raise: ``-h``, which argparse ends with
     ``SystemExit``, and uncaught exceptions. The package registers no
     finalizer, weakref or ``atexit`` hook, so output and exit status are
-    unchanged."""
+    unchanged.
+
+    A closed stdout (``posetlab search ... | head -1``) ends in an
+    ``error:`` line and status 1, as in Python's SIGPIPE recipe. Small
+    outputs reach the OS only when flushed, so stdout is flushed here,
+    where the error can be caught. Then stdout is pointed at
+    ``os.devnull``, so that the flush at exit cannot raise again."""
     try:
-        sys.exit(run())
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print(f"error: stdout closed: {exc.strerror}", file=sys.stderr)
+        except OSError:
+            pass
+        status = 1
     finally:
         gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

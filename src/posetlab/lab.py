@@ -430,8 +430,11 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
     unknown is tested against y. So no row visits more than
     ``_WALK_FACTOR`` elements per cell of the matrix. The values are
     evaluated in ascending column order either way, the order of a dense
-    build, so a beta that raises raises the same error."""
+    build, so a beta that raises raises the same error. Zeta, the
+    default beta, is 1 on every interval and never raises: its rows are
+    built as ``{c: 1}`` with no evaluation."""
     column = {x: c for c, x in enumerate(unknowns)}
+    zeta = beta.kind == "zeta"
     evaluate = beta._evaluate_canonical
     bottom = p.bottom()
     walk_limit = _WALK_FACTOR * len(unknowns)
@@ -445,11 +448,14 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
             columns = sorted(column[x] for x in below if x in column)
         else:
             columns = [c for c, x in enumerate(unknowns) if p._leq(x, y)]
-        row = {}
-        for c in columns:
-            value = evaluate(unknowns[c], y)
-            if value:
-                row[c] = value
+        if zeta:
+            row = dict.fromkeys(columns, 1)
+        else:
+            row = {}
+            for c in columns:
+                value = evaluate(unknowns[c], y)
+                if value:
+                    row[c] = value
         rows.append(row)
     return rows
 

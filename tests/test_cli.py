@@ -1118,3 +1118,32 @@ class TestGarbageCollectorFreeze:
         before = gc.get_freeze_count()
         _run_in_process(argv, status)
         assert gc.get_freeze_count() == before
+
+
+# A JSON document larger than stdout's buffer, written while run() prints,
+# and a short line that reaches the OS only when main flushes.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--poset", "divisibility", "--bound", "64", "--shell-bound", "128", "--json"),
+        ("classical-mobius", "--n", "6"),
+    ],
+    ids=["while printing", "at the flush"],
+)
+def test_closed_stdout_ends_in_an_error_line(argv):
+    # The read end is closed before the spawn, so every write to stdout
+    # fails with a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlab.__file__)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from posetlab.cli import main; main()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"error:")
+    assert done.stderr.count(b"\n") == 1
+    assert b"Traceback" not in done.stderr

@@ -939,6 +939,23 @@ class TestPairSearchRows:
         )
         assert sparse == dense
 
+    @pytest.mark.parametrize("family", ["divisibility", "divisors", "chain", "subsets", "multisets", "explicit"])
+    def test_zeta_rows_evaluate_nothing(self, family, monkeypatch):
+        # Zeta rows are built as {c: 1}; the dense build, which evaluates
+        # every cell, stays their oracle.
+        p, unknowns, shell = pair_search_windows(family, random.Random(family))
+        calls = []
+        original = IntervalFunction._evaluate_canonical
+        monkeypatch.setattr(
+            IntervalFunction, "_evaluate_canonical", lambda self, x, y: calls.append((x, y)) or original(self, x, y)
+        )
+        rows = lab._pair_search_rows(p, unknowns, shell, zeta_function(p))
+        assert calls == []
+        assert typed_cells_or_error(lambda: rows) == typed_cells_or_error(
+            dense_pair_search_rows, p, unknowns, shell, zeta_function(p)
+        )
+        assert calls
+
     def test_chain_rows_are_eliminated_once(self, monkeypatch):
         # Each of the 80 shell elements outside the window sits above the
         # whole window: one row, 80 times.

@@ -1,6 +1,7 @@
 """Exact elimination: echelon form, kernels, span tests, normalisation."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 
@@ -9,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ_I
 
-from posetlab import GaussianRational
+import posetlab.lab as lab
+import posetlab.linalg as linalg
+from posetlab import GaussianRational, Window, enumerate_window, get_poset, zeta_function
 from posetlab.linalg import _eliminate, in_span, nullspace, primitive_integer_vector, reduced_row_echelon
+from posetlab.scalars import ONE, ZERO, as_scalar
 
 
 def gr(n, d=1):
@@ -126,11 +130,8 @@ def test_dimension_matches_sympy(matrix, data):
 
 # Narrow cells as the pair search passes them: plain ints (zeros
 # included), Fractions and Gaussian rationals with a nonzero imaginary part.
-_NARROW = st.one_of(
-    st.integers(-3, 3),
-    _RATIONAL.filter(lambda v: v.denominator != 1),
-    st.builds(GaussianRational, _RATIONAL, _RATIONAL.filter(bool)),
-)
+_REAL_NARROW = st.one_of(st.integers(-3, 3), _RATIONAL.filter(lambda v: v.denominator != 1))
+_NARROW = st.one_of(_REAL_NARROW, st.builds(GaussianRational, _RATIONAL, _RATIONAL.filter(bool)))
 
 
 @st.composite
@@ -201,6 +202,161 @@ def test_repeated_rows_change_no_kernel(matrix, rng):
     expected = nullspace(distinct, ncols)
     assert nullspace(repeated, ncols) == expected
     assert nullspace(mappings, ncols) == expected
+
+
+def eager_eliminate(rows):
+    """Eager sparse fraction-free Gauss–Jordan elimination, the oracle of
+    ``_eliminate``: each new pivot row clears its column from every
+    echelon row taken so far. It calls ``linalg._clear`` through the
+    module, so that a wrapper counts its clears too."""
+    taken = set()
+    sparse_rows = []
+    for row in rows:
+        key = tuple(row.items()) if isinstance(row, Mapping) else tuple(row)
+        if key not in taken:
+            taken.add(key)
+            sparse = linalg._sparse_row(row)
+            if sparse:
+                sparse_rows.append(sparse)
+    gaussian = any(b for row in sparse_rows for _, b in row.values())
+    waiting = {}
+    for row in sparse_rows:
+        waiting.setdefault(min(row), []).append(linalg._primitive(row, gaussian))
+    echelon, pivots = [], []
+    while waiting:
+        c = min(waiting)
+        bucket = waiting.pop(c)
+        pivot_row = min(bucket, key=len)
+        for row in bucket:
+            if row is not pivot_row:
+                row = linalg._clear(row, pivot_row, c, gaussian)
+                if row:
+                    waiting.setdefault(min(row), []).append(row)
+        for i, row in enumerate(echelon):
+            if c in row:
+                echelon[i] = linalg._clear(row, pivot_row, c, gaussian)
+        echelon.append(pivot_row)
+        pivots.append(c)
+    return echelon, pivots
+
+
+def divided_by_pivots(echelon, pivots):
+    """Each eliminated row divided by its entry in its pivot column."""
+    return [
+        {k: GaussianRational(*value) / GaussianRational(*row[c]) for k, value in row.items()}
+        for row, c in zip(echelon, pivots)
+    ]
+
+
+def eager_results(rows, ncols, vector):
+    """The rref, the kernel basis and whether ``vector`` is in the row
+    space, read with plain ``GaussianRational`` arithmetic from the eager
+    elimination."""
+    echelon, pivots = eager_eliminate(rows)
+    reduced = divided_by_pivots(echelon, pivots)
+    rref = [[row.get(k, ZERO) for k in range(ncols)] for row in reduced]
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            kernel_vector = [ZERO] * ncols
+            kernel_vector[free] = ONE
+            for row, c in zip(reduced, pivots):
+                if free in row:
+                    kernel_vector[c] = -row[free]
+            basis.append(kernel_vector)
+    residual = {k: as_scalar(v) for k, v in enumerate(vector) if v}
+    for row, c in zip(reduced, pivots):
+        factor = residual.get(c)
+        if factor:
+            for k, value in row.items():
+                rest = residual.get(k, ZERO) - factor * value
+                if rest:
+                    residual[k] = rest
+                else:
+                    del residual[k]
+    return (rref, pivots), basis, not residual
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """(rows, ncols): mostly zero narrow cells, all real or some Gaussian
+    rational, up to 9 x 9, with zero rows and repeated rows shuffled in."""
+    cell = st.one_of(st.just(0), st.just(0), _NARROW if draw(st.booleans()) else _REAL_NARROW)
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    if rows:
+        rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 3)))]
+    return draw(st.permutations(rows)), ncols
+
+
+# CI runs this test with the ``ci`` profile, whose example count wins
+# when it is the larger.
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(matrices_with_repeats(), st.data())
+def test_deferred_elimination_equals_eager_gauss_jordan(matrix, data):
+    """A forward pass and one back substitution reach the eager
+    elimination's reduced form: the same pivots and, with each row
+    divided by its pivot entry, the same rows. The rref, the kernel basis
+    and span tests equal those read from the eager rows."""
+    rows, ncols = matrix
+    vector = data.draw(st.lists(st.one_of(st.just(0), _NARROW), min_size=ncols, max_size=ncols))
+    echelon, pivots = _eliminate(rows)
+    expected_echelon, expected_pivots = eager_eliminate(rows)
+    assert pivots == expected_pivots
+    assert divided_by_pivots(echelon, pivots) == divided_by_pivots(expected_echelon, expected_pivots)
+    rref, basis, spanned = eager_results(rows, ncols, vector)
+    assert reduced_row_echelon(rows) == rref
+    assert nullspace(rows, ncols) == basis
+    assert in_span(rows, vector) == spanned
+    assert all(in_span(rows, row) for row in rows)
+
+
+def search_rows(family, bound, shell_bound):
+    """The zeta pair-search rows of window ``bound`` in shell
+    ``shell_bound``."""
+    p = get_poset(family)
+    unknowns, shell = (enumerate_window(Window(p, n)) for n in (bound, shell_bound))
+    return lab._pair_search_rows(p, unknowns, shell, zeta_function(p)), len(unknowns)
+
+
+def test_back_substitution_clears_fewer_rows_than_eager_elimination(monkeypatch):
+    # Divisibility 64/128, rank 50: the forward pass and the back
+    # substitution clear 374 rows, against 469 for eager elimination,
+    # whose back clears fill rows that later pivots clear again.
+    rows, ncols = search_rows("divisibility", 64, 128)
+    cleared = []
+    original = linalg._clear
+    monkeypatch.setattr(linalg, "_clear", lambda *args: cleared.append(args[2]) or original(*args))
+    echelon, pivots = _eliminate(rows)
+    deferred = len(cleared)
+    cleared.clear()
+    eager_eliminate(rows)
+    assert len(pivots) == 50
+    assert (deferred, len(cleared)) == (374, 469)
+    assert deferred < len(cleared)
+
+
+def test_equal_kernel_cells_share_one_quotient(monkeypatch):
+    # Chain 80/160: 80 equal rows of 80 ones, so the 79 basis cells off
+    # the standard basis are all -1, one quotient built once.
+    rows, ncols = search_rows("chain", 80, 160)
+    calls = []
+    original = linalg._quotient
+    monkeypatch.setattr(linalg, "_quotient", lambda value, pivot: calls.append((value, pivot)) or original(value, pivot))
+    basis = nullspace(rows, ncols)
+    assert calls == [((-1, 0), (1, 0))]
+    (row,), (c,) = _eliminate(rows)
+    expected = []
+    for free in range(ncols):
+        if free != c:
+            vector = [ZERO] * ncols
+            vector[free] = ONE
+            vector[c] = original((-row[free][0], -row[free][1]), row[c])
+            expected.append(vector)
+    assert len(basis) == 79
+    assert basis == expected
+    assert all(vector[c] is basis[0][c] for vector in basis)
 
 
 _GAUSSIAN_INTEGER = st.builds(GaussianRational, st.integers(-5, 5), st.integers(-5, 5))
