@@ -18,9 +18,11 @@ downsets of a product of chains (divisibility, multisets, subsets and
 the chain), :func:`materialize` computes transforms by zeta or by an
 inverse of zeta (Mobius) for a whole window at once instead: one pass
 per coordinate, as in Yates's algorithm and the fast zeta transform of
-Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). The passes run
-over window positions on integer numerators over a common denominator
-of f's stored values, and their result is stored as it comes, already
+Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). The poset reads
+the passes from the ``Window``, whose shape its family knows
+(:meth:`~posetlab.posets.Poset.window_passes`). They run over window
+positions on integer numerators over a common denominator of f's
+stored values, and their result is stored as it comes, already
 canonical and narrow. Every other transform, and every explicit poset,
 is evaluated point by point, in narrow arithmetic on f's stored values.
 The kernel's pass loop also solves Mobius rows and columns on grids
@@ -181,8 +183,8 @@ def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
     """The exact restriction of ``e`` to the window, keeping the nonzero
     values.
 
-    A transform by zeta or by an inverse of zeta, on a poset with
-    :meth:`~posetlab.posets.Poset.coordinate_passes`, is computed for the
+    A transform by zeta or by an inverse of zeta, on a window with
+    :meth:`~posetlab.posets.Poset.window_passes`, is computed for the
     whole window coordinate by coordinate, and one by delta, or an
     inverse of delta, is the support copied onto the window; either
     equals ``e(y)`` at every window element. Anything else, including
@@ -192,15 +194,16 @@ def materialize(e: EvaluableFunction, w: Window) -> FiniteSupportFunction:
     because windows are downward closed."""
     if e.poset != w.poset:
         raise PosetMismatch("function and window live on different posets")
-    return _materialize_elements(e, enumerate_window(w))
+    return _materialize_elements(e, w, enumerate_window(w))
 
 
-def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupportFunction:
-    """:func:`materialize` on an enumerated window."""
+def _materialize_elements(e: EvaluableFunction, w: Window, elements: list) -> FiniteSupportFunction:
+    """:func:`materialize` on the window ``w``, whose ``elements`` are
+    ``enumerate_window(w)``."""
     if isinstance(e, EvaluableFunction):
         sign = e.a._zeta_power()
         # Delta (power 0) runs no pass: its transform is h copied onto the window.
-        passes = None if sign is None else e.poset.coordinate_passes(elements) if sign else []
+        passes = None if sign is None else e.poset.window_passes(w, elements) if sign else []
         if passes is not None:
             values = _coordinatewise(e.h._entries, sign, elements, passes)
             return FiniteSupportFunction._canonical(e.poset, values)
@@ -209,9 +212,10 @@ def _materialize_elements(e: EvaluableFunction, elements: list) -> FiniteSupport
 
 def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
-    ``entries`` (element -> value) on the window ``elements``, whose
-    ``passes`` are its :meth:`~posetlab.posets.Poset.coordinate_passes`:
-    the nonzero values, narrow, in the order of ``elements``.
+    ``entries`` (element -> value) on the enumerated window
+    ``elements``, whose ``passes`` are the window's
+    :meth:`~posetlab.posets.Poset.window_passes`: the nonzero values,
+    narrow, in the order of ``elements``.
 
     Zeta is the product of one prefix-sum operator per chain, and Mobius
     the product of their inverses, so each coordinate gets its passes

@@ -348,7 +348,7 @@ def support_census(p: Poset, a: IntervalFunction, x, w: Window) -> SupportCensus
             f"{p.format_element(x)} is outside the window {w.label()}"
         )
     row = alpha_transform(FiniteSupportFunction(p, {x: 1}), a)
-    members = _materialize_elements(row, elements).support()
+    members = _materialize_elements(row, w, elements).support()
     certificate = p.mobius_census if a is mobius_function(a.poset) else None
     verdict, note = certificate or (
         INCONCLUSIVE,

@@ -269,19 +269,6 @@ def _rho(n: int, budget: _Budget) -> int:
             return g
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    return divisors_from_factors(prime_factors(n))
-
-
-def divisors_from_factors(factors: dict[int, int]) -> list[int]:
-    """All positive divisors of the n with factorisation ``factors``,
-    ascending."""
-    divs = divisor_grid(factors)
-    divs.sort()
-    return divs
-
-
 def divisor_grid(factors: dict[int, int]) -> list[int]:
     """All positive divisors of the n with factorisation ``factors`` in
     mixed-radix order: the divisor with exponent e_i of the i-th prime

@@ -26,11 +26,11 @@ Divisibility, subsets and multisets list an interval as a grid, in
 mixed-radix order (``Poset._grid``); the canonical interval is that
 grid sorted, and the Mobius solver runs the grid's passes over it, one
 per digit level of each coordinate (``_grid_passes``, ``_run_passes``).
-Whole-window transforms run passes over the positions of a window. A
-window shaped like a grid (subsets, divisor windows) is the interval
-from its first to its last element and takes that interval's grid
-passes; one shaped like a range (divisibility and multisets ``1..N``,
-the chain) takes one ``range`` pass per coordinate.
+Whole-window transforms run passes over the positions of a window,
+which each family reads from the ``Window`` itself (``window_passes``):
+a subsets window or a divisor window is the ideal of its last element
+and takes that ideal's grid passes; a range window (divisibility and
+multisets ``1..N``, the chain) takes one ``range`` pass per coordinate.
 """
 
 from __future__ import annotations
@@ -157,17 +157,17 @@ class Poset:
 
     # -- product-of-chains structure -----------------------------------
 
-    def coordinate_passes(self, elements):
-        """The passes ``_run_passes`` runs for zeta and Mobius on
-        ``elements``, a window listed as by ``enumerate_window``, in
-        canonical order. A pass is a ``(targets, sources)`` pair of
-        position sequences, all in one coordinate: ``elements[s]`` is
-        ``elements[t]`` one lower in that coordinate, for each t and the
-        s beside it. A window shaped like a range has one pass per
-        coordinate, targets ascending; one shaped like a grid has the
+    def window_passes(self, w, elements):
+        """The passes ``_run_passes`` runs for zeta and Mobius on the
+        window ``w``, whose ``elements`` are ``enumerate_window(w)``. A
+        pass is a ``(targets, sources)`` pair of position sequences, all
+        in one coordinate: ``elements[s]`` is ``elements[t]`` one lower
+        in that coordinate, for each t and the s beside it. A window
+        listed as a range has one pass per coordinate, targets
+        ascending; one that is the ideal of its last element has the
         grid's passes (``_grid_passes``), each from a single digit level
         to the level below, a coordinate's passes ascending by level.
-        None on other posets and for lists that are no such window."""
+        None on explicit posets."""
         return None
 
     def __getstate__(self):
@@ -271,24 +271,12 @@ class _ChainProduct(Poset):
                 radices.append(k - low + 1)
         return list(map(self._from_pairs, pairs)), radices
 
-    def coordinate_passes(self, elements):
-        """The passes of ``_grid`` over [x, y], x and y the first and last
-        of ``elements``, each grid position mapped to its position in
-        ``elements``; None unless ``elements`` is exactly that interval,
-        as a grid-shaped window is."""
-        if not elements or not self._leq(elements[0], elements[-1]):
-            return None
-        try:
-            grid, radices = self._grid(elements[0], elements[-1])
-        except BoundTooLarge:  # past the cap, so longer than any window
-            return None
-        if len(grid) != len(elements):
-            return None
+    def window_passes(self, w, elements):
+        """The passes of ``_grid`` over the ideal of the last element,
+        each grid position mapped to its position in ``elements``."""
+        grid, radices = self._grid(elements[0], elements[-1])
         position = dict(zip(elements, range(len(elements))))
-        try:
-            order = [position[z] for z in grid]
-        except KeyError:
-            return None
+        order = [position[z] for z in grid]
         passes = _grid_passes(radices)
         return [([order[t] for t in targets], [order[s] for s in sources]) for targets, sources in passes]
 
@@ -378,19 +366,19 @@ class DivisibilityPoset(_PositiveIntegers):
         factors = numtheory.prime_factors(_canon_positive_int(n, self.family))
         size = math.prod(k + 1 for k in factors.values())
         _check_cap(size, f"window of {size} elements exceeds cap")
-        return numtheory.divisors_from_factors(factors)
+        return sorted(numtheory.divisor_grid(factors))
 
     mobius_census = (
         INFINITE_CERTIFIED,
         "squarefree multiples x*q over fresh primes never vanish",
     )
 
-    def coordinate_passes(self, elements):
-        """A range window 1..N, whose last element is its size, by
-        position arithmetic; a divisor window of n as a grid."""
-        if not elements or elements[-1] == len(elements):
-            return _range_passes(len(elements))
-        return super().coordinate_passes(elements)
+    def window_passes(self, w, elements):
+        """A divisor window as a grid, a range window 1..N by position
+        arithmetic."""
+        if w.divisor_closure:
+            return super().window_passes(w, elements)
+        return _range_passes(len(elements))
 
 
 class ChainPoset(_PositiveIntegers):
@@ -415,12 +403,9 @@ class ChainPoset(_PositiveIntegers):
     def _grid(self, x, y):
         return None
 
-    def coordinate_passes(self, elements):
-        """A window 1..N, whose last element is its size, is one chain:
-        n - 1 below n."""
+    def window_passes(self, w, elements):
+        """One chain: n - 1 below n."""
         size = len(elements)
-        if size and elements[-1] != size:
-            return None
         return [(range(1, size), range(size - 1))] if size > 1 else []
 
     mobius_census = (
@@ -515,12 +500,6 @@ class SubsetPoset(_ChainProduct):
         for size in range(bound + 1):
             out.extend(itertools.combinations(ground, size))
         return out
-
-    def coordinate_passes(self, elements):
-        """The window of subsets of {1..n} as a grid."""
-        if not elements or elements[-1] != tuple(range(1, len(elements[-1]) + 1)):
-            return None
-        return super().coordinate_passes(elements)
 
     mobius_census = (
         INFINITE_CERTIFIED,
@@ -619,12 +598,9 @@ class MultisetPoset(_ChainProduct):
                 elements.append(((p, 1),) + rest)
         return elements[1:]
 
-    def coordinate_passes(self, elements):
-        """A window of images 1..N, whose last image is its size, holds
-        image y at position y - 1, so its passes are those of
-        divisibility on 1..N."""
-        if elements and self.sort_key(elements[-1]) != len(elements):
-            return None
+    def window_passes(self, w, elements):
+        """A window of images 1..N holds image y at position y - 1, so
+        its passes are those of divisibility on 1..N."""
         return _range_passes(len(elements))
 
     mobius_census = (

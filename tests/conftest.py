@@ -4,7 +4,8 @@
 ``--hypothesis-profile=ci`` for the CLI table reader's equivalence with
 argparse, whose handling of ``--`` and of dash-prefixed values differs
 between Python versions; for the whole-window kernel against the point
-rule, the correctness gate for the kernel's integer arithmetic; for
+rule, the correctness gate for the kernel's integer arithmetic, and for
+the passes of windows drawn in every shape; for
 convolutions, which read an inverse right factor by column, against the
 defining sum; and for the rows and columns of inverses against the
 recursion, and the conjecture inverse-pair check, which decides zeta

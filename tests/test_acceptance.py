@@ -8,6 +8,8 @@ or Gaussian-rational equality, zero tolerance everywhere.
 import random
 from contextlib import contextmanager
 
+from sympy import divisors
+
 from helpers import (
     classical_mu_oracle,
     random_explicit_poset,
@@ -39,7 +41,6 @@ from posetlab import (
     zeta_function,
     zeta_transform,
 )
-from posetlab.numtheory import divisors
 
 DIV = get_poset("divisibility")
 CHAIN = get_poset("chain")

@@ -753,7 +753,7 @@ class TestConjectureExperiment:
             p = shell.poset
             elements = enumerate_window(shell)
             with pytest.MonkeyPatch.context() as patch:
-                for name in ("_leq", "coordinate_passes"):
+                for name in ("_leq", "window_passes"):
                     patch.setattr(type(p), name, lambda *args, name=name: calls.append(name))
                 lab._check_inverses(p, mobius_function(p), zeta_function(p), elements)
                 lab._check_inverses(p, zeta_function(p), invert(zeta_function(p)), elements)

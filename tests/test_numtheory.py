@@ -16,7 +16,7 @@ from posetlab.errors import BoundTooLarge, InvalidInput
 from posetlab.numtheory import (
     _integer_root,
     classical_mobius,
-    divisors,
+    divisor_grid,
     is_prime,
     prime_factors,
     primes,
@@ -50,14 +50,15 @@ def test_prime_factors_rejects_nonpositive():
 
 
 def test_divisors_examples():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(97) == [1, 97]
+    # Mixed-radix order: the first prime's exponent varies fastest.
+    assert divisor_grid({}) == [1]
+    assert divisor_grid({2: 2, 3: 1}) == [1, 2, 4, 3, 6, 12]
+    assert divisor_grid({97: 1}) == [1, 97]
 
 
 def test_divisors_against_scan():
     for n in range(1, 200):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert sorted(divisor_grid(prime_factors(n))) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 # -- the factoriser against trial division ----------------------------------
@@ -216,7 +217,7 @@ def test_25_digit_semiprime_factors():
     # Prime by the thirteen-base theorem.
     assert failing_bases(p) == failing_bases(q) == []
     assert prime_factors(q * p) == {p: 1, q: 1}
-    assert divisors(p * q) == [1, p, q, p * q]
+    assert sorted(divisor_grid(prime_factors(p * q))) == [1, p, q, p * q]
 
 
 def test_two_19_digit_primes_exhaust_the_budget():

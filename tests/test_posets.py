@@ -8,17 +8,19 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetlab.numtheory as numtheory
 import posetlab.posets as posets
-from helpers import random_explicit_poset
+from helpers import exact_scalars, random_explicit_poset
 from posetlab import (
     BoundTooLarge,
     CyclicCovers,
     DuplicateElement,
     ExplicitPoset,
+    FiniteSupportFunction,
     InvalidElement,
     InvalidInput,
     NotComparable,
@@ -33,8 +35,11 @@ from posetlab import (
     interval,
     leq,
     load_explicit_poset,
+    materialize,
+    mobius_inversion,
     multiset_to_integer,
     zeta_function,
+    zeta_transform,
 )
 from posetlab.incidence import invert
 from posetlab.posets import DEFAULT_ELEMENT_CAP
@@ -427,9 +432,14 @@ PASS_WINDOWS = [
 
 
 def lower_covers(p, y) -> set:
-    """The elements directly below y, by brute force over its ideal."""
-    below = [z for z in ideal(p, y) if z != y]
-    return {z for z in below if not any(leq(p, z, w) and w != z for w in below)}
+    """The elements directly below y, by brute force over its ideal: the
+    maximal elements of the rest, taken from the top down, since the
+    ideal lists a linear extension."""
+    covers = []
+    for z in reversed(ideal(p, y)[:-1]):
+        if not any(leq(p, z, c) for c in covers):
+            covers.append(z)
+    return set(covers)
 
 
 def step_coordinate(p, y, z):
@@ -439,83 +449,61 @@ def step_coordinate(p, y, z):
     return c
 
 
-def filter_cases():
-    """A window and the principal filter within it of its first,
-    second, middle and last element."""
-    cases = []
-    for window in PASS_WINDOWS:
-        elements = enumerate_window(window)
-        for x in sorted({elements[i] for i in (0, 1, len(elements) // 2, -1) if i < len(elements)}, key=repr):
-            cases.append((window, x))
-    return cases
+@st.composite
+def drawn_windows(draw):
+    """A window of every shape: a range of divisibility, multisets or
+    the chain, a divisor window, or the subsets of {1..n}."""
+    shape = draw(st.sampled_from(["range", "divisors", "subsets"]))
+    if shape == "range":
+        return Window(draw(st.sampled_from([DIV, MULTISETS, CHAIN])), draw(st.integers(1, 300)))
+    if shape == "divisors":
+        return Window(DIV, draw(st.integers(1, 10**5)), divisor_closure=True)
+    return Window(SUBSETS, draw(st.integers(0, 7)))
 
 
-class TestCoordinatePasses:
+class TestWindowPasses:
     @pytest.mark.parametrize("window", PASS_WINDOWS, ids=lambda w: w.label())
     def test_passes_are_the_lower_covers(self, window):
-        assert_passes_are_the_lower_covers(window.poset, enumerate_window(window))
+        assert_passes_are_the_lower_covers(window)
 
-    @pytest.mark.parametrize("window, x", filter_cases(), ids=repr)
-    def test_principal_filters_have_passes_only_as_windows_or_grids(self, window, x):
-        # A principal filter is no shape of its own: it takes passes only
-        # where it is the whole window or, in divisibility and subsets,
-        # exactly the grid-shaped interval from x to its last element.
-        # The evens of 1..60 and the chain 16..30 take none.
+    # No example count here: CI runs this test with the ``ci`` profile.
+    @settings(deadline=None)
+    @given(window=drawn_windows(), data=st.data())
+    def test_drawn_window_passes(self, window, data):
+        """Each window's passes are its lower covers, and the zeta and
+        Mobius transforms that run them equal the point rule."""
+        assert_passes_are_the_lower_covers(window)
         p = window.poset
         elements = enumerate_window(window)
-        above = [y for y in elements if p._leq(x, y)]
-        if above == elements or (p in (DIV, SUBSETS) and above == p.interval(x, above[-1])):
-            assert_passes_are_the_lower_covers(p, above)
-        else:
-            assert p.coordinate_passes(above) is None
-
-    @pytest.mark.parametrize(
-        "poset,elements",
-        [
-            (DIV, [1, 2, 3, 5]),
-            (DIV, [1, 2, 3, 4, 6]),
-            (SUBSETS, [(), (1,), (2,)]),
-            (SUBSETS, [(), (2,)]),
-            (MULTISETS, [(), ((2, 1),), ((3, 1),), ((5, 1),)]),
-            # Intervals from first to last past the cap: refused, not built.
-            (DIV, [1, math.prod(p for p in range(2, 84) if numtheory.is_prime(p))]),
-            (SUBSETS, [(), tuple(range(1, 41))]),
-            # Multiples of the first element with a gap, or not all multiples.
-            (DIV, [2, 4, 10]),
-            (DIV, [2, 4, 6, 7]),
-            (DIV, [3, 6, 9, 15]),
-            # Six divisors' worth of elements, not closed under division.
-            (DIV, [1, 2, 3, 4, 5, 12]),
-            (DIV, [2, 4, 6, 10, 12, 24]),
-            (CHAIN, [3, 4, 6]),
-            # Four sets above {1} in {1, 2, 3}, but {2} is not above it.
-            (SUBSETS, [(1,), (2,), (1, 2), (1, 2, 3)]),
-            (SUBSETS, [(1,), (1, 2), (1, 4), (1, 2, 3)]),
-            (MULTISETS, [((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1))]),
-            (MULTISETS, [((2, 1),), ((2, 2),), ((2, 3),)]),
-        ],
-    )
-    def test_lists_that_are_no_window_have_none(self, poset, elements):
-        assert poset.coordinate_passes(elements) is None
+        support = data.draw(st.lists(st.sampled_from(elements), max_size=8, unique=True))
+        kind = data.draw(st.sampled_from(["int", "rational", "gaussian"]))
+        values = data.draw(st.lists(exact_scalars(kind), min_size=len(support), max_size=len(support)))
+        f = FiniteSupportFunction(p, zip(support, values))
+        for transform in (zeta_transform, mobius_inversion):
+            e = transform(f)
+            points = {y: e(y) for y in elements}
+            assert dict(materialize(e, window).items()) == {y: v for y, v in points.items() if v}
 
     def test_explicit_posets_have_none(self):
         p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
-        assert p.coordinate_passes(["a", "b"]) is None
+        window = Window(p)
+        assert p.window_passes(window, enumerate_window(window)) is None
 
 
-def assert_passes_are_the_lower_covers(p, elements):
-    """The steps of ``p.coordinate_passes(elements)`` are exactly the
-    pairs (y, z) of ``elements`` with z a lower cover of y, in the order
+def assert_passes_are_the_lower_covers(window):
+    """The steps of the window's ``window_passes`` are exactly the pairs
+    (y, z) of its elements with z a lower cover of y, in the order
     ``_run_passes`` relies on. Every step of a pass lowers the same
     coordinate. A grid pass lowers it from a single level to the level
     below, and a coordinate's grid passes never descend by level (one
     level may take several passes, over disjoint chains); a range pass
     lowers it from every level, is the coordinate's only pass, and its
     targets ascend."""
-    members = set(elements)
+    p = window.poset
+    elements = enumerate_window(window)
     pairs = []
     levels = {}  # coordinate -> level of its last grid pass, None after a range pass
-    for targets, sources in p.coordinate_passes(elements):
+    for targets, sources in p.window_passes(window, elements):
         targets, sources = list(targets), list(sources)
         assert targets and len(targets) == len(sources)
         steps = [(elements[t], elements[s]) for t, s in zip(targets, sources)]
@@ -529,7 +517,8 @@ def assert_passes_are_the_lower_covers(p, elements):
             assert c not in levels and targets == sorted(set(targets))
             levels[c] = None
         pairs += steps
-    expected = [(y, z) for y in elements for z in lower_covers(p, y) if z in members]
+    # Windows are downward closed, so every lower cover is an element.
+    expected = [(y, z) for y in elements for z in lower_covers(p, y)]
     assert sorted(pairs, key=repr) == sorted(expected, key=repr)
 
 
@@ -586,7 +575,7 @@ class TestDivisorCaps:
         def refuse(factors):
             raise AssertionError("divisor list built")
 
-        monkeypatch.setattr(numtheory, "divisors_from_factors", refuse)
+        monkeypatch.setattr(numtheory, "divisor_grid", refuse)
 
     def test_interval_refused_before_building(self, no_divisor_lists):
         with pytest.raises(BoundTooLarge, match="interval of more than 1048576 elements"):
@@ -605,8 +594,8 @@ class TestDivisorCaps:
     def test_boundaries(self, monkeypatch):
         window = Window(DIV, 720720, divisor_closure=True)
         monkeypatch.setattr(posets, "DEFAULT_ELEMENT_CAP", 240)
-        assert enumerate_window(window) == numtheory.divisors(720720)
-        assert interval(DIV, 7, 7 * 720720) == [7 * d for d in numtheory.divisors(720720)]
+        assert enumerate_window(window) == sympy.divisors(720720)
+        assert interval(DIV, 7, 7 * 720720) == [7 * d for d in sympy.divisors(720720)]
         with pytest.raises(BoundTooLarge, match="interval of more than 240 elements"):
             interval(DIV, 7, 7 * 2 * 720720)
 

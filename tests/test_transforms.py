@@ -547,7 +547,7 @@ class TestCoordinatewiseKernel:
 
     @pytest.mark.parametrize("poset,window", EXPLICIT_SETUPS)
     def test_explicit_posets_take_point_path(self, poset, window):
-        assert poset.coordinate_passes(enumerate_window(window)) is None
+        assert poset.window_passes(window, enumerate_window(window)) is None
         rng = random.Random(31)
         g = random_support_function(rng, poset, enumerate_window(window))
         mobius_function(poset)._memo.clear()
