@@ -449,6 +449,21 @@ def step_coordinate(p, y, z):
     return c
 
 
+def filter_cases():
+    """A window and, within it, the first, second, middle and last
+    element, whose principal filters the tests take."""
+    cases = []
+    for window in PASS_WINDOWS:
+        elements = enumerate_window(window)
+        for x in sorted({elements[i] for i in (0, 1, len(elements) // 2, -1) if i < len(elements)}, key=repr):
+            cases.append((window, x))
+    return cases
+
+
+# The product of the 23 primes below 84: 2**23 divisors, past the cap.
+PRIMORIAL_83 = math.prod(p for p in range(2, 84) if numtheory.is_prime(p))
+
+
 @st.composite
 def drawn_windows(draw):
     """A window of every shape: a range of divisibility, multisets or
@@ -478,16 +493,82 @@ class TestWindowPasses:
         support = data.draw(st.lists(st.sampled_from(elements), max_size=8, unique=True))
         kind = data.draw(st.sampled_from(["int", "rational", "gaussian"]))
         values = data.draw(st.lists(exact_scalars(kind), min_size=len(support), max_size=len(support)))
-        f = FiniteSupportFunction(p, zip(support, values))
+        assert_materialize_is_the_point_rule(FiniteSupportFunction(p, zip(support, values)), window)
+
+    @pytest.mark.parametrize("window, x", filter_cases(), ids=repr)
+    def test_principal_filters_come_out_of_the_window_passes(self, window, x):
+        # A principal filter is no shape of its own: the transforms of the
+        # delta at x run the whole window's passes, and their support is
+        # the filter of x within the window. The evens of 1..60 and the
+        # chain 16..30 are filters here too.
+        p = window.poset
+        elements = enumerate_window(window)
+        f = FiniteSupportFunction(p, [(x, 1)])
+        above = [y for y in elements if leq(p, x, y)]
+        assert dict(materialize(zeta_transform(f), window).items()) == dict.fromkeys(above, 1)
+        assert_materialize_is_the_point_rule(f, window)
+
+    @pytest.mark.parametrize(
+        "poset, elements, window",
+        [
+            (DIV, [1, 2, 3, 5], Window(DIV, 30, divisor_closure=True)),
+            (DIV, [1, 2, 3, 4, 6], Window(DIV, 12, divisor_closure=True)),
+            (SUBSETS, [(), (1,), (2,)], Window(SUBSETS, 2)),
+            (SUBSETS, [(), (2,)], Window(SUBSETS, 2)),
+            (MULTISETS, [(), ((2, 1),), ((3, 1),), ((5, 1),)], Window(MULTISETS, 5)),
+            # Multiples of the first element with a gap, or not all multiples.
+            (DIV, [2, 4, 10], Window(DIV, 20, divisor_closure=True)),
+            (DIV, [2, 4, 6, 7], Window(DIV, 84)),
+            (DIV, [3, 6, 9, 15], Window(DIV, 90, divisor_closure=True)),
+            # Six divisors' worth of elements, not closed under division.
+            (DIV, [1, 2, 3, 4, 5, 12], Window(DIV, 60, divisor_closure=True)),
+            (DIV, [2, 4, 6, 10, 12, 24], Window(DIV, 24)),
+            (CHAIN, [3, 4, 6], Window(CHAIN, 6)),
+            # Four sets above {1} in {1, 2, 3}, but {2} is not above it.
+            (SUBSETS, [(1,), (2,), (1, 2), (1, 2, 3)], Window(SUBSETS, 3)),
+            (SUBSETS, [(1,), (1, 2), (1, 4), (1, 2, 3)], Window(SUBSETS, 4)),
+            (MULTISETS, [((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1))], Window(MULTISETS, 6)),
+            (MULTISETS, [((2, 1),), ((2, 2),), ((2, 3),)], Window(MULTISETS, 8)),
+        ],
+    )
+    def test_supports_that_are_no_window_transform_by_the_point_rule(self, poset, elements, window):
+        # A list that is no window is only ever a support: its transforms
+        # run the passes of a window that holds it.
+        assert set(elements) <= set(enumerate_window(window))
+        f = FiniteSupportFunction(poset, zip(elements, range(1, len(elements) + 1)))
+        assert_materialize_is_the_point_rule(f, window)
+
+    @pytest.mark.parametrize(
+        "poset, elements, window",
+        [
+            (DIV, [1, PRIMORIAL_83], Window(DIV, PRIMORIAL_83, divisor_closure=True)),
+            (SUBSETS, [(), tuple(range(1, 41))], Window(SUBSETS, 40)),
+        ],
+    )
+    def test_windows_of_supports_past_the_cap_are_refused(self, poset, elements, window):
+        # The point rule answers at each support element, while the
+        # window that holds them is refused, not built.
+        f = FiniteSupportFunction(poset, zip(elements, range(1, len(elements) + 1)))
+        for y in elements:
+            assert zeta_transform(f)(y) == sum(v for x, v in f.items() if leq(poset, x, y))
         for transform in (zeta_transform, mobius_inversion):
-            e = transform(f)
-            points = {y: e(y) for y in elements}
-            assert dict(materialize(e, window).items()) == {y: v for y, v in points.items() if v}
+            with pytest.raises(BoundTooLarge, match="exceeds cap"):
+                materialize(transform(f), window)
 
     def test_explicit_posets_have_none(self):
         p = load_explicit_poset({"elements": ["a", "b"], "covers": [["a", "b"]]})
         window = Window(p)
         assert p.window_passes(window, enumerate_window(window)) is None
+
+
+def assert_materialize_is_the_point_rule(f, window):
+    """The zeta and Mobius transforms of ``f`` materialized on the window
+    equal their point rule at every window element."""
+    elements = enumerate_window(window)
+    for transform in (zeta_transform, mobius_inversion):
+        e = transform(f)
+        points = {y: e(y) for y in elements}
+        assert dict(materialize(e, window).items()) == {y: v for y, v in points.items() if v}
 
 
 def assert_passes_are_the_lower_covers(window):
