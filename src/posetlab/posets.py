@@ -210,8 +210,9 @@ def _parse_int(text: str, family: str) -> int:
 def _check_cap(size: int, refusal: str) -> None:
     """Raise ``BoundTooLarge(refusal)``, with ``{cap}`` replaced by the
     cap, when ``size`` exceeds ``DEFAULT_ELEMENT_CAP``. The one check
-    behind every cap on windows, intervals, sort keys and ``lab`` work;
-    it reads the constant when it runs."""
+    behind every cap on windows, intervals and ``lab`` work (the
+    multisets sort key makes the same test inline); it reads the
+    constant when it runs."""
     if size > DEFAULT_ELEMENT_CAP:
         raise BoundTooLarge(refusal.format(cap=DEFAULT_ELEMENT_CAP))
 
@@ -563,11 +564,18 @@ class MultisetPoset(_ChainProduct):
     def sort_key(self, x):
         """The integer image of canonical ``x``, without validating it
         again; refused when it has more than ``DEFAULT_ELEMENT_CAP``
-        bits."""
-        refusal = "multiset integer image of more than {cap} bits"
-        _check_cap(1 + _image_low_bits(x), refusal)
-        n = math.prod(p**k for p, k in x)
-        _check_cap(n.bit_length(), refusal)
+        bits. The image has more than ``low`` = sum of k * (bits(p) - 1)
+        bits, so the loop stops before building a prime power that this
+        bound already refuses. Called once per element, it makes
+        ``_check_cap``'s test inline."""
+        low, n = 0, 1
+        for p, k in x:
+            low += k * (p.bit_length() - 1)
+            if low >= DEFAULT_ELEMENT_CAP:
+                break
+            n *= p**k
+        if low >= DEFAULT_ELEMENT_CAP or n.bit_length() > DEFAULT_ELEMENT_CAP:
+            raise BoundTooLarge(f"multiset integer image of more than {DEFAULT_ELEMENT_CAP} bits")
         return n
 
     def _pairs(self, x) -> tuple:

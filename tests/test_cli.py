@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -1072,13 +1073,18 @@ _EXITS = [
 def _run_in_process(argv, status) -> str:
     """What ``run(argv)`` prints to stdout in this process, after checking
     that it returns ``status`` or exits through ``SystemExit`` with it."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    return _run_in_process_with_stderr(argv, status)[0]
+
+
+def _run_in_process_with_stderr(argv, status) -> tuple[str, str]:
+    """``_run_in_process``'s stdout and what ``run(argv)`` prints to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             assert run(list(argv)) == status
         except SystemExit as exit:
             assert exit.code == status
-    return out.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 class TestGarbageCollectorFreeze:
@@ -1147,3 +1153,120 @@ def test_closed_stdout_ends_in_an_error_line(argv):
     assert done.stderr.startswith(b"error:")
     assert done.stderr.count(b"\n") == 1
     assert b"Traceback" not in done.stderr
+
+
+def _fresh_python(args, path=(), **kwargs):
+    """``python *args`` in a fresh process that imports this ``posetlab``,
+    with the directories ``path`` ahead of it on ``sys.path``."""
+    src = os.path.dirname(os.path.dirname(posetlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), src]))
+    # Unbuffered streams would hide a missing flush.
+    for name in ("PYTHONOPTIMIZE", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+class TestTopLevelExit:
+    """At the program's top level, ``main`` ends the process through an
+    exit hook once its caller's ``finally`` blocks and earlier exit hooks
+    have run, skipping the interpreter's teardown of modules. Under any
+    other caller the process tears down as usual."""
+
+    # A module-level object whose finalizer writes to stderr when the
+    # interpreter tears its module down. Its class holds no function, so
+    # the module's globals form no cycle and are freed even with the
+    # collector frozen.
+    PROBE = (
+        "import functools, os\n"
+        "class Probe:\n"
+        "    __del__ = staticmethod(functools.partial(os.write, 2, b'torn down\\n'))\n"
+        "probe = Probe()\n"
+    )
+
+    @pytest.mark.parametrize("argv, status", _EXITS, ids=repr)
+    def test_a_caller_finally_runs_and_sees_main_exit(self, tmp_path, argv, status):
+        record = tmp_path / "record"
+        script = (
+            "from posetlab.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "finally:\n"
+            f"    open({str(record)!r}, 'w').write('written')\n"
+        )
+        done = _fresh_python(["-c", script, *argv])
+        assert (done.returncode, done.stdout, done.stderr) == (status, *_run_in_process_with_stderr(argv, status))
+        assert record.read_text() == "written"
+
+    def test_earlier_exit_hooks_run_once_in_reverse_after_the_output(self):
+        script = (
+            "import atexit\n"
+            "atexit.register(print, 'first hook')\n"
+            "atexit.register(print, 'second hook')\n"
+            "from posetlab.cli import main\n"
+            "main()\n"
+        )
+        done = _fresh_python(["-c", script, "classical-mobius", "--n", "6"])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "1\nsecond hook\nfirst hook\n", "")
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "from posetlab.cli import main\nmain()\n",
+            "import runpy\nrunpy.run_module('posetlab.cli', run_name='__main__')\n",
+            # The wrapper that installing the package writes for the
+            # ``posetlab`` console script.
+            "import re\n"
+            "import sys\n"
+            "from posetlab.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
+            "    sys.exit(main())\n",
+        ],
+        ids=["python -c", "runpy", "console script"],
+    )
+    def test_top_level_main_skips_module_teardown(self, tmp_path, shape):
+        (tmp_path / "probe.py").write_text(self.PROBE)
+        script = tmp_path / "posetlab_script.py"
+        script.write_text("import probe\n" + shape)
+        for args in (["-c", script.read_text()], [str(script)]):
+            done = _fresh_python([*args, "classical-mobius", "--n", "6"], path=[tmp_path])
+            assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+    def test_a_caller_below_other_code_tears_down_with_its_own_status(self, tmp_path):
+        (tmp_path / "probe.py").write_text(self.PROBE)
+        (tmp_path / "caller.py").write_text(
+            "import sys\n"
+            "from posetlab.cli import main\n"
+            "def call():\n"
+            "    try:\n"
+            "        main()\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    sys.exit(3)\n"
+        )
+        script = "import probe, caller\ncaller.call()\n"
+        done = _fresh_python(["-c", script, "classical-mobius", "--n", "6"], path=[tmp_path])
+        assert (done.returncode, done.stdout, done.stderr) == (3, "1\n", "torn down\n")
+
+    def test_run_registers_no_exit_hook(self):
+        script = (
+            "import atexit, contextlib, io, json, sys\n"
+            "from posetlab.cli import run\n"
+            "before = atexit._ncallbacks()\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            run(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "print(atexit._ncallbacks() - before)\n"
+        )
+        done = _fresh_python(["-c", script, json.dumps([list(argv) for argv, _ in _EXITS])])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+    def test_output_past_the_pipe_buffer_arrives_whole(self, point_mass_file):
+        argv = ("transform", "--fn", point_mass_file, "--bound", "6000", "--json")
+        done = _fresh_python(["-c", "from posetlab.cli import main; main()", *argv])
+        expected = _run_in_process(argv, 0)
+        assert len(done.stdout.encode()) > 1 << 16
+        assert hashlib.md5(done.stdout.encode()).hexdigest() == hashlib.md5(expected.encode()).hexdigest()
