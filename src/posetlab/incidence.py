@@ -93,9 +93,13 @@ class IntervalFunction:
 
     def _evaluate_canonical(self, x, y):
         """The value on [x, y] for canonical x <= y, in narrowest form."""
-        if self.kind == "zeta":
-            # Not memoised: a Mobius row would leave one entry per term.
+        kind = self.kind
+        # Neither is memoised: a Mobius row would leave one zeta entry per
+        # term, and a delta search one delta entry per cell.
+        if kind == "zeta":
             return 1
+        if kind == "delta":
+            return 1 if x == y else 0
         key = (x, y)
         cached = self._memo.get(key)
         if cached is not None:
@@ -106,8 +110,6 @@ class IntervalFunction:
 
     def _compute(self, x, y):
         kind = self.kind
-        if kind == "delta":
-            return 1 if x == y else 0
         if kind == "custom":
             return narrow(self._rule(x, y))
         if kind == "convolution":
@@ -234,8 +236,9 @@ class IntervalFunction:
         return f"IntervalFunction({self.name} on {self.poset.family})"
 
 
-# Kinds whose reads never raise, and those whose row over [x, y] is
-# memoised whole once the value at (x, y) is.
+# Kinds whose reads never raise, and those whose row over [x, y] costs
+# no recursion once the value at (x, y) is read: delta and zeta are one
+# comparison, and an inverse's row is then memoised whole.
 _TOTAL = ("delta", "zeta")
 _FILLED = _TOTAL + ("inverse",)
 

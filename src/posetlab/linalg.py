@@ -207,22 +207,6 @@ def _quotient(value, pivot) -> GaussianRational:
     return GaussianRational(Fraction(a * pr + b * pi, norm), Fraction(b * pr - a * pi, norm))
 
 
-def reduced_row_echelon(rows: list[list]):
-    """Return (rref rows, pivot column indices) of rows given as
-    sequences of one length. Input is not mutated; zero rows are
-    dropped."""
-    echelon, pivots = _eliminate(rows)
-    ncols = len(rows[0]) if rows else 0
-    quotient = cache(_quotient)
-    rref = []
-    for row, c in zip(echelon, pivots):
-        dense = [ZERO] * ncols
-        for k, value in row.items():
-            dense[k] = quotient(value, row[c])
-        rref.append(dense)
-    return rref, pivots
-
-
 def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
     """Basis of the kernel of the matrix, one vector per free column in
     ascending column order. An empty row list gives the standard basis.

@@ -10,8 +10,9 @@ convolutions, which read an inverse right factor by column, against the
 defining sum; and for the rows and columns of inverses against the
 recursion, and the conjecture inverse-pair check, which decides zeta
 powers from the powers, against the defining pairwise loop; for the
-multisets window and grid against their direct constructions; and for
-the pair search's sparse rows against the dense build, the
+multisets window and grid against their direct constructions, and the
+interval of every grid family against a window filtered by the order
+test; and for the pair search's sparse rows against the dense build, the
 primitivity of eliminated rows over the Gaussian integers, and the
 forward pass and back substitution against eager Gauss-Jordan; and for
 element parsing against the seed package, reading a function document

@@ -82,6 +82,11 @@ class TestEvaluate:
         zeta = zeta_function(DIV)
         assert invert(zeta).evaluate(1, 30) == -1
         assert zeta._memo == {}
+        # Nor is delta, which a delta search reads once per matrix cell.
+        delta = delta_function(DIV)
+        assert invert(delta).evaluate(1, 30) == 0
+        assert (delta.evaluate(5, 5), delta.evaluate(1, 5)) == (1, 0)
+        assert delta._memo == {}
 
     def test_memoised_evaluation_is_stable(self):
         a = custom_function(CHAIN, lambda x, y: y - x)
