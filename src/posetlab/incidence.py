@@ -20,7 +20,11 @@ time (Rota):
     b(y, y) = 1 / a(y, y),
     b(z, y) = - (sum over z < w <= y of a(z, w) * b(w, y)) / a(z, z).
 
-Each inverse keeps such a column solver, with a memo of its own.
+Memos are kept one dict per line: every memoised function keeps its
+rows, ``_memo = {x: {y: value}}``, and an inverse also keeps its
+columns, ``_columns = {y: {x: value}}``. A walk fills one line, a row
+or a column, in the order of a linear extension of [x, y], so a row
+line that holds y, or a column line that holds x, holds all of [x, y].
 
 A row walks its interval's grid (``Poset._grid``, a mixed-radix listing
 that is a linear extension) where the poset has one, and canonical
@@ -45,7 +49,9 @@ entry points return ``GaussianRational``.
 Evaluations are memoised per instance. Instances are logically
 immutable: evaluation is pure, so a concurrent duplicate computation
 writes the identical value into the cache (CPython dict operations are
-atomic), and sharing an instance across threads is safe.
+atomic, and a line is created with ``setdefault``, so two walks of one
+line fill the same dict), and sharing an instance across threads is
+safe.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ class IntervalFunction:
         self.operands = operands
         self._rule = rule
         self._memo: dict = {}
+        if kind == "inverse":
+            self._columns: dict = {}
 
     def evaluate(self, x, y) -> GaussianRational:
         """The value on the interval [x, y]; raises ``NotComparable``
@@ -100,43 +108,37 @@ class IntervalFunction:
             return 1
         if kind == "delta":
             return 1 if x == y else 0
-        key = (x, y)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = self._compute(x, y)
-        self._memo[key] = value
-        return value
-
-    def _compute(self, x, y):
-        kind = self.kind
-        if kind == "custom":
-            return narrow(self._rule(x, y))
-        if kind == "convolution":
-            return self._convolution(x, y)
+        line = self._memo.get(x)
+        if line is not None:
+            cached = line.get(y)
+            if cached is not None:
+                return cached
         if kind == "inverse":
             return self._inverse_row(x, y)
-        raise AssertionError(f"unknown kind {kind!r}")
-
-    def _column_solver(self) -> "IntervalFunction":
-        """This inverse solved a column at a time by ``_inverse_row``, with
-        a memo of its own keyed (z, y) as here; built once and kept on
-        this function."""
-        solver = self.__dict__.get("_columns")
-        if solver is None:
-            solver = self._columns = IntervalFunction(self.poset, "inverse", self.name, self.operands)
-            solver._by_column = True
-        return solver
-
-    _by_column = False
+        value = narrow(self._rule(x, y)) if kind == "custom" else self._convolution(x, y)
+        self._memo.setdefault(x, {})[y] = value
+        return value
 
     def _inverse_row(self, x, y):
-        # Triangular solve for b with (b * a)(x, .) = delta, filling the
-        # memo for the whole row: b(x, z) a(z, z) = delta(x, z) minus the
-        # sum of b(x, w) a(w, z) over x <= w < z. A column solver solves
-        # (a * b)(., y) = delta down [x, y] the same way, with the order
-        # test and a's arguments swapped (zeta is symmetric), and keys its
-        # memo (z, y). The walk follows a linear extension, the grid or
+        """This inverse's value on [x, y], solving x's row over [x, y]."""
+        return self._solve(x, y, False)[y]
+
+    def _column(self, x, y):
+        """y's column line of this inverse, holding all of [x, y]. A walk
+        fills its line in the walk's order, so where x is in the line,
+        all of [x, y] is, and nothing is solved."""
+        line = self._columns.get(y)
+        if line is None or x not in line:
+            line = self._solve(x, y, True)
+        return line
+
+    def _solve(self, x, y, column):
+        # Triangular solve for b with (b * a)(x, .) = delta, filling x's
+        # row line over [x, y]: b(x, z) a(z, z) = delta(x, z) minus the
+        # sum of b(x, w) a(w, z) over x <= w < z. A column solves
+        # (a * b)(., y) = delta down [x, y] the same way into y's column
+        # line, with the order test and a's arguments swapped (zeta is
+        # symmetric). The walk follows a linear extension, the grid or
         # canonical order, reversed for a column, so each value only
         # needs earlier ones; each is a sum over the nonzero entries so
         # far that ``_leq`` puts below it. Raises on the first zero
@@ -145,22 +147,28 @@ class IntervalFunction:
         leq = p._leq
         operand = self.operands[0]
         a = _zeta if operand.kind == "zeta" else operand._evaluate_canonical
-        memo = self._memo
         grid = p._grid(x, y)
-        if grid is not None and a is _zeta:
-            return self._mobius_passes(x, y, *grid)
-        elements = p._interval(x, y) if grid is None else grid[0]
-        column, start = self._by_column, x
+        walk = p._interval(x, y) if grid is None else grid[0]
         if column:
-            elements, start, below, read = elements[::-1], y, leq, a
+            line, start = self._columns.setdefault(y, {}), y
+            walk, below, read = walk[::-1], leq, a
             leq = lambda w, z: below(z, w)
             if a is not _zeta:
                 a = lambda w, z: read(z, w)
+        else:
+            line, start = self._memo.setdefault(x, {}), x
+        if grid is not None and a is _zeta:
+            # The difference passes of the module docstring. Every z of
+            # [x, y] is kept, zeros included, as the scan would.
+            values = [0] * len(walk)
+            values[0] = 1
+            _run_passes(values, _grid_passes(grid[1]), -1)
+            line.update(zip(walk, values))
+            return line
         nonzeros: list = []
         try:
-            for z in elements:
-                key = (z, y) if column else (x, z)
-                cached = memo.get(key)
+            for z in walk:
+                cached = line.get(z)
                 if cached is not None:
                     if cached:
                         nonzeros.append((z, cached))
@@ -173,7 +181,7 @@ class IntervalFunction:
                     if leq(w, z):
                         total -= b_w * a(w, z)
                 value = _divide(total, diagonal)
-                memo[key] = value
+                line[z] = value
                 if value:
                     nonzeros.append((z, value))
         except NotInvertible:
@@ -182,24 +190,7 @@ class IntervalFunction:
                 if not a(z, z):
                     raise NotInvertible(z) from None
             raise
-        return memo[(x, y)]
-
-    def _mobius_passes(self, x, y, elements, radices):
-        # The Mobius row of x (column of y) on the grid [x, y]: Mobius
-        # is the product of one difference operator per chain, so the
-        # Mobius transform of the point mass at x takes one pass per
-        # coordinate. Reversing the grid complements every digit, so the
-        # same passes over the reversed list give the column. Every z of
-        # [x, y] is memoised, zeros included, as the scan would.
-        values = [0] * len(elements)
-        values[0] = 1
-        _run_passes(values, _grid_passes(radices), -1)
-        if self._by_column:
-            keys = [(z, y) for z in reversed(elements)]
-        else:
-            keys = [(x, z) for z in elements]
-        self._memo.update(zip(keys, values))
-        return values[-1]
+        return line
 
     def _convolution(self, x, y):
         p = self.poset
@@ -210,15 +201,14 @@ class IntervalFunction:
         # reads the right factor's rows: they may never reach it, and
         # otherwise name the element they always named.
         left._evaluate_canonical(x, y)
-        b = right._evaluate_canonical
+        read = right._evaluate_canonical
+        b = lambda z: read(z, y)
         # Where no read can raise, the exact sum does not depend on the
         # order of its terms, so it walks the grid unsorted.
         unordered = right.kind in _TOTAL
         if right.kind == "inverse":
-            column = right._column_solver()
             try:
-                column._evaluate_canonical(x, y)
-                b = column._evaluate_canonical
+                b = right._column(x, y).__getitem__
                 unordered = True
             except NotInvertible:
                 pass
@@ -227,7 +217,7 @@ class IntervalFunction:
         for z in p._interval(x, y) if grid is None else grid[0]:
             a_val = left._evaluate_canonical(x, z)
             if a_val:
-                b_val = b(z, y)
+                b_val = b(z)
                 if b_val:
                     total += a_val * b_val
         return narrow(total)
@@ -275,8 +265,8 @@ def zeta_function(p: Poset) -> IntervalFunction:
 
 def mobius_function(p: Poset) -> IntervalFunction:
     """The Mobius function of ``p``, the inverse of zeta, shared per
-    poset so its memos, its rows' and its column solver's, accumulate
-    across callers. It is kept on the poset itself: the two refer only
+    poset so its memos, its rows and its columns, accumulate across
+    callers. It is kept on the poset itself: the two refer only
     to each other, so neither keeps the other alive."""
     fn = p.__dict__.get("_mobius")
     if fn is None:

@@ -15,8 +15,8 @@ probes that property at desk scale:
   fresh ground elements q); the chain tries only z = y + 1, the one
   z > y with mu(y, z) != 0, and explicit posets scan every element
   above y, within the budget. The checks and the verification read
-  columns x -> mu(x, z) of the Mobius function from its column solver:
-  y's column once per stream, each candidate's column once, by one
+  whole columns x -> mu(x, z) of the Mobius function, each solved once
+  over ideal(z): y's once per stream, each candidate's once, by one
   difference pass per coordinate of its ideal's grid.
 
 * **censuses** -- the support set {y : a(x, y) != 0} restricted to a
@@ -221,10 +221,10 @@ def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     avoid set: (ideal(z) - ideal(y)) misses the set, Mobius values
     factor through y on all of ideal(y), and mu(y, z) != 0.
 
-    The columns x -> mu(x, y) and x -> mu(x, z) come from the shared
-    Mobius function's column solver, each solved in one walk down its
-    ideal and kept in that solver's memo, so y's column is solved once
-    per stream and verification reads z's column again."""
+    The columns x -> mu(x, y) and x -> mu(x, z) are lines of the shared
+    Mobius function, each solved whole in one walk down its ideal and
+    kept, so y's is solved once per stream and verification reads z's
+    again; y's line holds exactly ideal(y), in any order."""
     y, z = p.canon(y), p.canon(z)
     if not (p._leq(y, z) and y != z):
         raise NotStrictlyAbove(
@@ -234,18 +234,12 @@ def check_witness_conditions(p: Poset, y, avoid_set, z) -> WitnessConditions:
     disjoint = not any(
         p._leq(s, z) and not p._leq(s, y) for s in {p.canon(s) for s in avoid_set}
     )
-    # One walk down ideal(y) fills y's column (a memo hit for every later
-    # candidate), one down ideal(z) fills z's.
-    mu = mobius_function(p)._column_solver()._evaluate_canonical
+    mobius = mobius_function(p)
     bottom = p.bottom()
-    mu(bottom, y)
-    mu(bottom, z)
-    mu_yz = mu(y, z)
-    # Every read is a memo hit and ``all`` ignores order, so ideal(y) is
-    # read unsorted where it has a grid.
-    grid = p._grid(bottom, y)
-    below = p.ideal(y) if grid is None else grid[0]
-    factorize = all(mu(x, y) * mu_yz == mu(x, z) for x in below)
+    column_y = mobius._column(bottom, y)
+    column_z = mobius._column(bottom, z)
+    mu_yz = column_z[y]
+    factorize = all(mu_xy * mu_yz == column_z[x] for x, mu_xy in column_y.items())
     return WitnessConditions(disjoint, factorize, bool(mu_yz), as_scalar(mu_yz))
 
 
@@ -312,14 +306,16 @@ def verify_uncertainty_witnesses(
             f"g's value {g[base]}, although g vanishes below it"
         )
 
-    mu = mobius_function(p)._column_solver()._evaluate_canonical
+    mobius = mobius_function(p)
+    bottom = p.bottom()
     certificates = []
     for cert in witnesses(p, base, g.support(), count, budget):
         predicted = cert.mu_yz * f_base
+        column = mobius._column(bottom, cert.z)
         total = 0
         for x, g_x in g._entries.items():
-            if p._leq(x, cert.z):
-                total += mu(x, cert.z) * g_x
+            if x in column:
+                total += column[x] * g_x
         observed = as_scalar(total)
         if not (observed == predicted and observed):
             raise WitnessConclusionViolated(
@@ -483,7 +479,7 @@ def _check_inverses(p: Poset, a: IntervalFunction, b: IntervalFunction, shell_el
         wrong = next(
             (
                 (x, y) for i, x in enumerate(shell_elements) for y in shell_elements[i:]
-                if p._leq(x, y) and product._compute(x, y) != (1 if x == y else 0)
+                if p._leq(x, y) and product._convolution(x, y) != (1 if x == y else 0)
             ),
             None,
         )

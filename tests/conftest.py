@@ -9,7 +9,9 @@ the passes of windows drawn in every shape; for
 convolutions, which read an inverse right factor by column, against the
 defining sum; and for the rows and columns of inverses against the
 recursion, and the conjecture inverse-pair check, which decides zeta
-powers from the powers, against the defining pairwise loop; for the
+powers from the powers, against the defining pairwise loop, and for the
+Mobius column line the witness check reads whole, which must hold
+exactly ideal(y) and every interval a walk reached; for the
 multisets window and grid against their direct constructions, and the
 interval of every grid family against a window filtered by the order
 test; and for the pair search's sparse rows against the dense build, the

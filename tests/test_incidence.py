@@ -342,19 +342,19 @@ class TestExplicitPosetAlgebra:
 
 
 class TestColumns:
-    """An inverse's column solver solves a * b = delta a column at a time
+    """An inverse's columns solve a * b = delta a column at a time
     (Rota): its value on [x, z] is the row recursion's, checked exactly."""
 
     @staticmethod
     def assert_columns_are_rows(p, tops):
-        column = invert(zeta_function(p))._column_solver()
-        shared = mobius_function(p)._column_solver()
+        columns = invert(zeta_function(p))
+        shared = mobius_function(p)
         for z in tops:
             rows = invert(zeta_function(p))
             for x in p.ideal(z):
                 value = rows.evaluate(x, z)
-                assert column.evaluate(x, z) == value == mobius_value(p, x, z)
-                assert shared.evaluate(x, z) == value
+                assert columns._column(x, z)[x] == value == mobius_value(p, x, z)
+                assert shared._column(x, z)[x] == value
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), window=st.sampled_from([w for _, w in WINDOWS]))
@@ -370,19 +370,22 @@ class TestColumns:
         self.assert_columns_are_rows(p, enumerate_window(Window(p)))
 
     def test_one_walk_fills_a_column(self):
-        column = invert(zeta_function(DIV))._column_solver()
-        assert column.evaluate(1, 60) == 0
-        assert column._memo == {(x, 60): mobius_value(DIV, x, 60).real for x in DIV.ideal(60)}
+        inverse = invert(zeta_function(DIV))
+        assert inverse._column(1, 60)[1] == 0
+        assert inverse._columns == {60: {x: mobius_value(DIV, x, 60).real for x in DIV.ideal(60)}}
 
     def test_mobius_value_stays_on_rows(self):
-        mobius_function(SUBSETS)._memo.clear()
+        mobius = mobius_function(SUBSETS)
+        mobius._memo.clear()
+        mobius._columns.clear()
         assert mobius_value(SUBSETS, (), (1, 2)) == 1
-        assert set(mobius_function(SUBSETS)._memo) == {((), x) for x in SUBSETS.ideal((1, 2))}
+        assert mobius._memo.keys() == {()} and set(mobius._memo[()]) == set(SUBSETS.ideal((1, 2)))
+        assert mobius._columns == {}
 
 
 class TestSharedMobiusLifetime:
-    """The shared Mobius function is kept on its poset, and its column
-    solver on it, so a poset the caller drops is collected with their memos."""
+    """The shared Mobius function is kept on its poset, with its rows and
+    columns, so a poset the caller drops is collected with its memos."""
 
     @staticmethod
     def diamond(bottom):
@@ -395,8 +398,7 @@ class TestSharedMobiusLifetime:
     def test_shared_per_poset(self):
         p = self.diamond("shared")
         assert mobius_function(p) is mobius_function(p)
-        assert mobius_function(p)._column_solver() is mobius_function(p)._column_solver()
-        assert mobius_function(p) is not mobius_function(p)._column_solver()
+        assert mobius_function(p)._column("a", "1") is mobius_function(p)._columns["1"]
 
     @pytest.mark.parametrize("use", ["mobius_value", "column", "witness_check"])
     def test_explicit_poset_is_collected(self, use):
@@ -404,7 +406,7 @@ class TestSharedMobiusLifetime:
         if use == "mobius_value":
             assert mobius_value(p, use, "1") == 1
         elif use == "column":
-            assert mobius_function(p)._column_solver().evaluate(use, "1") == 1
+            assert mobius_function(p)._column(use, "1")[use] == 1
         else:
             conditions = check_witness_conditions(p, "a", [], "1")
             assert conditions.mu_yz == -1

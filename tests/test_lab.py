@@ -144,23 +144,23 @@ class TestWitnessConditions:
                         )
 
     def test_one_candidate_walks_at_most_two_columns(self, monkeypatch):
-        columns = mobius_function(SUBSETS)._column_solver()
-        columns._memo.clear()
+        mobius = mobius_function(SUBSETS)
+        mobius._columns.clear()
         walks = []
-        solve = IntervalFunction._inverse_row
+        solve = IntervalFunction._solve
 
-        def counting(self, x, y):
-            walks.append((self, x, y))
-            return solve(self, x, y)
+        def counting(self, x, y, column):
+            walks.append((self, x, y, column))
+            return solve(self, x, y, column)
 
-        monkeypatch.setattr(IntervalFunction, "_inverse_row", counting)
+        monkeypatch.setattr(IntervalFunction, "_solve", counting)
         y = (1, 2, 3, 4, 5)
         assert check_witness_conditions(SUBSETS, y, [], y + (6,)).all_hold
-        assert len(walks) <= 2 and all(fn is columns for fn, _, _ in walks)
-        # y's column is memoised: the next candidate walks only its own.
+        assert len(walks) <= 2 and all(fn is mobius and column for fn, _, _, column in walks)
+        # y's column is kept: the next candidate walks only its own.
         walks.clear()
         assert check_witness_conditions(SUBSETS, y, [], y + (7,)).all_hold
-        assert walks == [(columns, (), y + (7,))]
+        assert walks == [(mobius, (), y + (7,), True)]
 
 
 class TestWitnessStreams:
@@ -733,13 +733,13 @@ class TestConjectureExperiment:
         # which read no delta.
         kinds = []
         calls = []
-        compute = IntervalFunction._compute
+        for name in ("_evaluate_canonical", "_convolution"):
 
-        def spy(self, x, y):
-            kinds.append(self.kind)
-            return compute(self, x, y)
+            def spy(self, x, y, compute=getattr(IntervalFunction, name)):
+                kinds.append(self.kind)
+                return compute(self, x, y)
 
-        monkeypatch.setattr(IntervalFunction, "_compute", spy)
+            monkeypatch.setattr(IntervalFunction, name, spy)
         monkeypatch.setattr(functions, "_coordinatewise", lambda *args: calls.append("_coordinatewise"))
         shells = [
             Window(CHAIN, 8),
@@ -778,7 +778,7 @@ class TestConjectureExperiment:
         shell = list(range(1, 9))
         mobius = invert(zeta_function(p))
         lab._check_inverses(p, mobius, zeta_function(p), shell)
-        assert products == [] and mobius._memo == {} and "_columns" not in mobius.__dict__
+        assert products == [] and mobius._memo == {} and mobius._columns == {}
         c = random_interval_function(random.Random(4), p, shell)
         lab._check_inverses(p, c, invert(c), shell)
         assert len(products) == 1 and products[0]._memo == {}

@@ -1,8 +1,8 @@
 """The inverse row solver on product-of-chains grids, run both ways.
 
 ``Poset._grid(x, y)`` lists a product-of-chains interval in mixed-radix
-order, and ``IntervalFunction._inverse_row`` walks that order, up it for
-a row and down it for a column, testing each nonzero entry so far with
+order, and ``IntervalFunction._solve`` walks that order, up it for a
+row and down it for a column, testing each nonzero entry so far with
 ``_leq``; a Mobius row or column on a grid runs one difference pass per
 coordinate instead. These tests compare its rows and columns with the
 recursions done in ``GaussianRational`` and with the closed form, on
@@ -32,6 +32,7 @@ from posetlab import (
     get_poset,
     invert,
     mobius_function,
+    mobius_value,
     zeta_function,
 )
 from posetlab.incidence import IntervalFunction
@@ -102,21 +103,23 @@ def fresh_mobius(p):
     return invert(zeta_function(p))
 
 
-def solved(fn, x, y, elements, column):
-    """fn's column solver when ``column``, else fn; and the memo keys of
-    the row at x (the column at y) over ``elements``, by z."""
+def solve(fn, x, y, column):
+    """Solve fn's column at y over [x, y] when ``column``, else its row at
+    x, and return that line, ``{z: value}``."""
     if column:
-        return fn._column_solver(), {z: (z, y) for z in elements}
-    return fn, {z: (x, z) for z in elements}
+        return fn._column(x, y)
+    fn._evaluate_canonical(x, y)
+    return fn._memo[x]
 
 
-def assert_solved(fn, oracle, keys):
-    """Every memo entry of fn at ``keys`` equals the oracle's value and
-    is held in its narrowest type."""
-    for z, key in keys.items():
-        value = fn._memo[key]
-        assert value == oracle[z], key
-        assert type(value) is type(narrow(oracle[z])) and is_normal(value), (key, value)
+def assert_solved(line, oracle, elements):
+    """The line holds exactly ``elements``, each value equal to the
+    oracle's and held in its narrowest type."""
+    assert set(line) == set(elements)
+    for z in elements:
+        value = line[z]
+        assert value == oracle[z], z
+        assert type(value) is type(narrow(oracle[z])) and is_normal(value), (z, value)
 
 
 class TestRowsAndColumnsAgainstTheRecursion:
@@ -134,43 +137,44 @@ class TestRowsAndColumnsAgainstTheRecursion:
         p, x, y = random_interval(family, rng)
         elements = p._interval(x, y)
         a, a_gaussian = gaussian_function(p, rng)
-        inverse, keys = solved(invert(a), x, y, elements, column)
-        mobius, _ = solved(fresh_mobius(p), x, y, elements, column)
+        inverse, mobius = invert(a), fresh_mobius(p)
         if partial:
-            # A row whose memo already holds [x, y'] for some y' in [x, y],
+            # A row whose line already holds [x, y'] for some y' in [x, y],
             # or a column holding [x', y].
             middle = rng.choice(elements)
             lower, upper = (middle, y) if column else (x, middle)
-            inverse._evaluate_canonical(lower, upper)
-            mobius._evaluate_canonical(lower, upper)
-        inverse._evaluate_canonical(x, y)
-        mobius._evaluate_canonical(x, y)
+            solve(inverse, lower, upper, column)
+            solve(mobius, lower, upper, column)
+        inverse_line = solve(inverse, x, y, column)
+        mobius_line = solve(mobius, x, y, column)
         one = lambda u, v: GaussianRational(1)
         if column:
-            assert_solved(inverse, oracle_inverse_column(p, a_gaussian, elements, y), keys)
-            assert_solved(mobius, oracle_inverse_column(p, one, elements, y), keys)
+            assert_solved(inverse_line, oracle_inverse_column(p, a_gaussian, elements, y), elements)
+            assert_solved(mobius_line, oracle_inverse_column(p, one, elements, y), elements)
         else:
-            assert_solved(inverse, oracle_inverse_row(p, a_gaussian, elements, x), keys)
-            assert_solved(mobius, oracle_inverse_row(p, one, elements, x), keys)
+            assert_solved(inverse_line, oracle_inverse_row(p, a_gaussian, elements, x), elements)
+            assert_solved(mobius_line, oracle_inverse_row(p, one, elements, x), elements)
         if family != "explicit":
-            for key in keys.values():
-                assert mobius._memo[key] == p._closed_form_mobius(*key)
+            for z in elements:
+                key = (z, y) if column else (x, z)
+                assert mobius_line[z] == p._closed_form_mobius(*key)
 
     @pytest.mark.parametrize("column", [False, True])
     @pytest.mark.parametrize("p, top", [(SUBSETS, tuple(range(1, 10))), (DIV, math.prod(PRIMES + (11, 13, 17, 19, 23)))])
     def test_large_boolean_intervals_match_the_closed_form(self, p, top, column):
         bottom = p.bottom()
-        mobius, keys = solved(fresh_mobius(p), bottom, top, p._interval(bottom, top), column)
-        mobius._evaluate_canonical(bottom, top)
-        for key in keys.values():
-            value = mobius._memo[key]
-            assert type(value) is int and value == p._closed_form_mobius(*key)
+        elements = p._interval(bottom, top)
+        line = solve(fresh_mobius(p), bottom, top, column)
+        assert set(line) == set(elements)
+        for z in elements:
+            key = (z, top) if column else (bottom, z)
+            assert type(line[z]) is int and line[z] == p._closed_form_mobius(*key)
 
-    def test_column_solver_is_built_once_with_its_own_memo(self):
+    def test_columns_are_kept_apart_from_rows(self):
         inverse = fresh_mobius(DIV)
-        columns = inverse._column_solver()
-        assert inverse._column_solver() is columns and columns is not inverse
-        assert columns.evaluate(1, 12) == 0 and columns._memo and not inverse._memo
+        column = inverse._column(1, 12)
+        assert inverse._column(2, 12) is column and inverse._columns == {12: column}
+        assert column[1] == 0 and not inverse._memo
 
 
 class TestPassesMemoiseAsTheScan:
@@ -189,18 +193,16 @@ class TestPassesMemoiseAsTheScan:
         middle = rng.choice(p._interval(x, y))
         lower, upper = (middle, y) if column else (x, middle)
 
-        def solve(operand):
+        def memos(operand):
             inverse = invert(operand)
-            if column:
-                inverse = inverse._column_solver()
             if partial:
-                inverse._evaluate_canonical(lower, upper)
-            inverse._evaluate_canonical(x, y)
-            return inverse._memo
+                solve(inverse, lower, upper, column)
+            solve(inverse, x, y, column)
+            return inverse._memo, inverse._columns
 
-        memo = solve(zeta_function(p))
-        assert memo == solve(custom_function(p, lambda u, v: 1))
-        assert all(type(value) is int for value in memo.values())
+        rows, columns = memos(zeta_function(p))
+        assert (rows, columns) == memos(custom_function(p, lambda u, v: 1))
+        assert all(type(value) is int for line in [*rows.values(), *columns.values()] for value in line.values())
 
 
 class TestFirstZeroDiagonal:
@@ -225,31 +227,80 @@ class TestFirstZeroDiagonal:
         assert [z for z in p._interval(x, y) if z in zeros][0] == first
         walk = p._grid(x, y)[0][:: -1 if column else 1]
         assert [z for z in walk if z in zeros][0] != first
-        a = custom_function(p, lambda u, v: 0 if u == v and u in zeros else 1)
-        inverse = invert(a)._column_solver() if column else invert(a)
+        inverse = invert(custom_function(p, lambda u, v: 0 if u == v and u in zeros else 1))
         with pytest.raises(NotInvertible) as caught:
-            inverse._evaluate_canonical(x, y)
+            solve(inverse, x, y, column)
         assert caught.value.element == first
         # Whatever the walk memoised on the way is correct.
         one = lambda u, v: GaussianRational(1)
-        for (lower, upper), value in inverse._memo.items():
-            spanned = p._interval(lower, upper)
-            assert not zeros.intersection(spanned)
-            if column:
-                assert value == oracle_inverse_column(p, one, spanned, upper)[lower]
-            else:
-                assert value == oracle_inverse_row(p, one, spanned, lower)[upper]
+        assert set(inverse._columns if column else inverse._memo) <= {y if column else x}
+        for line in inverse._memo.values():
+            for upper, value in line.items():
+                spanned = p._interval(x, upper)
+                assert not zeros.intersection(spanned)
+                assert value == oracle_inverse_row(p, one, spanned, x)[upper]
+        for line in inverse._columns.values():
+            for lower, value in line.items():
+                spanned = p._interval(lower, y)
+                assert not zeros.intersection(spanned)
+                assert value == oracle_inverse_column(p, one, spanned, y)[lower]
 
     @pytest.mark.parametrize("p, x, y, zeros, first, column", CASES, ids=lambda v: repr(v))
     def test_a_nested_inverse_raises_the_same(self, p, x, y, zeros, first, column):
         # invert(c)(z, z) = 1 / c(z, z) raises where c's diagonal is zero.
         c = custom_function(p, lambda u, v: 0 if u == v and u in zeros else 2)
-        inverse = invert(invert(c))
-        if column:
-            inverse = inverse._column_solver()
         with pytest.raises(NotInvertible) as caught:
-            inverse._evaluate_canonical(x, y)
+            solve(invert(invert(c)), x, y, column)
         assert caught.value.element == first
+
+
+class TestColumnLines:
+    """``lab`` reads a Mobius column line whole: once solved from the
+    bottom it holds exactly ideal(y), and any walk, one that raises
+    partway included, leaves [x, y] whole in the line wherever x is."""
+
+    # CI runs this test with the ``ci`` profile, whose example count wins
+    # when it is the larger.
+    @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+    @given(
+        family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_line_is_the_ideal(self, family, seed):
+        rng = random.Random(seed)
+        p, x, y = random_interval(family, rng)
+        ideal = p.ideal(y)
+        mobius = fresh_mobius(p)
+        if rng.random() < 0.5:
+            mobius._column(x, y)
+        line = mobius._column(p.bottom(), y)
+        assert set(line) == set(ideal)
+        one = lambda u, v: GaussianRational(1)
+        for z in ideal:
+            if family == "explicit":
+                assert line[z] == oracle_inverse_row(p, one, p._interval(z, y), z)[y]
+            else:
+                assert line[z] == p._closed_form_mobius(z, y)
+        # A custom inverse with zero diagonal entries stops partway.
+        zeros = set(rng.sample(ideal, rng.randint(0, min(3, len(ideal)))))
+        inverse = invert(custom_function(p, lambda u, v: 0 if u == v and u in zeros else 1))
+        for start in (rng.choice(ideal), p.bottom()):
+            try:
+                inverse._column(start, y)
+                raised = False
+            except NotInvertible:
+                raised = True
+            assert raised == bool(zeros.intersection(p._interval(start, y)))
+            line = inverse._columns[y]
+            for z in line:
+                assert set(p._interval(z, y)) <= set(line)
+
+    def test_a_row_leaves_one_line(self, monkeypatch):
+        monkeypatch.setitem(SUBSETS.__dict__, "_mobius", None)
+        assert mobius_value(SUBSETS, (), tuple(range(1, 13))) == 1
+        mobius = mobius_function(SUBSETS)
+        assert list(mobius._memo) == [()] and len(mobius._memo[()]) == 4096
+        assert mobius._columns == {}
 
 
 def _grid_cases():
@@ -494,12 +545,10 @@ def oracle_table(p, fn, elements):
     return result
 
 
-class _NoColumns:
-    """A column solver whose fill always meets a zero diagonal, so a
-    convolution reads its right factor by row."""
-
-    def _evaluate_canonical(self, x, y):
-        raise NotInvertible(None)
+def _no_columns(self, x, y):
+    """A column fill that always meets a zero diagonal, so a convolution
+    reads its right factor by row."""
+    raise NotInvertible(None)
 
 
 def outcome(fn, x, y):
@@ -529,7 +578,7 @@ class TestConvolutionsReadColumns:
         product = convolve(build(p, left, d, c, True), build(p, right, c, d, True))
         result = outcome(product, x, y)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(IntervalFunction, "_column_solver", lambda self: _NoColumns())
+            patch.setattr(IntervalFunction, "_column", _no_columns)
             by_rows = outcome(convolve(build(p, left, d, c, False), build(p, right, c, d, False)), x, y)
         assert result == by_rows
         expected = oracle_table(p, product, elements)[(x, y)]
@@ -546,7 +595,7 @@ class TestConvolutionsReadColumns:
         b = invert(c)
         assert convolve(a, b).evaluate(1, 3) == 1
         with pytest.raises(NotInvertible) as caught:
-            b._column_solver().evaluate(1, 3)
+            b._column(1, 3)
         assert caught.value.element == 1
 
     def test_rows_are_read_in_canonical_order(self):
@@ -568,5 +617,6 @@ class TestConvolutionsReadColumns:
         mobius = mobius_function(p)
         product = convolve(zeta_function(p), mobius)
         assert product.evaluate(x, y) == 0
-        entries = len(product._memo) + len(mobius._memo) + len(mobius._column_solver()._memo)
+        lines = [*product._memo.values(), *mobius._memo.values(), *mobius._columns.values()]
+        entries = sum(map(len, lines))
         assert entries <= 2 * len(p._interval(x, y))

@@ -83,9 +83,11 @@ def is_normal(value) -> bool:
 
 def assert_memos_normal(*functions):
     for fn in functions:
-        for key, value in fn._memo.items():
-            assert not isinstance(value, (float, bool)), (fn, key, value)
-            assert is_normal(value), (fn, key, value)
+        for lines in (fn._memo, getattr(fn, "_columns", {})):
+            for key, line in lines.items():
+                for other, value in line.items():
+                    assert not isinstance(value, (float, bool)), (fn, key, other, value)
+                    assert is_normal(value), (fn, key, other, value)
 
 
 def as_gaussian(value) -> GaussianRational:
@@ -217,7 +219,7 @@ class TestAgainstGaussianOracle:
             for x in p.ideal(y):
                 assert mobius_value(p, x, y) == closed_form_mobius(p, x, y)
         memo = mobius_function(p)._memo
-        assert memo and all(type(value) is int for value in memo.values())
+        assert memo and all(type(value) is int for line in memo.values() for value in line.values())
 
 
 class TestNormalForm:
@@ -226,14 +228,14 @@ class TestNormalForm:
         a = custom_function(CHAIN, lambda x, y: values.get((x, y), 0))
         for x, y in values:
             a.evaluate(x, y)
-        assert a._memo == {(1, 1): 2, (1, 2): 3, (2, 2): Fraction(1, 2)}
-        assert [type(v) for v in a._memo.values()] == [int, int, Fraction]
+        assert a._memo == {1: {1: 2, 2: 3}, 2: {2: Fraction(1, 2)}}
+        assert [type(v) for line in a._memo.values() for v in line.values()] == [int, int, Fraction]
 
     def test_zeta_and_delta_are_plain_integers(self):
         assert type(zeta_function(CHAIN)._evaluate_canonical(1, 3)) is int
         delta = delta_function(CHAIN)
         assert (delta._evaluate_canonical(2, 2), delta._evaluate_canonical(2, 3)) == (1, 0)
-        assert all(type(value) is int for value in delta._memo.values())
+        assert all(type(value) is int for line in delta._memo.values() for value in line.values())
 
     def test_real_quotient_of_gaussians_is_narrowed(self):
         # b(1, 1) = 1/i = -i, then b(1, 2) = -(-i * 1) / i = 1 exactly.
@@ -242,14 +244,14 @@ class TestNormalForm:
         assert inverse.evaluate(1, 4) == oracle_inverse_row(
             CHAIN, lambda x, y: I if x == y else GaussianRational(1), [1, 2, 3, 4], 1
         )[4]
-        assert inverse._memo[(1, 1)] == -I
-        assert type(inverse._memo[(1, 2)]) is int and inverse._memo[(1, 2)] == 1
+        assert inverse._memo[1][1] == -I
+        assert type(inverse._memo[1][2]) is int and inverse._memo[1][2] == 1
         assert_memos_normal(inverse)
 
     def test_non_unit_integer_diagonal_divides_exactly(self):
         inverse = invert(custom_function(CHAIN, lambda x, y: 2 if x == y else 1))
         assert inverse.evaluate(1, 3) == GaussianRational(Fraction(-1, 8))
-        assert inverse._memo == {(1, 1): Fraction(1, 2), (1, 2): Fraction(-1, 4), (1, 3): Fraction(-1, 8)}
+        assert inverse._memo == {1: {1: Fraction(1, 2), 2: Fraction(-1, 4), 3: Fraction(-1, 8)}}
         assert_memos_normal(inverse)
 
     def test_fractions_summing_to_an_integer_are_narrowed(self):
@@ -257,7 +259,7 @@ class TestNormalForm:
         halves = {(1, 2): Fraction(1, 2), (1, 3): Fraction(3, 2)}
         inverse = invert(custom_function(CHAIN, lambda x, y: halves.get((x, y), 1)))
         assert inverse.evaluate(1, 3) == -1
-        assert inverse._memo[(1, 3)] == -1 and type(inverse._memo[(1, 3)]) is int
+        assert inverse._memo[1][3] == -1 and type(inverse._memo[1][3]) is int
         assert_memos_normal(inverse)
 
 
@@ -266,19 +268,19 @@ class TestConvolutionRow:
         mobius = mobius_function(CHAIN)
         mobius._memo.clear()
         calls = []
-        solve = IntervalFunction._inverse_row
+        solve = IntervalFunction._solve
 
-        def counting(self, x, y):
-            calls.append((x, y))
-            return solve(self, x, y)
+        def counting(self, x, y, column):
+            calls.append((x, y, column))
+            return solve(self, x, y, column)
 
-        monkeypatch.setattr(IntervalFunction, "_inverse_row", counting)
+        monkeypatch.setattr(IntervalFunction, "_solve", counting)
         product = convolve(mobius, zeta_function(CHAIN))
         assert product.evaluate(1, 400) == 0
-        assert calls == [(1, 400)]
+        assert calls == [(1, 400, False)]
         for y in (1, 2, 3, 399):
             assert product.evaluate(1, y) == delta_function(CHAIN).evaluate(1, y)
-        assert calls == [(1, 400)]
+        assert calls == [(1, 400, False)]
 
 
 class TestPublicBoundary:
