@@ -24,6 +24,15 @@ row taken so far, and those clears fill rows that later pivots clear
 again: on the divisibility search 1000/2000 it makes 77,638 clears
 against 23,572. A span test needs only the forward pass.
 
+The pair search reports only the kernel's dimension and its first basis
+vector made primitive, and :func:`kernel_candidate` does only that work.
+Where every column is the largest nonzero column of some row, the rank
+is full and nothing is eliminated. Otherwise the forward pass gives the
+rank, and one triangular solve in the Gaussian integers over the pivot
+rows before the first free column gives the vector; no back
+substitution runs and no basis is built. :func:`nullspace` stays the
+routine that builds the whole basis.
+
 Scaling a row by a nonzero scalar never changes the row space, so the
 elimination reaches the same reduced row echelon form as division-based
 elimination over the field. That form is unique: the pivot columns, the
@@ -207,14 +216,19 @@ def _quotient(value, pivot) -> GaussianRational:
     return GaussianRational(Fraction(a * pr + b * pi, norm), Fraction(b * pr - a * pi, norm))
 
 
+def _check_basis_cap(dimension: int, ncols: int) -> None:
+    """Refuse a kernel basis of more than ``DEFAULT_ELEMENT_CAP`` cells."""
+    cells = dimension * ncols
+    _check_cap(cells, f"kernel basis of {cells} cells exceeds cap {{cap}}")
+
+
 def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
     """Basis of the kernel of the matrix, one vector per free column in
     ascending column order. An empty row list gives the standard basis.
     The basis holds (``ncols`` - rank) * ``ncols`` cells; past
     ``DEFAULT_ELEMENT_CAP`` of them it is refused before any is built."""
     echelon, pivots = _eliminate(rows)
-    cells = (ncols - len(pivots)) * ncols
-    _check_cap(cells, f"kernel basis of {cells} cells exceeds cap {{cap}}")
+    _check_basis_cap(ncols - len(pivots), ncols)
     pivot_set = set(pivots)
     basis = {}
     for free in range(ncols):
@@ -228,6 +242,95 @@ def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
             if k != c:
                 basis[k][c] = quotient((-a, -b), (pr, pi))
     return list(basis.values())
+
+
+def _top_column(row):
+    """The largest column of a nonzero entry of ``row``, or None."""
+    if isinstance(row, Mapping):
+        if row:
+            top = max(row)
+            if row[top]:
+                return top
+            return max((c for c, v in row.items() if v), default=None)
+        return None
+    return next((c for c in reversed(range(len(row))) if row[c]), None)
+
+
+def _full_rank_certificate(rows, ncols: int) -> bool:
+    """Whether every column is the largest nonzero column of some row.
+    Those rows, one per column taken in column order, form a square
+    submatrix that is triangular with a nonzero diagonal, so the rank is
+    ``ncols``. False says nothing: the rank may still be full."""
+    tops = set()
+    for row in rows:
+        top = _top_column(row)
+        if top is not None:
+            tops.add(top)
+            if len(tops) == ncols:
+                return True
+    return not ncols
+
+
+def kernel_candidate(rows: list, ncols: int) -> tuple[int, list[GaussianRational] | None]:
+    """The kernel's dimension and its first basis vector, ``nullspace(rows,
+    ncols)[0]``, made primitive as :func:`primitive_integer_vector` does;
+    None for a trivial kernel. Refused where :func:`nullspace` refuses
+    the basis, though no basis is built.
+
+    A full-rank certificate (``_full_rank_certificate``) answers without
+    eliminating. Otherwise the rank comes from the forward pass alone.
+    The first basis vector is 1 at the first free column f0 and 0 past
+    it, and every column before f0 is a pivot column, so the forward
+    rows with pivots below f0, cut to columns up to f0, give it by one
+    back solve. The solve stays in the Gaussian integers: each new entry
+    is -sum / p for the row's pivot entry p, written with a positive
+    integer denominator (|p|, or the norm of p for a Gaussian p), and
+    where that does not divide the sum, the entries solved so far are
+    multiplied by it over the gcd. Every factor is a positive integer,
+    so the result is a positive multiple of the basis vector and has
+    the same primitive form."""
+    if _full_rank_certificate(rows, ncols):
+        return 0, None
+    echelon, pivots, _ = _forward(rows)
+    dimension = ncols - len(pivots)
+    _check_basis_cap(dimension, ncols)
+    if not dimension:
+        return 0, None
+    # The pivots ascend and are distinct, so f0 is the first j with
+    # pivots[j] != j.
+    f0 = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
+    vector = {f0: (1, 0)}
+    get = vector.get
+    for j in reversed(range(f0)):
+        row = echelon[j]
+        sum_re = sum_im = 0
+        for k, (a, b) in row.items():
+            if k != j:
+                entry = get(k)
+                if entry is not None:
+                    x, y = entry
+                    sum_re += a * x - b * y
+                    sum_im += a * y + b * x
+        if not (sum_re or sum_im):
+            continue
+        # The new entry is -sum / p, written as -sum' / scale with a
+        # positive integer scale: both are multiplied by the conjugate
+        # of a Gaussian p, or by -1 for a negative p.
+        pr, pi = row[j]
+        if pi:
+            scale = pr * pr + pi * pi
+            sum_re, sum_im = sum_re * pr + sum_im * pi, sum_im * pr - sum_re * pi
+        elif pr < 0:
+            scale, sum_re, sum_im = -pr, -sum_re, -sum_im
+        else:
+            scale = pr
+        common = gcd(scale, sum_re, sum_im)
+        if common != scale:
+            scale //= common
+            for k, (x, y) in vector.items():
+                vector[k] = (scale * x, scale * y)
+        vector[j] = (-sum_re // common, -sum_im // common)
+    return dimension, _primitive_vector(vector, ncols)
 
 
 def in_span(basis: list[list], vector: list) -> bool:
@@ -248,8 +351,14 @@ def primitive_integer_vector(vector: list) -> list[GaussianRational]:
     """Scale a rational vector to integer entries with content 1 and a
     "positive" leading entry (real part positive, or zero real part and
     positive imaginary part). The zero vector stays zero."""
-    entries = _sparse_row(vector)
-    scaled = [ZERO] * len(vector)
+    return _primitive_vector(_sparse_row(vector), len(vector))
+
+
+def _primitive_vector(entries, length: int) -> list[GaussianRational]:
+    """The vector of ``length`` with the Gaussian integer ``entries``,
+    ``{column: (re, im)}`` without zeros, divided by their integer
+    content, negated if needed for a "positive" leading entry."""
+    scaled = [ZERO] * length
     if entries:
         content = gcd(*chain.from_iterable(entries.values()))
         lead_re, lead_im = entries[min(entries)]

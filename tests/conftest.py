@@ -15,8 +15,10 @@ exactly ideal(y) and every interval a walk reached; for the
 multisets window and grid against their direct constructions, and the
 interval of every grid family against a window filtered by the order
 test; and for the pair search's sparse rows against the dense build, the
-primitivity of eliminated rows over the Gaussian integers, and the
-forward pass and back substitution against eager Gauss-Jordan; and for
+primitivity of eliminated rows over the Gaussian integers, the
+forward pass and back substitution against eager Gauss-Jordan, and the
+full-rank certificate and the one-solve kernel candidate against the
+kernel basis; and for
 element parsing against the seed package, reading a function document
 against the constructor, and wrong-shaped or deeply nested documents
 through the CLI, which must end in an error line.

@@ -646,6 +646,51 @@ class TestPairSearch:
             assert result.vector_in_nullspace(scaled)
 
 
+    @pytest.mark.parametrize("bound, shell_bound", [(5, 7), (10, 11)])
+    @pytest.mark.parametrize("beta", ["zeta", "mobius"])
+    def test_full_rank_subsets_searches_eliminate_nothing(self, bound, shell_bound, beta, monkeypatch):
+        # Each subset T of the window has the row of T + {bound + 1},
+        # whose largest column is T: the certificate proves full rank.
+        forward = []
+        original = linalg._forward
+        monkeypatch.setattr(linalg, "_forward", lambda rows: forward.append(rows) or original(rows))
+        b = mobius_function(SUBSETS) if beta == "mobius" else None
+        result = finite_support_pair_search(SUBSETS, Window(SUBSETS, bound), Window(SUBSETS, shell_bound), beta=b)
+        assert (result.nullspace_dimension, result.candidate, forward) == (0, None, [])
+
+    def test_divisibility_search_clears_in_the_forward_pass_only(self, monkeypatch):
+        # Divisibility 64/128, rank 50: the full elimination clears 374
+        # rows (see test_linalg); the rank and the candidate need only the
+        # forward pass's 290 and one triangular solve.
+        cleared, back = [], []
+        original_clear, original_back = linalg._clear, linalg._back_substitute
+        monkeypatch.setattr(linalg, "_clear", lambda *args: cleared.append(args[2]) or original_clear(*args))
+        monkeypatch.setattr(linalg, "_back_substitute", lambda *args: back.append(1) or original_back(*args))
+        result = finite_support_pair_search(DIV, Window(DIV, 64), Window(DIV, 128))
+        assert result.nullspace_dimension == 14
+        assert (len(cleared), back) == (290, [])
+        f, _ = result.candidate
+        expected = primitive_integer_vector(result.nullspace_basis[0])
+        assert dict(f.items()) == {x: v for x, v in zip(result.unknowns, expected) if v}
+
+    def test_mobius_rows_solve_one_column_each(self, monkeypatch):
+        # Chain 300/600: one column solve down ideal(y) per shell row, and
+        # none is kept; each cell would solve a row over [x, y] instead.
+        p = posets.ChainPoset()
+        column_flags = []
+        original = IntervalFunction._solve
+
+        def counted(self, x, y, column):
+            column_flags.append(column)
+            return original(self, x, y, column)
+
+        monkeypatch.setattr(IntervalFunction, "_solve", counted)
+        mobius = mobius_function(p)
+        result = finite_support_pair_search(p, Window(p, 300), Window(p, 600), beta=mobius)
+        assert result.nullspace_dimension == 299
+        assert column_flags == [True] * 300
+        assert (mobius._columns, mobius._memo) == ({}, {})
+
     def test_gaussian_beta_kernel_matches_sympy(self):
         """A Gaussian-valued beta: the basis is sympy's nullspace of the
         dense shell matrix, and the candidate is its first vector made

@@ -13,7 +13,7 @@ from sympy.polys.domains import ZZ_I
 import posetlab.lab as lab
 import posetlab.linalg as linalg
 from posetlab import GaussianRational, Window, enumerate_window, get_poset, zeta_function
-from posetlab.linalg import _eliminate, in_span, nullspace, primitive_integer_vector
+from posetlab.linalg import _eliminate, in_span, kernel_candidate, nullspace, primitive_integer_vector
 from posetlab.scalars import ONE, ZERO, as_scalar
 
 
@@ -318,6 +318,56 @@ def test_deferred_elimination_equals_eager_gauss_jordan(matrix, data):
     assert nullspace(rows, ncols) == basis
     assert in_span(rows, vector) == spanned
     assert all(in_span(rows, row) for row in rows)
+
+
+_NON_UNIT_GAUSSIAN = st.builds(
+    GaussianRational, st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool)
+)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(rows, ncols): ``matrices_with_repeats``, sometimes with rows that
+    lead with a Gaussian integer that is no unit, such as 1 + i, or with
+    rows triangular in their largest columns (one per column, so full
+    rank), and drawn as sequences or as ``{column: value}`` mappings
+    that keep their zero cells."""
+    rows, ncols = draw(matrices_with_repeats())
+    cell = st.one_of(st.just(0), _NARROW)
+    for _ in range(draw(st.integers(0, 2))):
+        lead = draw(st.integers(0, ncols - 1))
+        row = [0] * lead + [draw(_NON_UNIT_GAUSSIAN)]
+        rows.append(row + draw(st.lists(cell, min_size=ncols - lead - 1, max_size=ncols - lead - 1)))
+    if draw(st.booleans()):
+        for top in draw(st.permutations(range(ncols))):
+            below = draw(st.lists(cell, min_size=top, max_size=top))
+            rows.append(below + [draw(_NARROW.filter(bool))] + [0] * (ncols - top - 1))
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = [dict(enumerate(row)) for row in rows]
+    return rows, ncols
+
+
+# CI runs these tests with the ``ci`` profile, whose example count wins
+# when it is the larger.
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(kernel_matrices())
+def test_full_rank_certificate_never_hides_a_kernel(matrix):
+    rows, ncols = matrix
+    if linalg._full_rank_certificate(rows, ncols):
+        assert nullspace(rows, ncols) == []
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(kernel_matrices())
+def test_kernel_candidate_equals_the_first_basis_vector_made_primitive(matrix):
+    """The dimension is that of ``nullspace``'s basis, and the candidate
+    its first vector made primitive, from the forward pass and one
+    triangular solve, or from the certificate alone."""
+    rows, ncols = matrix
+    basis = nullspace(rows, ncols)
+    expected = primitive_integer_vector(basis[0]) if basis else None
+    assert kernel_candidate(rows, ncols) == (len(basis), expected)
 
 
 def search_rows(family, bound, shell_bound):

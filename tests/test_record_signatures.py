@@ -58,7 +58,7 @@ SIGNATURES = {
         ("shell", EMPTY),
         ("nullspace_dimension", EMPTY),
         ("unknowns", EMPTY),
-        ("nullspace_basis", EMPTY),
+        ("rows", EMPTY),
         ("candidate", None),
         ("caveat", "verified only on shell"),
     ],

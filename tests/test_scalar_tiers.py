@@ -329,22 +329,24 @@ class TestPublicBoundary:
                 assert type(value) is GaussianRational
 
     def test_linalg_cells_are_narrow_and_results_gaussian(self, monkeypatch):
-        """The pair search hands ``nullspace`` its memoised narrow values
-        as sparse ``{column: value}`` rows (no zero cells); everything
-        that comes back out of the linear algebra is a ``GaussianRational``."""
+        """The pair search hands ``kernel_candidate`` its memoised narrow
+        values as sparse ``{column: value}`` rows (no zero cells), and
+        keeps them as the result's rows; everything that comes back out
+        of the linear algebra is a ``GaussianRational``."""
         seen = []
-        original = lab.nullspace
+        original = lab.kernel_candidate
 
         def recording(rows, ncols):
             seen.append(rows)
             return original(rows, ncols)
 
-        monkeypatch.setattr(lab, "nullspace", recording)
+        monkeypatch.setattr(lab, "kernel_candidate", recording)
         beta = custom_function(DIV, lambda x, y: 1 if x == y else Fraction(x, y))
         for b, cell_types in ((zeta_function(DIV), {int}), (mobius_function(DIV), {int}),
                               (beta, {Fraction})):
             result = finite_support_pair_search(DIV, Window(DIV, 6), Window(DIV, 12), beta=b)
             rows = seen.pop()
+            assert result.rows is rows
             cells = [entry for row in rows for entry in row.values()]
             assert cells and all(is_normal(entry) for entry in cells)
             assert {type(entry) for entry in cells} == cell_types
