@@ -63,7 +63,7 @@ from .functions import (
     mobius_inversion,
 )
 from .incidence import IntervalFunction, convolve, mobius_function, zeta_function
-from .linalg import kernel_candidate, nullspace
+from .linalg import kernel_candidate
 from .posets import INCONCLUSIVE, Poset, Window, _check_cap, _Record, enumerate_window
 from .scalars import GaussianRational, as_scalar
 
@@ -151,10 +151,14 @@ class PairSearchResult(_Record):
 
     ``unknowns`` lists the window elements, the columns of the search
     matrix, whose sparse ``{column: value}`` rows ``rows`` holds (hidden
-    from ``repr`` and absent from the JSON). ``candidate`` (when present)
-    is a pair (f, g) with f a primitive integer kernel vector and g its
-    transform materialised on the shell. Vanishing of g beyond the shell
-    is never checked, hence the caveat.
+    from ``repr`` and absent from the JSON). The record keeps the whole
+    matrix, up to ``DEFAULT_ELEMENT_CAP`` cells, and no kernel basis:
+    equality, copies and pickles compare or copy the rows, so two
+    searches with one kernel but other rows differ; a kernel basis is
+    ``linalg.nullspace(rows, len(unknowns))``. ``candidate`` (when
+    present) is a pair (f, g) with f a primitive integer kernel vector
+    and g its transform materialised on the shell. Vanishing of g beyond
+    the shell is never checked, hence the caveat.
     """
 
     __slots__ = ("window", "shell", "nullspace_dimension", "unknowns", "rows", "candidate", "caveat")
@@ -165,12 +169,6 @@ class PairSearchResult(_Record):
         candidate=None, caveat="verified only on shell",
     ):
         self._fill(locals())
-
-    @property
-    def nullspace_basis(self) -> list:
-        """The kernel basis of :func:`nullspace`, eliminated again on
-        each access; the search itself never builds it."""
-        return nullspace(self.rows, len(self.unknowns))
 
     def vector_in_nullspace(self, f: FiniteSupportFunction) -> bool:
         """Whether a function supported in the window lies in the kernel:
@@ -443,28 +441,21 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
     built as ``{c: 1}`` with no evaluation.
 
     An inverse beta's row is instead read from y's column line
-    x -> beta(x, y), solved once down ideal(y) (see ``_column_row``),
-    where the row would walk ideal(y) and on every row of a poset
-    listed in grids. Evaluated cell by cell, each cell would solve its
-    own row over [x, y]."""
+    x -> beta(x, y), solved once down ideal(y) (see ``_column_row``);
+    evaluated cell by cell, each cell would solve its own row over
+    [x, y]. Only where the column meets a zero diagonal is the row
+    built from its cells, to raise what they raise."""
     column = {x: c for c, x in enumerate(unknowns)}
     zeta = beta.kind == "zeta"
+    inverse = beta.kind == "inverse"
     evaluate = beta._evaluate_canonical
     bottom = p.bottom()
     walk_limit = _WALK_FACTOR * len(unknowns)
-    # On a poset listed in grids every cell's row solve walks a grid of
-    # its interval, so one column walk of ideal(y) never costs more.
-    # Elsewhere a row solve re-reads its memo line, which costs less per
-    # element than a column's scan: past the walk bound, where a row has
-    # few cells for its ideal, the cells are read instead.
-    grids = p._grid(bottom, bottom) is not None
     rows = []
     for i, y in enumerate(shell_elements):
         if y in column:
             continue
-        row = None
-        if beta.kind == "inverse" and (grids or i < walk_limit):
-            row = _column_row(beta, bottom, y, column)
+        row = _column_row(beta, bottom, y, column) if inverse else None
         if row is not None:
             rows.append(row)
             continue

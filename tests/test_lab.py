@@ -63,7 +63,7 @@ from posetlab import (
 )
 from posetlab.errors import PosetLabError
 from posetlab.incidence import IntervalFunction
-from posetlab.linalg import primitive_integer_vector
+from posetlab.linalg import nullspace, primitive_integer_vector
 from posetlab.scalars import as_scalar
 from posetlab.numtheory import primes
 
@@ -638,7 +638,7 @@ class TestPairSearch:
         # outside the window.
         result = finite_support_pair_search(CHAIN, Window(CHAIN, 5), Window(CHAIN, 10))
         rng = random.Random(3)
-        for vector in result.nullspace_basis:
+        for vector in nullspace(result.rows, len(result.unknowns)):
             f = FiniteSupportFunction(CHAIN, zip(result.unknowns, vector))
             g = materialize(zeta_transform(f), Window(CHAIN, 10))
             assert set(g.support()) <= set(result.unknowns)
@@ -670,7 +670,7 @@ class TestPairSearch:
         assert result.nullspace_dimension == 14
         assert (len(cleared), back) == (290, [])
         f, _ = result.candidate
-        expected = primitive_integer_vector(result.nullspace_basis[0])
+        expected = primitive_integer_vector(nullspace(result.rows, len(result.unknowns))[0])
         assert dict(f.items()) == {x: v for x, v in zip(result.unknowns, expected) if v}
 
     def test_mobius_rows_solve_one_column_each(self, monkeypatch):
@@ -708,7 +708,7 @@ class TestPairSearch:
             [[_to_sympy(rule(x, y)) if y % x == 0 else 0 for x in unknowns] for y in equations]
         )
         expected = [[_from_sympy(v) for v in vector] for vector in matrix.nullspace()]
-        assert expected and result.nullspace_basis == expected
+        assert expected and nullspace(result.rows, len(unknowns)) == expected
         f, g = result.candidate
         primitive = primitive_integer_vector(expected[0])
         assert dict(f.items()) == {x: v for x, v in zip(unknowns, primitive) if v}
