@@ -9,7 +9,6 @@ error, 2 mathematical domain error.
 from __future__ import annotations
 
 import atexit
-import gc
 import json
 import os
 import sys
@@ -496,7 +495,10 @@ def main() -> None:
     At the program's top level, where every frame below ``main`` belongs
     to ``__main__`` or ``runpy`` (the console script, ``python -m
     posetlab.cli``, ``python -c``), a status from ``run()`` ends the
-    process without the interpreter's teardown. ``main`` registers an
+    process without the interpreter's teardown. So does help (``-h``),
+    which argparse ends inside ``run()`` with ``SystemExit(0)``, taken
+    here as the status; argparse's errors are ``run()``'s status 1, and
+    only an uncaught exception tears down. ``main`` registers an
     exit hook and raises ``SystemExit``; the caller's ``finally`` blocks
     and the exit hooks registered before ``main``'s still run, then
     stdout and stderr are flushed and ``os._exit`` ends the process with
@@ -510,19 +512,16 @@ def main() -> None:
     registers nothing. Under pytest or any other caller below other code
     no hook is registered, and the process tears down as usual.
 
-    The ways out that still tear down (argparse's ``SystemExit`` for
-    ``-h`` and its errors, uncaught exceptions, callers below other code)
-    freeze the collector in ``finally``: shutdown's full collections
-    then skip the ~12,900 objects tracked since start-up, which cuts
-    teardown from about 8 ms to about 2 ms.
-
     A closed stdout (``posetlab search ... | head -1``) ends in an
     ``error:`` line and status 1, as in Python's SIGPIPE recipe. Small
     outputs reach the OS only when flushed, so stdout is flushed here,
     where the error can be caught. Then stdout is pointed at
     ``os.devnull``, so that the flush at exit cannot raise again."""
     try:
-        status = run()
+        try:
+            status = run()
+        except SystemExit as exc:
+            status = exc.code
         sys.stdout.flush()
     except BrokenPipeError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -531,8 +530,6 @@ def main() -> None:
         except OSError:
             pass
         status = 1
-    finally:
-        gc.freeze()
     frame = sys._getframe(1)
     while frame is not None and frame.f_globals.get("__name__") in ("__main__", "runpy"):
         frame = frame.f_back

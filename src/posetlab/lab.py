@@ -69,9 +69,9 @@ from .scalars import GaussianRational, as_scalar
 
 DEFAULT_BUDGET = 10_000
 
-# A pair-search row walks ideal(y) while the bound on its size is at most
-# this many times the window, and otherwise tests each unknown. A walked
-# element costs about a half (chain) to a third (subsets) of an order
+# A pair-search row walks the grid of ideal(y) while the bound on its
+# size is at most this many times the window, and otherwise tests each
+# unknown. A walked element costs about a third (subsets) of an order
 # test, and the bound, y's position in the shell, exceeds most ideals.
 _WALK_FACTOR = 4
 
@@ -431,10 +431,12 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
 
     The shell is a down-set listed in a linear extension, so the ideal
     of the element at position i has at most i + 1 elements. Where that
-    is at most ``_WALK_FACTOR`` times the window, the unknowns below y
-    are read from a walk of ideal(y), with no order test; elsewhere each
-    unknown is tested against y. So no such row visits more than
-    ``_WALK_FACTOR`` elements per cell of the matrix. The values are
+    is at most ``_WALK_FACTOR`` times the window and the family has a
+    grid, the unknowns below y are read from a walk of ideal(y)'s grid,
+    with no order test; so no such row visits more than
+    ``_WALK_FACTOR`` elements per cell of the matrix. Elsewhere, and on
+    every chain and explicit poset, whose ideals no shell keeps small
+    next to the window, each unknown is tested against y. The values are
     evaluated in ascending column order either way, the order of a dense
     build, so a beta that raises raises the same error. Zeta, the
     default beta, is 1 on every interval and never raises: its rows are
@@ -459,12 +461,11 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
         if row is not None:
             rows.append(row)
             continue
-        if i < walk_limit:
-            grid = p._grid(bottom, y)
-            below = p._interval(bottom, y) if grid is None else grid[0]
-            columns = sorted(column[x] for x in below if x in column)
-        else:
+        grid = p._grid(bottom, y) if i < walk_limit else None
+        if grid is None:
             columns = [c for c, x in enumerate(unknowns) if p._leq(x, y)]
+        else:
+            columns = sorted(column[x] for x in grid[0] if x in column)
         if zeta:
             row = dict.fromkeys(columns, 1)
         else:

@@ -131,7 +131,7 @@ def prime_factors(n: int) -> dict[int, int]:
         raise InvalidInput(f"cannot factor {n}: expected a positive integer")
     out, m = _trial_division(n)
     if m > 1:
-        out.update(sorted(_large_prime_factors(m).items()))
+        out.update(sorted(_cached_large_prime_factors(m)))
     return out
 
 
@@ -156,13 +156,6 @@ def _trial_division(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
-def _large_prime_factors(n: int) -> dict[int, int]:
-    """Factorisation of n > 1 as {prime: multiplicity}, in no particular
-    order; n has no prime factor below ``_TRIAL_LIMIT``. A fresh dict
-    each call, copied from a bounded cache of recent cofactors."""
-    return dict(_cached_large_prime_factors(n))
-
-
 # A witness stream factors y*q for one fresh prime q after another, so
 # the same large cofactor of y comes back once per candidate.
 _FACTOR_CACHE_SIZE = 32
@@ -170,8 +163,9 @@ _FACTOR_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _cached_large_prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """``_large_prime_factors`` as an immutable tuple of pairs; a refusal
-    raises and is not cached."""
+    """Factorisation of n > 1, which has no prime factor below
+    ``_TRIAL_LIMIT``, as an immutable tuple of ``(prime, multiplicity)``
+    pairs in no particular order; a refusal raises and is not cached."""
     found: dict[int, int] = {}
     for p in _large_primes(n):
         if p is not None:

@@ -197,6 +197,8 @@ def _typed(values):
     return {name: (type(value), value) for name, value in values.items()}
 
 
+# Deep: argparse's handling of "--" and dash-prefixed values differs across Python versions.
+@pytest.mark.deep
 @settings(deadline=None)
 @given(case=argvs())
 def test_the_table_reader_agrees_with_argparse(case):

@@ -959,12 +959,12 @@ def typed_cells_or_error(build, *args):
 
 
 class TestPairSearchRows:
-    """The pair search builds each row from a walk of ideal(y) as sparse
-    ``{column: value}`` cells, and the elimination takes each distinct
-    row once."""
+    """The pair search builds each row as sparse ``{column: value}``
+    cells, from a walk of ideal(y)'s grid or from an order test per
+    unknown, and the elimination takes each distinct row once."""
 
-    # CI runs this test with the ``ci`` profile, whose example count wins
-    # when it is the larger.
+    # Deep: gates the sparse pair-search rows, errors included.
+    @pytest.mark.deep
     @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "divisors", "chain", "subsets", "multisets", "explicit"]),
@@ -1013,21 +1013,37 @@ class TestPairSearchRows:
         assert linalg._eliminate(rows)[1] == [0]
         assert converted == [dict.fromkeys(range(80), 1)]
 
-    def test_rows_far_above_a_small_window_test_each_unknown(self, monkeypatch):
-        # Window {1, 2} in shell 1..1400: walking every ideal would visit
-        # 980,000 elements. Only 3..8, at positions below 4 * 2, walk.
+    @staticmethod
+    def count_walks_and_tests(monkeypatch, p):
+        """The y of every ``_interval`` and of every ``_leq`` call on p's
+        class, from here on."""
         walked, tested = [], []
         for name, calls in (("_interval", walked), ("_leq", tested)):
-            original = getattr(type(CHAIN), name)
+            original = getattr(type(p), name)
 
             def counted(self, x, y, original=original, calls=calls):
                 calls.append(y)
                 return original(self, x, y)
 
-            monkeypatch.setattr(type(CHAIN), name, counted)
+            monkeypatch.setattr(type(p), name, counted)
+        return walked, tested
+
+    def test_rows_far_above_a_small_window_test_each_unknown(self, monkeypatch):
+        # Window {1, 2} in shell 1..1400: walking every ideal would visit
+        # 980,000 elements. The chain has no grid, so no row walks.
+        walked, tested = self.count_walks_and_tests(monkeypatch, CHAIN)
         rows = lab._pair_search_rows(CHAIN, [1, 2], list(range(1, 1401)), zeta_function(CHAIN))
         assert rows == [{0: 1, 1: 1}] * 1398
-        assert (walked, len(tested)) == (list(range(3, 9)), 2 * 1392)
+        assert (walked, len(tested)) == ([], 2 * 1398)
+
+    def test_explicit_rows_test_each_unknown(self, monkeypatch):
+        # An explicit interval scans the whole poset, so no row walks one.
+        shell = EXPLICIT_CHAIN.elements()
+        beta = zeta_function(EXPLICIT_CHAIN)
+        walked, tested = self.count_walks_and_tests(monkeypatch, EXPLICIT_CHAIN)
+        rows = lab._pair_search_rows(EXPLICIT_CHAIN, shell[:2], shell, beta)
+        assert rows == [{0: 1, 1: 1}] * 198
+        assert (walked, len(tested)) == ([], 2 * 198)
 
     def test_subsets_at_the_cell_cap_build_without_order_tests(self, monkeypatch):
         # 1024 x 1024 cells counted dense, of which 3**10 are nonzero; the
@@ -1051,8 +1067,8 @@ class TestInverseCheck:
     differs from it first at the shell's bottom and its first atom. Every
     other pair is checked by the defining convolutions."""
 
-    # CI runs this test with the ``ci`` profile, whose example count wins
-    # when it is the larger.
+    # Deep: gates deciding a pair of zeta powers from the powers.
+    @pytest.mark.deep
     @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "divisors", "chain", "subsets", "multisets", "explicit"]),

@@ -5,6 +5,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,8 +273,8 @@ def matrices_with_repeats(draw):
     return draw(st.permutations(rows)), ncols
 
 
-# CI runs this test with the ``ci`` profile, whose example count wins
-# when it is the larger.
+# Deep: gates the forward pass and one back substitution.
+@pytest.mark.deep
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(matrices_with_repeats())
 def test_deferred_elimination_equals_eager_gauss_jordan(matrix):
@@ -319,8 +320,8 @@ def kernel_matrices(draw):
     return rows, ncols
 
 
-# CI runs this test with the ``ci`` profile, whose example count wins
-# when it is the larger.
+# Deep: gates the full-rank certificate and the one-solve candidate.
+@pytest.mark.deep
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(kernel_matrices())
 def test_kernel_candidate_equals_the_first_basis_vector_made_primitive(matrix):
@@ -385,8 +386,8 @@ def test_equal_kernel_cells_share_one_quotient(monkeypatch):
 _GAUSSIAN_INTEGER = st.builds(GaussianRational, st.integers(-5, 5), st.integers(-5, 5))
 
 
-# CI runs this test with the ``ci`` profile, whose example count wins
-# when it is the larger.
+# Deep: gates keeping every eliminated row primitive.
+@pytest.mark.deep
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
 def test_eliminated_rows_are_primitive_over_the_gaussian_integers(nrows, ncols, gaussian, data):

@@ -273,11 +273,12 @@ def test_classical_mobius_of_squares_past_the_trial_limit(p, k, cofactor):
 SEMIPRIME = 1000003 * 1000033
 
 
-def test_large_factorisations_are_cached_as_copies():
+def test_changing_a_factorisation_leaves_the_cache_intact():
     numtheory._cached_large_prime_factors.cache_clear()
-    first = numtheory._large_prime_factors(SEMIPRIME)
+    first = prime_factors(SEMIPRIME)
     first[2] = 1
-    assert numtheory._large_prime_factors(SEMIPRIME) == {1000003: 1, 1000033: 1}
+    first[1000003] = 5
+    assert prime_factors(SEMIPRIME) == {1000003: 1, 1000033: 1}
     info = numtheory._cached_large_prime_factors.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 1, numtheory._FACTOR_CACHE_SIZE)
 

@@ -133,8 +133,8 @@ class TestInterval:
         with pytest.raises(NotComparable):
             interval(DIV, 5, 12)
 
-    # CI runs this test with the ``ci`` profile, whose example count wins
-    # when it is the larger.
+    # Deep: gates the interval of every grid family, its grid sorted.
+    @pytest.mark.deep
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     @given(grid_intervals())
     # Subsets bases whose members interleave with the added ones.
@@ -288,7 +288,8 @@ class TestMultisetConstructions:
     and the multisets grid, built one coordinate at a time, against the
     constructions they replaced."""
 
-    # No example count here: CI runs these tests with the ``ci`` profile.
+    # Deep: gates the window built from one smallest-prime-factor sieve.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(st.integers(0, 5000))
     @example(0)
@@ -312,7 +313,8 @@ class TestMultisetConstructions:
         with pytest.raises(BoundTooLarge, match="window of 1001 elements exceeds cap 1000$"):
             MULTISETS.window_elements(1001)
 
-    # No example count here: CI runs these tests with the ``ci`` profile.
+    # Deep: gates the grid built one coordinate at a time.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(data=st.data())
     def test_multisets_grid_equals_the_product_construction(self, data):
@@ -498,7 +500,8 @@ class TestWindowPasses:
     def test_passes_are_the_lower_covers(self, window):
         assert_passes_are_the_lower_covers(window)
 
-    # No example count here: CI runs this test with the ``ci`` profile.
+    # Deep: the passes each family reads from a window of any shape are its lower covers.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(window=drawn_windows(), data=st.data())
     def test_drawn_window_passes(self, window, data):
@@ -853,7 +856,8 @@ def _seed_element_texts(family: str):
 
 
 class TestParseAgainstSeed:
-    # No example count here: CI runs this test with the ``ci`` profile.
+    # Deep: gates every built-in family's element parsing.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(data=st.data(), family=st.sampled_from(["divisibility", "chain", "subsets", "multisets"]))
     def test_parse_element_matches_the_seed(self, data, family):

@@ -123,8 +123,8 @@ def assert_solved(line, oracle, elements):
 
 
 class TestRowsAndColumnsAgainstTheRecursion:
-    # CI runs this test with the ``ci`` profile, whose example count wins
-    # when it is the larger.
+    # Deep: gates Mobius rows and columns run as integer passes on grids.
+    @pytest.mark.deep
     @settings(max_examples=max(120, settings.default.max_examples), deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
@@ -259,8 +259,8 @@ class TestColumnLines:
     bottom it holds exactly ideal(y), and any walk, one that raises
     partway included, leaves [x, y] whole in the line wherever x is."""
 
-    # CI runs this test with the ``ci`` profile, whose example count wins
-    # when it is the larger.
+    # Deep: the column line the witness check reads whole holds exactly ideal(y).
+    @pytest.mark.deep
     @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),
@@ -563,6 +563,8 @@ class TestConvolutionsReadColumns:
     """A convolution fills an inverse right factor's column, and falls
     back to reading its rows when the fill meets a zero diagonal."""
 
+    # Deep: gates reading an inverse right factor by column and its fall-back to rows.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         family=st.sampled_from(["divisibility", "chain", "subsets", "multisets", "explicit"]),

@@ -434,7 +434,8 @@ def assert_stored_as_constructed(f):
 class TestCoordinatewiseKernel:
     """Whole-window zeta and Mobius transforms against the point rule."""
 
-    # No example count here: CI runs this test with the ``ci`` profile.
+    # Deep: gates the kernel's integer passes on numerators over a common denominator.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         setup=st.sampled_from(KERNEL_SETUPS + EDGE_SETUPS),
@@ -655,6 +656,8 @@ class TestFunctionDocuments:
         doc = {"poset": "chain", "values": {"1": "1", "2": "0"}}
         assert function_from_document(doc, CHAIN).support() == [1]
 
+    # Deep: gates reading a document at one scalar parse per distinct value text.
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(case=function_documents())
     @example(case=(SUBSETS, {"{2,1}": "1", "{1,2}": "2"}))
