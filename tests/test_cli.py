@@ -1,6 +1,7 @@
 """CLI behaviour: output, exit codes, JSON round-trips, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1086,6 +1087,31 @@ def _run_in_process_with_stderr(argv, status) -> tuple[str, str]:
         except SystemExit as exit:
             assert exit.code == status
     return out.getvalue(), err.getvalue()
+
+
+class TestGarbageCollectorFreeze:
+    """Neither ``main`` nor ``run`` freezes the collector: a freeze would
+    only leak into a caller below other code, since every exit at the
+    top level skips the teardown it would have shortened."""
+
+    # An exit hook runs after main has returned or raised, and reports
+    # the freeze count as the last line of stderr.
+    PRELUDE = "import atexit, gc, sys\natexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+
+    @pytest.mark.parametrize("argv, status", _EXITS, ids=repr)
+    def test_main_leaves_the_collector_alone_on_every_exit(self, argv, status):
+        # At the top level, and from a module that is not __main__.
+        main = "import posetlab.cli as cli\ncli.main()\n"
+        for body in (main, f"exec({main!r}, {{'__name__': 'caller'}})\n"):
+            done = _fresh_python(["-c", self.PRELUDE + body, *argv])
+            assert (done.returncode, done.stdout) == (status, _run_in_process(argv, status))
+            assert done.stderr.splitlines()[-1] == "freeze count 0"
+
+    @pytest.mark.parametrize("argv, status", _EXITS, ids=repr)
+    def test_run_does_not_freeze(self, argv, status):
+        before = gc.get_freeze_count()
+        _run_in_process(argv, status)
+        assert gc.get_freeze_count() == before
 
 
 # A JSON document larger than stdout's buffer, written while run() prints,
