@@ -105,11 +105,10 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The CLI's argparse parser, generated from ``_COMMANDS``, with only
-    ``command``'s subparser, or with all of them when ``command`` is None.
-    Building a subparser costs argparse a help formatter per argument, so
-    a call builds only the one it runs."""
+def build_parser():
+    """The CLI's argparse parser, generated from ``_COMMANDS``, with a
+    subparser for every subcommand. ``run`` builds it only for a call
+    that ``_read_argv`` declines."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -122,8 +121,6 @@ def build_parser(command: str | None = None):
     parser = _Parser(prog="posetlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, options) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=summary)
         for flag, (kind, default, text) in options.items():
             if kind is bool:
@@ -463,17 +460,13 @@ _HANDLERS = {
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (``sys.argv[1:]`` when None) and dispatch; returns
     the process exit status. A well-formed call is read from the option
-    table and builds no parser. Anything else goes to argparse: when
-    ``argv`` starts with a subcommand, only that subcommand's parser is
-    built; otherwise (no arguments, ``-h``, an option first, an unknown
-    word) the full parser, whose help and errors list every subcommand.
-    A handler returns what is printed: the JSON payload under ``--json``,
-    otherwise the text lines."""
+    table and builds no parser. Anything else (help, a usage error, a
+    spelling the table reader declines) goes to the one argparse parser,
+    with every subcommand. A handler returns what is printed: the JSON
+    payload under ``--json``, otherwise the text lines."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(argv)
-        if args is None:
-            args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
         output = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

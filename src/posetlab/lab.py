@@ -173,6 +173,8 @@ class PairSearchResult(_Record):
     def vector_in_nullspace(self, f: FiniteSupportFunction) -> bool:
         """Whether a function supported in the window lies in the kernel:
         whether every row vanishes on its values at the unknowns."""
+        if f.poset != self.window.poset:
+            raise PosetMismatch("function lives on a different poset")
         vector = [f[x] for x in self.unknowns]
         return not any(sum(value * vector[c] for c, value in row.items()) for row in self.rows)
 
@@ -551,6 +553,8 @@ def conjecture_experiment(
     """
     if a.poset != p or b.poset != p:
         raise PosetMismatch("interval functions live on a different poset")
+    if w.poset != p or shell.poset != p:
+        raise PosetMismatch("windows live on a different poset")
     shell_elements = enumerate_window(shell)
     pairs = len(shell_elements) * (len(shell_elements) + 1) // 2
     _check_cap(pairs, f"inverse-pair check over {pairs} element pairs exceeds cap {{cap}}")

@@ -1,12 +1,11 @@
 """How a CLI call is parsed.
 
 ``run`` reads a well-formed call straight from the option table
-``cli._COMMANDS`` and builds no argparse parser. Anything else goes to
-argparse, generated from the same table: the subparser of the
-subcommand that ``argv`` starts with (``-h``, a missing required
+``cli._COMMANDS`` and builds no argparse parser. Anything else (``-h``,
+no arguments, an unknown word, an option first, a missing required
 option, an abbreviation, ``--opt=value``, a repeat, a dash-prefixed
-value, a bad int or choice), or the full parser, with every subcommand,
-for no arguments, ``-h``, an option first or an unknown word.
+value, a bad int or choice) goes to the one argparse parser, generated
+from the same table with every subcommand.
 
 The table reader must agree with argparse wherever it accepts: the
 property test below compares the two on generated argvs, and CI runs it
@@ -62,22 +61,6 @@ def test_the_table_lists_the_subcommands_in_help_order():
     assert list(cli._COMMANDS) == list(cli._HANDLERS) == COMMANDS
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_help_builds_only_its_own_subparser(command, monkeypatch):
-    assert built_subparsers(monkeypatch, [command, "-h"]) == [command]
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_a_bare_command_builds_a_subparser_only_for_a_missing_option(command, monkeypatch):
-    expected = [] if command in NO_REQUIRED_OPTION else [command]
-    assert built_subparsers(monkeypatch, [command]) == expected
-
-
-def test_a_full_invocation_builds_no_subparser(monkeypatch):
-    argv = ["mobius", "--poset", "divisibility", "--x", "2", "--y", "12"]
-    assert built_subparsers(monkeypatch, argv) == []
-
-
 # Calls the table reader declines: argparse parses or refuses them.
 DECLINED = [
     ["mobius", "--pos", "chain", "--x", "1", "--y", "2"],
@@ -90,25 +73,32 @@ DECLINED = [
     ["census", "--poset", "chain", "--x", "1", "--alpha", "mu"],
     ["isomap", "--n", "3", "extra"],
 ]
+WELL_FORMED = [["mobius", "--poset", "divisibility", "--x", "2", "--y", "12"]] + [
+    [command] for command in NO_REQUIRED_OPTION
+]
+PARSED_BY_ARGPARSE = (
+    [[command, "-h"] for command in COMMANDS]
+    + [[command] for command in COMMANDS if command not in NO_REQUIRED_OPTION]
+    + DECLINED
+    + [[], ["-h"], ["frobnicate"], ["--json", "mobius"]]
+)
 
 
-@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
-def test_a_declined_call_builds_only_its_own_subparser(argv, monkeypatch):
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_a_well_formed_call_builds_no_subparser(argv, monkeypatch):
+    assert built_subparsers(monkeypatch, argv) == []
+
+
+@pytest.mark.parametrize("argv", PARSED_BY_ARGPARSE, ids=repr)
+def test_every_other_call_builds_every_subparser(argv, monkeypatch):
     assert cli._read_argv(argv) is None
-    assert built_subparsers(monkeypatch, argv) == [argv[0]]
-
-
-@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--json", "mobius"]], ids=repr)
-def test_anything_else_builds_every_subparser(argv, monkeypatch):
     assert built_subparsers(monkeypatch, argv) == COMMANDS
 
 
-def test_build_parser_defaults_to_every_command():
+def test_build_parser_has_every_command():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == COMMANDS
-    (sub,) = [a for a in cli.build_parser("census")._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == ["census"]
 
 
 # -- the traffic the reader must accept -------------------------------------
@@ -183,9 +173,9 @@ def argvs(draw):
 
 
 def _argparse_result(argv):
-    """``vars`` of what argparse parses from ``argv``, built as ``run``
-    builds it, or None where it refuses or prints help."""
-    parser = cli.build_parser(argv[0] if argv[0] in cli._COMMANDS else None)
+    """``vars`` of what argparse parses from ``argv``, or None where it
+    refuses or prints help."""
+    parser = cli.build_parser()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))

@@ -1173,3 +1173,27 @@ class TestPosetMismatch:
             conjecture_experiment(
                 DIV, mobius_function(DIV), zeta_function(CHAIN), Window(DIV, 4), Window(DIV, 8), [1]
             )
+
+    # A zeta pair, refused by the inverse check, and an inverse pair of
+    # custom functions, which pass it.
+    ONES = custom_function(DIV, lambda x, y: 1)
+
+    @pytest.mark.parametrize(
+        "a, b, window, shell",
+        [
+            (zeta_function(DIV), zeta_function(DIV), Window(DIV, 4), Window(SUBSETS, 3)),
+            (ONES, invert(ONES), Window(DIV, 4), Window(SUBSETS, 3)),
+            (zeta_function(DIV), zeta_function(DIV), Window(SUBSETS, 2), Window(DIV, 8)),
+        ],
+        ids=["zeta shell", "custom shell", "zeta window"],
+    )
+    def test_conjecture_windows_on_another_poset(self, a, b, window, shell):
+        with pytest.raises(PosetMismatch, match="windows live on a different poset"):
+            conjecture_experiment(DIV, a, b, window, shell, [1])
+
+    @pytest.mark.parametrize("f", [FiniteSupportFunction(CHAIN, {1: 1}), FiniteSupportFunction(SUBSETS, {(1,): 1})],
+                             ids=["chain", "subsets"])
+    def test_nullspace_test_of_a_function_on_another_poset(self, f):
+        result = finite_support_pair_search(DIV, Window(DIV, 4), Window(DIV, 8))
+        with pytest.raises(PosetMismatch, match="function lives on a different poset"):
+            result.vector_in_nullspace(f)

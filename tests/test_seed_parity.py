@@ -43,6 +43,7 @@ from posetlab import cli
 # perfbench/ is imported but the package itself.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from seedref import cli as seed_cli  # noqa: E402
+from test_cli_parser import DECLINED  # noqa: E402
 
 COMMANDS = sorted(cli._HANDLERS)
 EXPLICIT = "diamond.json"
@@ -217,9 +218,10 @@ def test_larger_subsets_rows_match_the_seed(argv, document):
     assert current[0] == 0
 
 
-# Argvs that do not start with a subcommand: the CLI builds its full
-# parser for them, whose help and errors list every subcommand.
-FULL_PARSER_ARGVS = [
+# Calls the table reader declines, among them the parser tests' declined
+# spellings: they go to the CLI's argparse parser, whose help and errors
+# list every subcommand.
+FULL_PARSER_ARGVS = DECLINED + [
     [],
     ["--json"],
     ["--json", "mobius", "--poset", "chain", "--x", "1", "--y", "2"],
