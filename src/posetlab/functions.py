@@ -20,13 +20,13 @@ inverse of zeta (Mobius) for a whole window at once instead: one pass
 per coordinate, as in Yates's algorithm and the fast zeta transform of
 Bjorklund, Husfeldt, Kaski and Koivisto (SODA 2012). The poset reads
 the passes from the ``Window``, whose shape its family knows
-(:meth:`~posetlab.posets.Poset.window_passes`). They run over window
-positions on integer numerators over a common denominator of f's
-stored values, and their result is stored as it comes, already
-canonical and narrow. Every other transform, and every explicit poset,
-is evaluated point by point, in narrow arithmetic on f's stored values.
-The kernel's pass loop also solves Mobius rows and columns on grids
-(:mod:`posetlab.incidence`).
+(:meth:`~posetlab.posets.Poset.window_passes`), with the listing they
+index, the window or its grid. They run on integer numerators over a
+common denominator of f's stored values, and their result is stored
+in window order, canonical and narrow. Every other transform, and
+every explicit poset, is evaluated point by point, in narrow arithmetic
+on f's stored values. The kernel's pass loop also solves Mobius rows
+and columns on grids (:mod:`posetlab.incidence`).
 """
 
 from __future__ import annotations
@@ -203,17 +203,17 @@ def _materialize_elements(e: EvaluableFunction, w: Window, elements: list) -> Fi
     if isinstance(e, EvaluableFunction):
         sign = e.a._zeta_power()
         # Delta (power 0) runs no pass: its transform is h copied onto the window.
-        passes = None if sign is None else e.poset.window_passes(w, elements) if sign else []
-        if passes is not None:
-            values = _coordinatewise(e.h._entries, sign, elements, passes)
+        shape = None if sign is None else e.poset.window_passes(w, elements) if sign else (elements, [])
+        if shape is not None:
+            values = _coordinatewise(e.h._entries, sign, elements, *shape)
             return FiniteSupportFunction._canonical(e.poset, values)
     return FiniteSupportFunction(e.poset, ((y, e(y)) for y in elements))
 
 
-def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
+def _coordinatewise(entries: dict, sign: int, elements: list, listing: list, passes) -> dict:
     """Zeta (sign 1) or Mobius (sign -1) transform of the narrow
     ``entries`` (element -> value) on the enumerated window
-    ``elements``, whose ``passes`` are the window's
+    ``elements``, whose ``listing`` and ``passes`` are the window's
     :meth:`~posetlab.posets.Poset.window_passes`: the nonzero values,
     narrow, in the order of ``elements``.
 
@@ -225,7 +225,7 @@ def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     -1, so the passes run on the values scaled by the lcm of their
     denominators, as integers: one list for real parts, and one for
     imaginary parts only when one is nonzero."""
-    position = dict(zip(elements, range(len(elements))))
+    position = dict(zip(listing, range(len(listing))))
     # Support outside the window reaches no window element.
     placed = [(position[x], v) for x, v in entries.items() if x in position]
     real = [(i, v.real if type(v) is GaussianRational else v) for i, v in placed]
@@ -233,10 +233,13 @@ def _coordinatewise(entries: dict, sign: int, elements: list, passes) -> dict:
     scale = math.lcm(*{part.denominator for _, part in real + imag})
     numerators = []
     for parts in (real, imag) if imag else (real,):
-        values = [0] * len(elements)
+        values = [0] * len(listing)
         for i, part in parts:
             values[i] = part.numerator * (scale // part.denominator)
         _run_passes(values, passes, sign)
+        if listing is not elements:
+            # The passes ran in listing order; the result is in window order.
+            values = [values[position[y]] for y in elements]
         numerators.append(values)
     if not imag:
         return {elements[i]: _unscale(scale, n) for i, n in enumerate(numerators[0]) if n}

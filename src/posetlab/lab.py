@@ -59,7 +59,6 @@ from .functions import (
     _materialize_elements,
     alpha_transform,
     function_to_document,
-    materialize,
     mobius_inversion,
 )
 from .incidence import IntervalFunction, convolve, mobius_function, zeta_function
@@ -349,7 +348,7 @@ def support_census(p: Poset, a: IntervalFunction, x, w: Window) -> SupportCensus
         raise PosetMismatch("census arguments live on different posets")
     x = p.canon(x)
     elements = enumerate_window(w)
-    if x not in set(elements):
+    if x not in elements:
         raise ElementOutsideWindow(
             f"{p.format_element(x)} is outside the window {w.label()}"
         )
@@ -414,7 +413,7 @@ def finite_support_pair_search(
     candidate = None
     if vector is not None:
         f = FiniteSupportFunction(p, zip(unknowns, vector))
-        g = materialize(alpha_transform(f, beta), shell)
+        g = _materialize_elements(alpha_transform(f, beta), shell, shell_elements)
         candidate = (f, g)
     return PairSearchResult(
         window=w,

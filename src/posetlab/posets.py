@@ -26,11 +26,11 @@ Divisibility, subsets and multisets list an interval as a grid, in
 mixed-radix order (``Poset._grid``); the canonical interval is that
 grid sorted, and the Mobius solver runs the grid's passes over it, one
 per digit level of each coordinate (``_grid_passes``, ``_run_passes``).
-Whole-window transforms run passes over the positions of a window,
-which each family reads from the ``Window`` itself (``window_passes``):
-a subsets window or a divisor window is the ideal of its last element
-and takes that ideal's grid passes; a range window (divisibility and
-multisets ``1..N``, the chain) takes one ``range`` pass per coordinate.
+Whole-window transforms run passes over a listing of the window, which
+each family reads from the ``Window`` itself (``window_passes``): a
+subsets or divisor window, the ideal of its last element, is listed as
+its grid, with its passes; a range window (divisibility and multisets
+``1..N``, the chain) as enumerated, with one ``range`` pass per coordinate.
 """
 
 from __future__ import annotations
@@ -158,16 +158,16 @@ class Poset:
     # -- product-of-chains structure -----------------------------------
 
     def window_passes(self, w, elements):
-        """The passes ``_run_passes`` runs for zeta and Mobius on the
-        window ``w``, whose ``elements`` are ``enumerate_window(w)``. A
-        pass is a ``(targets, sources)`` pair of position sequences, all
-        in one coordinate: ``elements[s]`` is ``elements[t]`` one lower
-        in that coordinate, for each t and the s beside it. A window
-        listed as a range has one pass per coordinate, targets
-        ascending; one that is the ideal of its last element has the
-        grid's passes (``_grid_passes``), each from a single digit level
-        to the level below, a coordinate's passes ascending by level.
-        None on explicit posets."""
+        """``(listing, passes)`` for zeta and Mobius on the window ``w``,
+        whose ``elements`` are ``enumerate_window(w)``: ``_run_passes``
+        runs the passes on values listed as ``listing`` is. A pass is a
+        ``(targets, sources)`` pair of position sequences, all in one
+        coordinate: ``listing[s]`` is ``listing[t]`` one lower there, for
+        each t and the s beside it. A range window is listed as
+        ``elements``, with one pass per coordinate, targets ascending;
+        the ideal of its last element as its grid, with the grid's passes
+        (``_grid_passes``), each from a single digit level to the level
+        below, a coordinate's passes ascending by level. None elsewhere."""
         return None
 
     def __getstate__(self):
@@ -275,13 +275,10 @@ class _ChainProduct(Poset):
         return list(map(self._from_pairs, pairs)), radices
 
     def window_passes(self, w, elements):
-        """The passes of ``_grid`` over the ideal of the last element,
-        each grid position mapped to its position in ``elements``."""
+        """The ideal of the last element as ``_grid`` lists it, and the
+        grid's passes."""
         grid, radices = self._grid(elements[0], elements[-1])
-        position = dict(zip(elements, range(len(elements))))
-        order = [position[z] for z in grid]
-        passes = _grid_passes(radices)
-        return [([order[t] for t in targets], [order[s] for s in sources]) for targets, sources in passes]
+        return grid, _grid_passes(radices)
 
     def _closed_form_mobius(self, x, y) -> GaussianRational:
         """Rota's product theorem: the product over coordinates of the
@@ -374,7 +371,7 @@ class DivisibilityPoset(_PositiveIntegers):
         arithmetic."""
         if w.divisor_closure:
             return super().window_passes(w, elements)
-        return _range_passes(len(elements))
+        return elements, _range_passes(len(elements))
 
 
 class ChainPoset(_PositiveIntegers):
@@ -402,7 +399,7 @@ class ChainPoset(_PositiveIntegers):
     def window_passes(self, w, elements):
         """One chain: n - 1 below n."""
         size = len(elements)
-        return [(range(1, size), range(size - 1))] if size > 1 else []
+        return elements, [(range(1, size), range(size - 1))] if size > 1 else []
 
     mobius_census = (
         FINITE_CERTIFIED,
@@ -595,7 +592,7 @@ class MultisetPoset(_ChainProduct):
     def window_passes(self, w, elements):
         """A window of images 1..N holds image y at position y - 1, so
         its passes are those of divisibility on 1..N."""
-        return _range_passes(len(elements))
+        return elements, _range_passes(len(elements))
 
     mobius_census = (
         INFINITE_CERTIFIED,

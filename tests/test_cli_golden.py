@@ -16,6 +16,7 @@ from posetlab.cli import run
 FILES = {
     "diamond.json": {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]},
     "div.json": {"poset": "divisibility", "values": {"1": "1", "6": "-2/3"}},
+    "sub.json": {"poset": "subsets", "values": {"{}": "1", "{2}": "1/2+1i", "{1,3}": "-2"}},
     "chain.json": {"values": {"1": "1", "3": "1/2+1i"}},
     "bad.json": {"values": {"1": "i/2"}},
     "multi.json": {"poset": "multisets", "values": {"1": "1", "2^1*3^1": "-1"}},
@@ -287,6 +288,106 @@ CASES = [
             '    "3": "-1",\n'
             '    "5": "-1",\n'
             '    "6": "1/3"\n'
+            "  }\n"
+            "}\n"
+        ),
+        "",
+    ),
+    # Grid windows, whose grid order is not canonical order (captured at f45011c).
+    (
+        ["transform", "--fn", "sub.json", "--bound", "3"],
+        0,
+        (
+            "{} = 1\n"
+            "{1} = 1\n"
+            "{2} = 3/2+1i\n"
+            "{3} = 1\n"
+            "{1,2} = 3/2+1i\n"
+            "{1,3} = -1\n"
+            "{2,3} = 3/2+1i\n"
+            "{1,2,3} = -1/2+1i\n"
+        ),
+        "",
+    ),
+    (
+        ["transform", "--fn", "sub.json", "--bound", "3", "--json"],
+        0,
+        (
+            "{\n"
+            '  "poset": "subsets",\n'
+            '  "values": {\n'
+            '    "{}": "1",\n'
+            '    "{1}": "1",\n'
+            '    "{2}": "3/2+1i",\n'
+            '    "{3}": "1",\n'
+            '    "{1,2}": "3/2+1i",\n'
+            '    "{1,3}": "-1",\n'
+            '    "{2,3}": "3/2+1i",\n'
+            '    "{1,2,3}": "-1/2+1i"\n'
+            "  }\n"
+            "}\n"
+        ),
+        "",
+    ),
+    (
+        ["invert-transform", "--fn", "sub.json", "--bound", "3"],
+        0,
+        (
+            "{} = 1\n"
+            "{1} = -1\n"
+            "{2} = -1/2+1i\n"
+            "{3} = -1\n"
+            "{1,2} = 1/2-1i\n"
+            "{1,3} = -1\n"
+            "{2,3} = 1/2-1i\n"
+            "{1,2,3} = 3/2+1i\n"
+        ),
+        "",
+    ),
+    (
+        ["invert-transform", "--fn", "sub.json", "--bound", "3", "--json"],
+        0,
+        (
+            "{\n"
+            '  "poset": "subsets",\n'
+            '  "values": {\n'
+            '    "{}": "1",\n'
+            '    "{1}": "-1",\n'
+            '    "{2}": "-1/2+1i",\n'
+            '    "{3}": "-1",\n'
+            '    "{1,2}": "1/2-1i",\n'
+            '    "{1,3}": "-1",\n'
+            '    "{2,3}": "1/2-1i",\n'
+            '    "{1,2,3}": "3/2+1i"\n'
+            "  }\n"
+            "}\n"
+        ),
+        "",
+    ),
+    (
+        ["invert-transform", "--fn", "div.json", "--divisors", "12"],
+        0,
+        (
+            "1 = 1\n"
+            "2 = -1\n"
+            "3 = -1\n"
+            "6 = 1/3\n"
+            "12 = 2/3\n"
+        ),
+        "",
+    ),
+    (
+        ["invert-transform", "--fn", "div.json", "--divisors", "12", "--json"],
+        0,
+        (
+            "{\n"
+            '  "poset": "divisibility",\n'
+            '  "values": {\n'
+            '    "1": "1",\n'
+            '    "2": "-1",\n'
+            '    "3": "-1",\n'
+            '    "6": "1/3",\n'
+            '    "12": "2/3"\n'
             "  }\n"
             "}\n"
         ),

@@ -603,6 +603,24 @@ class TestPairSearch:
         with pytest.raises(BoundTooLarge, match="^kernel basis of 1049600 cells exceeds cap 1048576$"):
             finite_support_pair_search(CHAIN, Window(CHAIN, 1025), Window(CHAIN, 1026))
 
+    @pytest.mark.parametrize(
+        "window, shell, found",
+        [(Window(CHAIN, 2), Window(CHAIN, 4), True), (Window(SUBSETS, 1), Window(SUBSETS, 2), False)],
+    )
+    def test_each_window_is_enumerated_once(self, window, shell, found, monkeypatch):
+        # The candidate's transform is materialized on the shell already listed.
+        calls = []
+
+        def spy(w):
+            calls.append(w)
+            return enumerate_window(w)
+
+        for module in (lab, functions):
+            monkeypatch.setattr(module, "enumerate_window", spy)
+        result = finite_support_pair_search(window.poset, window, shell)
+        assert (result.candidate is not None) is found
+        assert calls == [window, shell]
+
     def test_candidate_transform_vanishes_on_shell(self):
         for k in range(3, 7):
             window, shell = Window(CHAIN, k), Window(CHAIN, 2 * k)

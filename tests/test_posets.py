@@ -592,22 +592,30 @@ def assert_materialize_is_the_point_rule(f, window):
 
 
 def assert_passes_are_the_lower_covers(window):
-    """The steps of the window's ``window_passes`` are exactly the pairs
+    """The window's ``window_passes`` list each of its elements once,
+    and their steps, read through that listing, are exactly the pairs
     (y, z) of its elements with z a lower cover of y, in the order
-    ``_run_passes`` relies on. Every step of a pass lowers the same
-    coordinate. A grid pass lowers it from a single level to the level
-    below, and a coordinate's grid passes never descend by level (one
-    level may take several passes, over disjoint chains); a range pass
-    lowers it from every level, is the coordinate's only pass, and its
-    targets ascend."""
+    ``_run_passes`` relies on. A range window is listed as it is
+    enumerated; a grid window as its grid, with passes of ``range``s.
+    Every step of a pass lowers the same coordinate. A grid pass lowers
+    it from a single level to the level below, and a coordinate's grid
+    passes never descend by level (one level may take several passes,
+    over disjoint chains); a range pass lowers it from every level, is
+    the coordinate's only pass, and its targets ascend."""
     p = window.poset
     elements = enumerate_window(window)
+    listing, passes = p.window_passes(window, elements)
+    assert sorted(listing, key=p.sort_key) == elements
+    grid = p == SUBSETS or window.divisor_closure
+    assert (listing is elements) is not grid
     pairs = []
     levels = {}  # coordinate -> level of its last grid pass, None after a range pass
-    for targets, sources in p.window_passes(window, elements):
+    for targets, sources in passes:
+        if grid:
+            assert type(targets) is range and type(sources) is range
         targets, sources = list(targets), list(sources)
         assert targets and len(targets) == len(sources)
-        steps = [(elements[t], elements[s]) for t, s in zip(targets, sources)]
+        steps = [(listing[t], listing[s]) for t, s in zip(targets, sources)]
         (c,) = {step_coordinate(p, y, z) for y, z in steps}
         heights = {dict(p._pairs(y))[c] for y, _ in steps}
         if len(heights) == 1:
