@@ -1,8 +1,8 @@
 """Exact linear algebra over Gaussian rationals.
 
-One sparse, fraction-free Gauss–Jordan elimination over Gaussian
-integers serves every routine here. An input row is a sequence of
-scalars or a ``{column: scalar}`` mapping, with any exact scalar
+One sparse, fraction-free elimination over Gaussian integers serves
+every routine here. An input row is a sequence of scalars or a
+``{column: scalar}`` mapping, with any exact scalar
 (``int``, ``Fraction`` or ``GaussianRational``, as
 :func:`posetlab.scalars.narrow` produces them). Equal rows span the
 same space, so a row equal to one already taken is skipped. Each row is
@@ -16,37 +16,36 @@ matrix with an imaginary part, by the gcd of its entries in Z[i] (a
 real row with integer content 1 is already primitive there), so the
 integers stay small without building any ``Fraction``.
 
-The elimination runs as a forward pass, which leaves each row with its
-lead at its pivot, and then one back substitution, from the last pivot
-row to the first (the classic order; Bareiss, *Math. Comp.* 22, 1968).
-Eager Gauss–Jordan instead clears each new pivot's column from every
-row taken so far, and those clears fill rows that later pivots clear
-again: on the divisibility search 1000/2000 it makes 77,638 clears
-against 23,572.
+The elimination is one forward pass, which takes the pivots in
+ascending column order and leaves each row with its lead at its pivot;
+no row is cleared a second time. The kernel basis vector of a free
+column f is 1 at f and 0 at the other free columns and at the pivot
+columns past f, so the forward rows with pivots before f, solved from
+the last to the first in the Gaussian integers, give the rest of it:
+one triangular solve per kernel vector.
 
 The pair search reports only the kernel's dimension and its first basis
 vector made primitive, and :func:`kernel_candidate` does only that work.
 Where every column is the largest nonzero column of some row, the rank
 is full and nothing is eliminated. Otherwise the forward pass gives the
-rank, and one triangular solve in the Gaussian integers over the pivot
-rows before the first free column gives the vector; no back
-substitution runs and no basis is built. :func:`nullspace` stays the
-routine that builds the whole basis.
+rank, and the solve for the first free column gives the vector; no
+basis is built. :func:`nullspace` builds the whole basis, one solve per
+free column.
 
 Scaling a row by a nonzero scalar never changes the row space, so the
-elimination reaches the same reduced row echelon form as division-based
-elimination over the field. That form is unique: the pivot columns, the
-rref and the kernel basis do not depend on which row serves as a pivot
-or on the order of the clears, so each pivot is the sparsest row
-available, and the results are bit-reproducible. ``GaussianRational``
-values are built only where results leave this module, once per
-distinct (entry, pivot entry) pair in a call: cells with equal
-quotients, most of them ±1 in a 0/1 search matrix, share one immutable
+pivot columns and the kernel basis are those of division-based
+elimination over the field. They do not depend on which row serves as
+a pivot or on the order of the clears, so each pivot is the sparsest
+row available, and the results are bit-reproducible.
+``GaussianRational`` values are built only where results leave this
+module, once per distinct cell value in a :func:`nullspace` call: equal
+cells, most of them ±1 in a 0/1 search matrix, share one immutable
 value.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
@@ -55,7 +54,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .posets import _check_cap
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational
 
 
 def _sparse_row(row) -> dict[int, tuple[int, int]]:
@@ -183,37 +182,59 @@ def _forward(rows):
     return echelon, pivots, gaussian
 
 
-def _back_substitute(echelon, pivots, gaussian: bool) -> None:
-    """Clear, in place, every entry of the ``_forward`` rows in another
-    row's pivot column. It goes from the last pivot row to the first:
-    the rows below row j are already reduced, so clearing row j against
-    one of them removes that pivot's column and adds only free columns,
-    and the pivot columns to clear are known before the first clear."""
-    position = {c: j for j, c in enumerate(pivots)}
-    for j in reversed(range(len(echelon) - 1)):
-        row = echelon[j]
-        for c in [k for k in row if k in position and k != pivots[j]]:
-            row = _clear(row, echelon[position[c]], c, gaussian)
-        echelon[j] = row
+def _kernel_vector(echelon, pivots, free: int) -> dict[int, tuple[int, int]]:
+    """A positive integer multiple of the kernel basis vector of the free
+    column ``free``, as ``{column: (re, im)}`` without zeros, from the
+    ``_forward`` rows and pivots.
+
+    The basis vector is 1 at ``free`` and 0 at the other free columns
+    and at the pivot columns past ``free``, so the forward rows with
+    pivots before ``free``, solved from the last to the first, give the
+    rest. The solve stays in the Gaussian integers: each new entry is
+    -sum / p for the row's pivot entry p, written with a positive
+    integer denominator (|p|, or the norm of p for a Gaussian p), and
+    where that does not divide the sum, the entries solved so far are
+    multiplied by it over the gcd. Every factor is a positive integer."""
+    vector = {free: (1, 0)}
+    for j in reversed(range(bisect_left(pivots, free))):
+        row, c = echelon[j], pivots[j]
+        # Only columns in both the row and the vector add to the sum (c
+        # is not solved yet), so it runs over the shorter of the two: on
+        # a chain search, one dense row meets one-entry vectors.
+        short, long = (row, vector) if len(row) < len(vector) else (vector, row)
+        get = long.get
+        sum_re = sum_im = 0
+        for k, (a, b) in short.items():
+            other = get(k)
+            if other is not None:
+                x, y = other
+                sum_re += a * x - b * y
+                sum_im += a * y + b * x
+        if not (sum_re or sum_im):
+            continue
+        # The new entry is -sum / p, written as -sum' / scale with a
+        # positive integer scale: both are multiplied by the conjugate
+        # of a Gaussian p, or by -1 for a negative p.
+        pr, pi = row[c]
+        if pi:
+            scale = pr * pr + pi * pi
+            sum_re, sum_im = sum_re * pr + sum_im * pi, sum_im * pr - sum_re * pi
+        elif pr < 0:
+            scale, sum_re, sum_im = -pr, -sum_re, -sum_im
+        else:
+            scale = pr
+        common = gcd(scale, sum_re, sum_im)
+        if common != scale:
+            scale //= common
+            for k, (x, y) in vector.items():
+                vector[k] = (scale * x, scale * y)
+        vector[c] = (-sum_re // common, -sum_im // common)
+    return vector
 
 
-def _eliminate(rows):
-    """Sparse fraction-free Gauss–Jordan elimination, as a forward pass
-    and one back substitution. Returns the nonzero rows, each primitive
-    and without an entry in any pivot column but its own, and the pivot
-    columns, ascending. A row equal to an earlier one is skipped."""
-    echelon, pivots, gaussian = _forward(rows)
-    _back_substitute(echelon, pivots, gaussian)
-    return echelon, pivots
-
-
-def _quotient(value, pivot) -> GaussianRational:
-    """The Gaussian integers ``value / pivot`` as a ``GaussianRational``:
-    a / (pr + pi*i) = a * (pr - pi*i) / norm."""
-    a, b = value
-    pr, pi = pivot
-    norm = pr * pr + pi * pi
-    return GaussianRational(Fraction(a * pr + b * pi, norm), Fraction(b * pr - a * pi, norm))
+def _cell(a: int, b: int, scale: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i) / scale."""
+    return GaussianRational(Fraction(a, scale), Fraction(b, scale))
 
 
 def _check_basis_cap(dimension: int, ncols: int) -> None:
@@ -226,22 +247,24 @@ def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
     """Basis of the kernel of the matrix, one vector per free column in
     ascending column order. An empty row list gives the standard basis.
     The basis holds (``ncols`` - rank) * ``ncols`` cells; past
-    ``DEFAULT_ELEMENT_CAP`` of them it is refused before any is built."""
-    echelon, pivots = _eliminate(rows)
+    ``DEFAULT_ELEMENT_CAP`` of them it is refused before any is built.
+
+    Each vector is one triangular solve over the forward rows
+    (``_kernel_vector``), divided by its entry at its free column."""
+    echelon, pivots, _ = _forward(rows)
     _check_basis_cap(ncols - len(pivots), ncols)
-    pivot_set = set(pivots)
-    basis = {}
-    for free in range(ncols):
-        if free not in pivot_set:
-            vector = basis[free] = [ZERO] * ncols
-            vector[free] = ONE
-    quotient = cache(_quotient)
-    for row, c in zip(echelon, pivots):
-        pr, pi = row[c]
-        for k, (a, b) in row.items():
-            if k != c:
-                basis[k][c] = quotient((-a, -b), (pr, pi))
-    return list(basis.values())
+    cell = cache(_cell)
+    basis = []
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        entries = _kernel_vector(echelon, pivots, free)
+        scale = entries[free][0]
+        vector = [ZERO] * ncols
+        for k, (a, b) in entries.items():
+            # Keyed in lowest terms, so that equal cells share one value.
+            common = gcd(a, b, scale)
+            vector[k] = cell(a // common, b // common, scale // common)
+        basis.append(vector)
+    return basis
 
 
 def _top_column(row):
@@ -279,16 +302,10 @@ def kernel_candidate(rows: list, ncols: int) -> tuple[int, list[GaussianRational
 
     A full-rank certificate (``_full_rank_certificate``) answers without
     eliminating. Otherwise the rank comes from the forward pass alone.
-    The first basis vector is 1 at the first free column f0 and 0 past
-    it, and every column before f0 is a pivot column, so the forward
-    rows with pivots below f0, cut to columns up to f0, give it by one
-    back solve. The solve stays in the Gaussian integers: each new entry
-    is -sum / p for the row's pivot entry p, written with a positive
-    integer denominator (|p|, or the norm of p for a Gaussian p), and
-    where that does not divide the sum, the entries solved so far are
-    multiplied by it over the gcd. Every factor is a positive integer,
-    so the result is a positive multiple of the basis vector and has
-    the same primitive form."""
+    Every column before the first free column f0 is a pivot column, and
+    ``_kernel_vector`` solves the forward rows of those pivots for f0's
+    basis vector, times a positive integer, which has the same
+    primitive form."""
     if _full_rank_certificate(rows, ncols):
         return 0, None
     echelon, pivots, _ = _forward(rows)
@@ -299,38 +316,7 @@ def kernel_candidate(rows: list, ncols: int) -> tuple[int, list[GaussianRational
     # The pivots ascend and are distinct, so f0 is the first j with
     # pivots[j] != j.
     f0 = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
-    vector = {f0: (1, 0)}
-    get = vector.get
-    for j in reversed(range(f0)):
-        row = echelon[j]
-        sum_re = sum_im = 0
-        for k, (a, b) in row.items():
-            if k != j:
-                entry = get(k)
-                if entry is not None:
-                    x, y = entry
-                    sum_re += a * x - b * y
-                    sum_im += a * y + b * x
-        if not (sum_re or sum_im):
-            continue
-        # The new entry is -sum / p, written as -sum' / scale with a
-        # positive integer scale: both are multiplied by the conjugate
-        # of a Gaussian p, or by -1 for a negative p.
-        pr, pi = row[j]
-        if pi:
-            scale = pr * pr + pi * pi
-            sum_re, sum_im = sum_re * pr + sum_im * pi, sum_im * pr - sum_re * pi
-        elif pr < 0:
-            scale, sum_re, sum_im = -pr, -sum_re, -sum_im
-        else:
-            scale = pr
-        common = gcd(scale, sum_re, sum_im)
-        if common != scale:
-            scale //= common
-            for k, (x, y) in vector.items():
-                vector[k] = (scale * x, scale * y)
-        vector[j] = (-sum_re // common, -sum_im // common)
-    return dimension, _primitive_vector(vector, ncols)
+    return dimension, _primitive_vector(_kernel_vector(echelon, pivots, f0), ncols)
 
 
 def primitive_integer_vector(vector: list) -> list[GaussianRational]:

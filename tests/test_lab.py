@@ -596,10 +596,12 @@ class TestPairSearch:
 
     def test_kernel_basis_is_capped(self, monkeypatch):
         # Window N and shell N + 1 on the chain: one equation, so N - 1
-        # basis vectors of N cells, refused before any of them is built.
+        # basis vectors of N cells, refused before any cell is built,
+        # of the basis or of the candidate.
         result = finite_support_pair_search(CHAIN, Window(CHAIN, 1024), Window(CHAIN, 1025))
         assert result.nullspace_dimension == 1023
-        monkeypatch.setattr(linalg, "_quotient", None)
+        monkeypatch.setattr(linalg, "_cell", None)
+        monkeypatch.setattr(linalg, "_primitive_vector", None)
         with pytest.raises(BoundTooLarge, match="^kernel basis of 1049600 cells exceeds cap 1048576$"):
             finite_support_pair_search(CHAIN, Window(CHAIN, 1025), Window(CHAIN, 1026))
 
@@ -677,16 +679,14 @@ class TestPairSearch:
         assert (result.nullspace_dimension, result.candidate, forward) == (0, None, [])
 
     def test_divisibility_search_clears_in_the_forward_pass_only(self, monkeypatch):
-        # Divisibility 64/128, rank 50: the full elimination clears 374
-        # rows (see test_linalg); the rank and the candidate need only the
-        # forward pass's 290 and one triangular solve.
-        cleared, back = [], []
-        original_clear, original_back = linalg._clear, linalg._back_substitute
-        monkeypatch.setattr(linalg, "_clear", lambda *args: cleared.append(args[2]) or original_clear(*args))
-        monkeypatch.setattr(linalg, "_back_substitute", lambda *args: back.append(1) or original_back(*args))
+        # Divisibility 64/128, rank 50: the rank and the candidate need
+        # only the forward pass's 290 clears and one triangular solve.
+        cleared = []
+        original = linalg._clear
+        monkeypatch.setattr(linalg, "_clear", lambda *args: cleared.append(args[2]) or original(*args))
         result = finite_support_pair_search(DIV, Window(DIV, 64), Window(DIV, 128))
         assert result.nullspace_dimension == 14
-        assert (len(cleared), back) == (290, [])
+        assert len(cleared) == 290
         f, _ = result.candidate
         expected = primitive_integer_vector(nullspace(result.rows, len(result.unknowns))[0])
         assert dict(f.items()) == {x: v for x, v in zip(result.unknowns, expected) if v}
@@ -1028,7 +1028,7 @@ class TestPairSearchRows:
         unknowns, shell = enumerate_window(Window(CHAIN, 80)), enumerate_window(Window(CHAIN, 160))
         rows = lab._pair_search_rows(CHAIN, unknowns, shell, zeta_function(CHAIN))
         assert len(rows) == 80
-        assert linalg._eliminate(rows)[1] == [0]
+        assert linalg._forward(rows)[1] == [0]
         assert converted == [dict.fromkeys(range(80), 1)]
 
     @staticmethod

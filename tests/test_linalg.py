@@ -1,4 +1,4 @@
-"""Exact elimination: echelon form, kernels, kernel candidates, normalisation."""
+"""Exact elimination: pivots, kernels, kernel candidates, normalisation."""
 
 import random
 from collections.abc import Mapping
@@ -14,7 +14,8 @@ from sympy.polys.domains import ZZ_I
 import posetlab.lab as lab
 import posetlab.linalg as linalg
 from posetlab import GaussianRational, Window, enumerate_window, get_poset, zeta_function
-from posetlab.linalg import _eliminate, kernel_candidate, nullspace, primitive_integer_vector
+from posetlab.errors import BoundTooLarge
+from posetlab.linalg import _forward, kernel_candidate, nullspace, primitive_integer_vector
 from posetlab.scalars import ONE, ZERO
 
 
@@ -103,17 +104,15 @@ def from_sympy(value):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_dimension_matches_sympy(matrix):
-    """Echelon rows and pivots and the kernel basis (so its dimension)
-    agree exactly with sympy; the input is left untouched."""
+    """The pivots and the kernel basis (so its dimension) agree exactly
+    with sympy; the input is left untouched."""
     rows, ncols = matrix
     snapshot = [list(row) for row in rows]
     reference = to_sympy(rows, ncols)
-    expected_rref, expected_pivots = reference.rref()
+    _, expected_pivots = reference.rref()
     rank = len(expected_pivots)
 
-    rref, pivots = dense_rref(rows, ncols)
-    assert pivots == list(expected_pivots)
-    assert rref == [[from_sympy(v) for v in expected_rref.row(r)] for r in range(rank)]
+    assert _forward(rows)[1] == list(expected_pivots)
     basis = nullspace(rows, ncols)
     assert basis == [[from_sympy(v) for v in vector] for vector in reference.nullspace()]
     assert len(basis) == ncols - rank
@@ -150,25 +149,23 @@ def to_gaussian(rows):
 @settings(max_examples=200, deadline=None)
 @given(sparse_narrow_matrices(), st.randoms(use_true_random=False))
 def test_sparse_narrow_cells_match_sympy(matrix, rng):
-    """On narrow, mostly zero input the rref, pivots and kernel equal
-    sympy's, every kernel cell is a ``GaussianRational``, and
-    a reordering of the rows (another choice of pivot rows) changes
-    nothing, since the rref is unique."""
+    """On narrow, mostly zero input the pivots and kernel equal sympy's,
+    every kernel cell is a ``GaussianRational``, and a reordering of the
+    rows (another choice of pivot rows) changes nothing, since the
+    reduced row echelon form is unique."""
     rows, ncols = matrix
     reference = to_sympy(to_gaussian(rows), ncols)
-    expected_rref, expected_pivots = reference.rref()
-    rank = len(expected_pivots)
+    _, expected_pivots = reference.rref()
 
-    rref, pivots = dense_rref(rows, ncols)
+    pivots = _forward(rows)[1]
     assert pivots == list(expected_pivots)
-    assert rref == [[from_sympy(v) for v in expected_rref.row(r)] for r in range(rank)]
     basis = nullspace(rows, ncols)
     assert basis == [[from_sympy(v) for v in vector] for vector in reference.nullspace()]
     assert all(type(v) is GaussianRational for row in basis for v in row)
 
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    assert dense_rref(shuffled, ncols) == (rref, pivots)
+    assert _forward(shuffled)[1] == pivots
     assert nullspace(shuffled, ncols) == basis
 
 
@@ -192,9 +189,10 @@ def test_repeated_rows_change_no_kernel(matrix, rng):
 
 def eager_eliminate(rows):
     """Eager sparse fraction-free Gauss–Jordan elimination, the oracle of
-    ``_eliminate``: each new pivot row clears its column from every
-    echelon row taken so far. It calls ``linalg._clear`` through the
-    module, so that a wrapper counts its clears too."""
+    ``_forward``'s pivots and of ``nullspace``: each new pivot row clears
+    its column from every echelon row taken so far. It calls
+    ``linalg._clear`` through the module, so that a wrapper counts its
+    clears too."""
     taken = set()
     sparse_rows = []
     for row in rows:
@@ -226,38 +224,20 @@ def eager_eliminate(rows):
     return echelon, pivots
 
 
-def divided_by_pivots(echelon, pivots):
-    """Each eliminated row divided by its entry in its pivot column."""
-    return [
-        {k: GaussianRational(*value) / GaussianRational(*row[c]) for k, value in row.items()}
-        for row, c in zip(echelon, pivots)
-    ]
-
-
-def dense_rref(rows, ncols):
-    """The rref rows, dense, and the pivot columns of ``_eliminate``,
-    each row divided by its pivot entry."""
-    echelon, pivots = _eliminate(rows)
-    reduced = divided_by_pivots(echelon, pivots)
-    return [[row.get(k, ZERO) for k in range(ncols)] for row in reduced], pivots
-
-
-def eager_results(rows, ncols):
-    """The rref and the kernel basis, read with plain
-    ``GaussianRational`` arithmetic from the eager elimination."""
+def eager_basis(rows, ncols):
+    """The kernel basis, read with plain ``GaussianRational`` arithmetic
+    from the rows of the eager elimination."""
     echelon, pivots = eager_eliminate(rows)
-    reduced = divided_by_pivots(echelon, pivots)
-    rref = [[row.get(k, ZERO) for k in range(ncols)] for row in reduced]
     basis = []
     for free in range(ncols):
         if free not in pivots:
             kernel_vector = [ZERO] * ncols
             kernel_vector[free] = ONE
-            for row, c in zip(reduced, pivots):
+            for row, c in zip(echelon, pivots):
                 if free in row:
-                    kernel_vector[c] = -row[free]
+                    kernel_vector[c] = -GaussianRational(*row[free]) / GaussianRational(*row[c])
             basis.append(kernel_vector)
-    return (rref, pivots), basis
+    return basis
 
 
 @st.composite
@@ -273,23 +253,17 @@ def matrices_with_repeats(draw):
     return draw(st.permutations(rows)), ncols
 
 
-# Deep: gates the forward pass and one back substitution.
+# Deep: gates the forward pass and the triangular solves.
 @pytest.mark.deep
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(matrices_with_repeats())
 def test_deferred_elimination_equals_eager_gauss_jordan(matrix):
-    """A forward pass and one back substitution reach the eager
-    elimination's reduced form: the same pivots and, with each row
-    divided by its pivot entry, the same rows. The rref and the kernel
-    basis equal those read from the eager rows."""
+    """The forward pass finds the eager elimination's pivots, and one
+    triangular solve per free column over the forward rows gives the
+    kernel basis read from the eager rows."""
     rows, ncols = matrix
-    echelon, pivots = _eliminate(rows)
-    expected_echelon, expected_pivots = eager_eliminate(rows)
-    assert pivots == expected_pivots
-    assert divided_by_pivots(echelon, pivots) == divided_by_pivots(expected_echelon, expected_pivots)
-    rref, basis = eager_results(rows, ncols)
-    assert dense_rref(rows, ncols) == rref
-    assert nullspace(rows, ncols) == basis
+    assert _forward(rows)[1] == eager_eliminate(rows)[1]
+    assert nullspace(rows, ncols) == eager_basis(rows, ncols)
 
 
 _NON_UNIT_GAUSSIAN = st.builds(
@@ -326,11 +300,13 @@ def kernel_matrices(draw):
 @given(kernel_matrices())
 def test_kernel_candidate_equals_the_first_basis_vector_made_primitive(matrix):
     """The full-rank certificate never hides a kernel ``nullspace``
-    finds; the dimension is that of ``nullspace``'s basis, and the
-    candidate its first vector made primitive, from the forward pass and
-    one triangular solve, or from the certificate alone."""
+    finds; the dimension is that of ``nullspace``'s basis, which equals
+    the eager elimination's, and the candidate its first vector made
+    primitive, from the forward pass and one triangular solve, or from
+    the certificate alone."""
     rows, ncols = matrix
     basis = nullspace(rows, ncols)
+    assert basis == eager_basis(rows, ncols)
     assert not (basis and linalg._full_rank_certificate(rows, ncols))
     expected = primitive_integer_vector(basis[0]) if basis else None
     assert kernel_candidate(rows, ncols) == (len(basis), expected)
@@ -344,43 +320,60 @@ def search_rows(family, bound, shell_bound):
     return lab._pair_search_rows(p, unknowns, shell, zeta_function(p)), len(unknowns)
 
 
-def test_back_substitution_clears_fewer_rows_than_eager_elimination(monkeypatch):
-    # Divisibility 64/128, rank 50: the forward pass and the back
-    # substitution clear 374 rows, against 469 for eager elimination,
-    # whose back clears fill rows that later pivots clear again.
+def test_nullspace_clears_in_the_forward_pass_only(monkeypatch):
+    # Divisibility 64/128, rank 50: the basis takes the forward pass's
+    # 290 clears and one triangular solve per free column, against 469
+    # clears for eager elimination, whose back clears fill rows that
+    # later pivots clear again.
     rows, ncols = search_rows("divisibility", 64, 128)
     cleared = []
     original = linalg._clear
     monkeypatch.setattr(linalg, "_clear", lambda *args: cleared.append(args[2]) or original(*args))
-    echelon, pivots = _eliminate(rows)
-    deferred = len(cleared)
+    basis = nullspace(rows, ncols)
+    forward = len(cleared)
     cleared.clear()
-    eager_eliminate(rows)
-    assert len(pivots) == 50
-    assert (deferred, len(cleared)) == (374, 469)
-    assert deferred < len(cleared)
+    expected = eager_basis(rows, ncols)
+    assert (forward, len(cleared)) == (290, 469)
+    assert len(basis) == 14
+    assert basis == expected
 
 
 def test_equal_kernel_cells_share_one_quotient(monkeypatch):
     # Chain 80/160: 80 equal rows of 80 ones, so the 79 basis cells off
-    # the standard basis are all -1, one quotient built once.
+    # the free columns are all -1, one value built once.
     rows, ncols = search_rows("chain", 80, 160)
     calls = []
-    original = linalg._quotient
-    monkeypatch.setattr(linalg, "_quotient", lambda value, pivot: calls.append((value, pivot)) or original(value, pivot))
+    original = linalg._cell
+    monkeypatch.setattr(linalg, "_cell", lambda *args: calls.append(args) or original(*args))
     basis = nullspace(rows, ncols)
-    assert calls == [((-1, 0), (1, 0))]
-    (row,), (c,) = _eliminate(rows)
+    assert sorted(calls) == [(-1, 0, 1), (1, 0, 1)]
+    _, (c,), _ = _forward(rows)
     expected = []
     for free in range(ncols):
         if free != c:
             vector = [ZERO] * ncols
             vector[free] = ONE
-            vector[c] = original((-row[free][0], -row[free][1]), row[c])
+            vector[c] = -ONE
             expected.append(vector)
     assert len(basis) == 79
     assert basis == expected
     assert all(vector[c] is basis[0][c] for vector in basis)
+
+
+@pytest.mark.parametrize("ncols, refused", [(1024, False), (1025, True)])
+def test_nullspace_basis_is_capped(ncols, refused, monkeypatch):
+    # One all-ones row: ncols - 1 vectors of ncols cells, 1023 * 1024 =
+    # 1047552 within the cap and 1024 * 1025 = 1049600 past it, refused
+    # before any cell is built.
+    built = []
+    original = linalg._cell
+    monkeypatch.setattr(linalg, "_cell", lambda *args: built.append(args) or original(*args))
+    if refused:
+        with pytest.raises(BoundTooLarge, match="^kernel basis of 1049600 cells exceeds cap 1048576$"):
+            nullspace([[1] * ncols], ncols)
+        assert built == []
+    else:
+        assert len(nullspace([[1] * ncols], ncols)) == 1023
 
 
 _GAUSSIAN_INTEGER = st.builds(GaussianRational, st.integers(-5, 5), st.integers(-5, 5))
@@ -399,7 +392,7 @@ def test_eliminated_rows_are_primitive_over_the_gaussian_integers(nrows, ncols, 
     for _ in range(nrows):
         factor = data.draw(entry.filter(bool))
         rows.append([factor * data.draw(entry) for _ in range(ncols)])
-    echelon, _ = _eliminate(rows)
+    echelon, _, _ = _forward(rows)
     for row in echelon:
         common = ZZ_I.zero
         for a, b in row.values():
@@ -425,16 +418,6 @@ def test_primitive_vector_is_a_primitive_multiple(vector):
     assert gcd(*(part.numerator for part in parts)) == 1
     lead = result[support[0]]
     assert lead.real > 0 or (lead.real == 0 and lead.imag > 0)
-
-
-def test_rref_pivots_are_unit_columns():
-    rng = random.Random(9)
-    rows = random_matrix(rng, 5, 7)
-    rref, pivots = dense_rref(rows, 7)
-    for r, c in enumerate(pivots):
-        column = [row[c] for row in rref]
-        assert column[r] == 1
-        assert all(not v for i, v in enumerate(column) if i != r)
 
 
 def test_primitive_normalisation():
