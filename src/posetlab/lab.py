@@ -47,7 +47,6 @@ from .errors import (
     InsufficientWitnesses,
     InvalidInput,
     NotInverses,
-    NotInvertible,
     NotStrictlyAbove,
     PosetMismatch,
     WindowNotNested,
@@ -446,8 +445,10 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
     An inverse beta's row is instead read from y's column line
     x -> beta(x, y), solved once down ideal(y) (see ``_column_row``);
     evaluated cell by cell, each cell would solve its own row over
-    [x, y]. Only where the column meets a zero diagonal is the row
-    built from its cells, to raise what they raise."""
+    [x, y]. The unknowns are a window's elements, so the first is the
+    bottom, and a dense build's first cell of row y, beta(bottom, y),
+    solves all of ideal(y): it raises where the column raises, at the
+    first zero diagonal of ideal(y) in canonical order."""
     column = {x: c for c, x in enumerate(unknowns)}
     zeta = beta.kind == "zeta"
     inverse = beta.kind == "inverse"
@@ -458,9 +459,8 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
     for i, y in enumerate(shell_elements):
         if y in column:
             continue
-        row = _column_row(beta, bottom, y, column) if inverse else None
-        if row is not None:
-            rows.append(row)
+        if inverse:
+            rows.append(_column_row(beta, bottom, y, column))
             continue
         grid = p._grid(bottom, y) if i < walk_limit else None
         if grid is None:
@@ -479,19 +479,17 @@ def _pair_search_rows(p: Poset, unknowns: list, shell_elements: list, beta: Inte
     return rows
 
 
-def _column_row(beta: IntervalFunction, bottom, y, column: dict) -> dict | None:
+def _column_row(beta: IntervalFunction, bottom, y, column: dict) -> dict:
     """The pair-search row of y for an inverse ``beta``, read from y's
-    column line, which holds all of ideal(y); None where solving it
-    meets a zero diagonal, so that the row is built cell by cell and
-    raises what a dense build raises. A line solved here is dropped once
-    read, since no other row reads it: kept, the lines of the chain
-    Möbius search 1000/2000 peaked at 111 MB, against 16 MB dropped."""
+    column line, which holds all of ideal(y); solving it raises
+    ``NotInvertible`` at the first zero diagonal of ideal(y) in canonical
+    order. A line solved here is dropped once read, or once it raises,
+    since no other row reads it: kept, the lines of the chain Möbius
+    search 1000/2000 peaked at 111 MB, against 16 MB dropped."""
     lines = beta._columns
     kept = y in lines
     try:
         line = beta._column(bottom, y)
-    except NotInvertible:
-        return None
     finally:
         if not kept:
             lines.pop(y, None)

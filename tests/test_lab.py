@@ -33,6 +33,7 @@ from posetlab import (
     GaussianRational,
     InsufficientWitnesses,
     NotInverses,
+    NotInvertible,
     NotStrictlyAbove,
     PosetMismatch,
     Window,
@@ -941,14 +942,18 @@ def report_or_error(*args):
 def pair_search_windows(family, rng):
     """A poset, the unknowns of a window and the elements of a shell that
     contains it; on an explicit poset the window is the down-set of a
-    random sample and the shell is the whole poset."""
+    random sample of at least one element and the shell is the whole
+    poset. Like every window, the unknowns start at the bottom."""
     if family == "explicit":
         p = random_explicit_poset(rng, rng.randint(2, 10))
         shell = p.elements()
-        below = {x for top in rng.sample(shell, rng.randint(0, len(shell))) for x in p.ideal(top)}
-        return p, [x for x in shell if x in below], shell
-    p, w, shell, _ = conjecture_windows(family, rng)
-    return p, enumerate_window(w), enumerate_window(shell)
+        below = {x for top in rng.sample(shell, rng.randint(1, len(shell))) for x in p.ideal(top)}
+        unknowns = [x for x in shell if x in below]
+    else:
+        p, w, shell, _ = conjecture_windows(family, rng)
+        unknowns, shell = enumerate_window(w), enumerate_window(shell)
+    assert unknowns[0] == p.bottom()
+    return p, unknowns, shell
 
 
 def dense_pair_search_rows(p, unknowns, shell_elements, beta):
@@ -1077,6 +1082,48 @@ class TestPairSearchRows:
         unknowns, shell = enumerate_window(Window(SUBSETS, 10)), enumerate_window(Window(SUBSETS, 11))
         rows = lab._pair_search_rows(SUBSETS, unknowns, shell, zeta_function(SUBSETS))
         assert (len(rows), sum(map(len, rows)), len(calls)) == (1024, 3**10, 0)
+
+
+class TestInverseRowsFromColumns:
+    """An inverse beta's rows come from its columns alone: where a column
+    meets a zero diagonal, the search raises the dense build's error,
+    solves no row of beta, and leaves beta's memos as it found them."""
+
+    # Custom beta of 1 everywhere but two zero diagonal entries, both in
+    # the ideal of the first row that raises; the element named is the
+    # first of them in canonical order, not the first a column meets.
+    @pytest.mark.parametrize(
+        "window, shell, zeroed, named",
+        [
+            (Window(DIV, 4), Window(DIV, 12), [2, 6], 2),
+            (Window(DIV, 6, divisor_closure=True), Window(DIV, 12, divisor_closure=True), [3, 12], 3),
+            (Window(CHAIN, 4), Window(CHAIN, 8), [2, 5], 2),
+            (Window(SUBSETS, 2), Window(SUBSETS, 3), [(2,), (2, 3)], (2,)),
+            (Window(MULTISETS, 4), Window(MULTISETS, 12), [((3, 1),), ((2, 1), (3, 1))], ((3, 1),)),
+        ],
+        ids=["divisibility", "divisors", "chain", "subsets", "multisets"],
+    )
+    def test_a_zero_diagonal_raises_the_dense_error(self, window, shell, zeroed, named, monkeypatch):
+        p = window.poset
+        unknowns, shell_elements = enumerate_window(window), enumerate_window(shell)
+
+        def beta():
+            return invert(custom_function(p, lambda x, y: 0 if x == y and x in zeroed else 1))
+
+        dense = typed_cells_or_error(dense_pair_search_rows, p, unknowns, shell_elements, beta())
+        assert dense == (NotInvertible, f"zero diagonal entry at {named!r}")
+        sparse_beta = beta()
+        # A column solved before the search stays; those it solves go.
+        sparse_beta._column(p.bottom(), p.bottom())
+        columns = {y: dict(line) for y, line in sparse_beta._columns.items()}
+        solved = []
+        original = IntervalFunction._inverse_row
+        monkeypatch.setattr(
+            IntervalFunction, "_inverse_row", lambda self, x, y: solved.append((x, y)) or original(self, x, y)
+        )
+        sparse = typed_cells_or_error(lab._pair_search_rows, p, unknowns, shell_elements, sparse_beta)
+        assert sparse == dense
+        assert (solved, sparse_beta._memo, sparse_beta._columns) == ([], {}, columns)
 
 
 class TestInverseCheck:
