@@ -103,7 +103,8 @@ class NotInverses(DomainError):
 
 
 class ElementOutsideWindow(DomainError):
-    """Census base point is not an element of the window."""
+    """An element named as a window's, such as a census base point or a
+    point of a function tested against a pair search, lies outside it."""
 
 
 class WindowNotNested(DomainError):

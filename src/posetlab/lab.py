@@ -170,9 +170,18 @@ class PairSearchResult(_Record):
 
     def vector_in_nullspace(self, f: FiniteSupportFunction) -> bool:
         """Whether a function supported in the window lies in the kernel:
-        whether every row vanishes on its values at the unknowns."""
-        if f.poset != self.window.poset:
+        whether every row vanishes on its values at the unknowns. Raises
+        ``ElementOutsideWindow`` at f's first support element, in
+        canonical order, outside the window."""
+        p = self.window.poset
+        if f.poset != p:
             raise PosetMismatch("function lives on a different poset")
+        window = set(self.unknowns)
+        for x in f.support():
+            if x not in window:
+                raise ElementOutsideWindow(
+                    f"{p.format_element(x)} is outside the window {self.window.label()}"
+                )
         vector = [f[x] for x in self.unknowns]
         return not any(sum(value * vector[c] for c, value in row.items()) for row in self.rows)
 

@@ -2,8 +2,8 @@
 
 One sparse, fraction-free elimination over Gaussian integers serves
 every routine here. An input row is a sequence of scalars or a
-``{column: scalar}`` mapping, with any exact scalar
-(``int``, ``Fraction`` or ``GaussianRational``, as
+``{column: scalar}`` mapping, its columns in ``range(ncols)``, with any
+exact scalar (``int``, ``Fraction`` or ``GaussianRational``, as
 :func:`posetlab.scalars.narrow` produces them). Equal rows span the
 same space, so a row equal to one already taken is skipped. Each row is
 scaled by the lcm of the denominators of its parts and kept as a dict
@@ -53,6 +53,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
+from .errors import InvalidInput
 from .posets import _check_cap
 from .scalars import ZERO, GaussianRational
 
@@ -237,6 +238,26 @@ def _cell(a: int, b: int, scale: int) -> GaussianRational:
     return GaussianRational(Fraction(a, scale), Fraction(b, scale))
 
 
+def _check_columns(rows, ncols: int) -> list:
+    """Each row's greatest column, None for an empty row. Refuses, with
+    ``InvalidInput``, the first row with a column outside ``range(ncols)``:
+    a mapping key, or a position of a sequence longer than ``ncols``.
+    Only each row's least and greatest column are read."""
+    highs = []
+    for r, row in enumerate(rows):
+        if not row:
+            highs.append(None)
+            continue
+        if isinstance(row, Mapping):
+            low, high = min(row), max(row)
+        else:
+            low, high = 0, len(row) - 1
+        if low < 0 or high >= ncols:
+            raise InvalidInput(f"row {r} has column {low if low < 0 else high}, outside range({ncols})")
+        highs.append(high)
+    return highs
+
+
 def _check_basis_cap(dimension: int, ncols: int) -> None:
     """Refuse a kernel basis of more than ``DEFAULT_ELEMENT_CAP`` cells."""
     cells = dimension * ncols
@@ -250,7 +271,9 @@ def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
     ``DEFAULT_ELEMENT_CAP`` of them it is refused before any is built.
 
     Each vector is one triangular solve over the forward rows
-    (``_kernel_vector``), divided by its entry at its free column."""
+    (``_kernel_vector``), divided by its entry at its free column. A row
+    with a column outside ``range(ncols)`` is refused first."""
+    _check_columns(rows, ncols)
     echelon, pivots, _ = _forward(rows)
     _check_basis_cap(ncols - len(pivots), ncols)
     cell = cache(_cell)
@@ -267,26 +290,26 @@ def nullspace(rows: list, ncols: int) -> list[list[GaussianRational]]:
     return basis
 
 
-def _top_column(row):
-    """The largest column of a nonzero entry of ``row``, or None."""
+def _top_column(row, high):
+    """The largest column of a nonzero entry of ``row``, whose greatest
+    column is ``high`` (None for an empty row), or None."""
+    if high is None or row[high]:
+        return high
     if isinstance(row, Mapping):
-        if row:
-            top = max(row)
-            if row[top]:
-                return top
-            return max((c for c, v in row.items() if v), default=None)
-        return None
-    return next((c for c in reversed(range(len(row))) if row[c]), None)
+        return max((c for c, v in row.items() if v), default=None)
+    return next((c for c in reversed(range(high)) if row[c]), None)
 
 
 def _full_rank_certificate(rows, ncols: int) -> bool:
     """Whether every column is the largest nonzero column of some row.
     Those rows, one per column taken in column order, form a square
     submatrix that is triangular with a nonzero diagonal, so the rank is
-    ``ncols``. False says nothing: the rank may still be full."""
+    ``ncols``. False says nothing: the rank may still be full. A row with
+    a column outside ``range(ncols)`` is refused first
+    (``_check_columns``), and no top is counted."""
     tops = set()
-    for row in rows:
-        top = _top_column(row)
+    for row, high in zip(rows, _check_columns(rows, ncols)):
+        top = _top_column(row, high)
         if top is not None:
             tops.add(top)
             if len(tops) == ncols:
@@ -305,7 +328,8 @@ def kernel_candidate(rows: list, ncols: int) -> tuple[int, list[GaussianRational
     Every column before the first free column f0 is a pivot column, and
     ``_kernel_vector`` solves the forward rows of those pivots for f0's
     basis vector, times a positive integer, which has the same
-    primitive form."""
+    primitive form. A row with a column outside ``range(ncols)`` is
+    refused first, by the certificate."""
     if _full_rank_certificate(rows, ncols):
         return 0, None
     echelon, pivots, _ = _forward(rows)

@@ -1262,3 +1262,19 @@ class TestPosetMismatch:
         result = finite_support_pair_search(DIV, Window(DIV, 4), Window(DIV, 8))
         with pytest.raises(PosetMismatch, match="function lives on a different poset"):
             result.vector_in_nullspace(f)
+
+
+class TestOutsideWindow:
+    """The kernel test refuses a function supported outside the window,
+    at its first such element in canonical order."""
+
+    # f = {7: 1} is 0 at every unknown, so every row vanishes on it, but
+    # its transform is 1 at 7, inside the shell.
+    @pytest.mark.parametrize(
+        "entries, named", [({7: 1}, 7), ({1: 1, 6: 2, 5: -1}, 5)], ids=["outside", "mixed"]
+    )
+    def test_nullspace_test_of_a_function_outside_the_window(self, entries, named):
+        result = finite_support_pair_search(DIV, Window(DIV, 4), Window(DIV, 8))
+        message = rf"^{named} is outside the window divisibility\[bound=4\]$"
+        with pytest.raises(ElementOutsideWindow, match=message):
+            result.vector_in_nullspace(FiniteSupportFunction(DIV, entries))

@@ -14,7 +14,7 @@ from sympy.polys.domains import ZZ_I
 import posetlab.lab as lab
 import posetlab.linalg as linalg
 from posetlab import GaussianRational, Window, enumerate_window, get_poset, zeta_function
-from posetlab.errors import BoundTooLarge
+from posetlab.errors import BoundTooLarge, InvalidInput
 from posetlab.linalg import _forward, kernel_candidate, nullspace, primitive_integer_vector
 from posetlab.scalars import ONE, ZERO
 
@@ -310,6 +310,47 @@ def test_kernel_candidate_equals_the_first_basis_vector_made_primitive(matrix):
     assert not (basis and linalg._full_rank_certificate(rows, ncols))
     expected = primitive_integer_vector(basis[0]) if basis else None
     assert kernel_candidate(rows, ncols) == (len(basis), expected)
+
+
+# Unchecked, a column outside the matrix reaches the full-rank
+# certificate, which counts top 5 as a column, and the elimination,
+# which writes column -1 into the last slot: the two entry points
+# disagree.
+@pytest.mark.parametrize(
+    "rows, ncols, row, column",
+    [([{0: 1}, {5: 1}], 2, 1, 5), ([{-1: 1, 0: 1}], 2, 0, -1), ([[1, 0], [0, 1, 0]], 2, 1, 2)],
+    ids=["past the end", "negative", "long sequence"],
+)
+@pytest.mark.parametrize("entry", [nullspace, kernel_candidate])
+def test_a_column_outside_the_matrix_is_refused_first(entry, rows, ncols, row, column, monkeypatch):
+    called = []
+    for name in ("_forward", "_top_column"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: called.append(name))
+    with pytest.raises(InvalidInput, match=rf"^row {row} has column {column}, outside range\({ncols}\)$"):
+        entry(rows, ncols)
+    assert called == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_narrow_matrices(), st.data())
+def test_one_entry_outside_the_matrix_is_refused(matrix, data):
+    """One entry appended outside ``range(ncols)``, as a mapping key or
+    past the end of a sequence, to a row or as a new row, is refused by
+    both entry points, naming its row and its column."""
+    rows, ncols = matrix
+    r = data.draw(st.integers(0, len(rows)), label="row")
+    column = data.draw(st.one_of(st.integers(-3, -1), st.integers(ncols, ncols + 3)), label="column")
+    value = data.draw(st.one_of(st.just(0), _NARROW), label="value")
+    rows = rows if r < len(rows) else rows + [[0] * ncols]
+    if column >= 0 and data.draw(st.booleans(), label="sequence"):
+        rows = list(rows)
+        rows[r] = rows[r] + [0] * (column - ncols) + [value]
+    else:
+        rows = [dict(enumerate(row)) for row in rows]
+        rows[r][column] = value
+    for entry in (nullspace, kernel_candidate):
+        with pytest.raises(InvalidInput, match=rf"^row {r} has column {column}, outside range\({ncols}\)$"):
+            entry(rows, ncols)
 
 
 def search_rows(family, bound, shell_bound):
